@@ -64,16 +64,20 @@ def kobayashi_metric(z, v) -> float:
 def kobayashi_distance(z, w) -> float:
     """Distance normalized so K(0, r e_1) = arctanh r.
 
-    arctanh of the Moebius invariant: m^2 = 1 - (1-|z|^2)(1-|w|^2) /
-    |1 - <z,w>|^2; symmetric and automorphism-invariant.
+    arctanh of the Moebius invariant m, with q = 1 - m^2 =
+    (1-|z|^2)(1-|w|^2) / |1 - <z,w>|^2; symmetric and
+    automorphism-invariant.  q is formed directly, never as 1 - m^2,
+    and arctanh m = (1/2) log((1+m)^2 / q), so the distance keeps its
+    digits up to the sphere.
     """
     z, w = _as_vec(z), _as_vec(w)
-    if norm(z) >= 1.0 or norm(w) >= 1.0:
+    nz, nw = norm(z), norm(w)
+    if nz >= 1.0 or nw >= 1.0:
         raise BallError("points must lie in the open ball")
-    denom = abs(1.0 - herm(z, w)) ** 2
-    m2 = 1.0 - (1.0 - norm(z) ** 2) * (1.0 - norm(w) ** 2) / denom
-    m2 = min(max(m2, 0.0), 1.0 - 1e-300)
-    return math.atanh(math.sqrt(m2))
+    q = min((1.0 - nz) * (1.0 + nz) * (1.0 - nw) * (1.0 + nw)
+            / abs(1.0 - herm(z, w)) ** 2, 1.0)
+    m = math.sqrt(1.0 - q)
+    return 0.5 * math.log((1.0 + m) ** 2 / q)
 
 
 def boundary_distance(z) -> float:

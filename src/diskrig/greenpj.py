@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import (Pseudometric, ZeroRecord, curvature_grid, quotient,
+from .metric import (Pseudometric, ZeroRecord, curvature_source, quotient,
                      require_structural_domination)
 from .numerics import PolarGrid, quadrature_disk
 
@@ -132,13 +132,11 @@ def pj_decompose(lam: Pseudometric, R: float, z: complex,
     majorant = harmonic_majorant(lam, R, z)
 
     pts, w = grid.nodes(avoid=z)
-    dens = np.asarray(lam.density(pts), dtype=float)
-    kap = curvature_grid(lam, pts)
-    src = np.where(dens > 1e-14, kap * dens**2, 0.0)
+    src = curvature_source(lam, pts)
     # subtract the value at the logarithmic pole: the remainder integrand
     # is continuous there, and the subtracted part integrates exactly to
     # s(z) (R^2 - |z|^2)/4 per unit 2 pi
-    s_z = float(curvature_grid(lam, np.array([z]))[0]) * float(lam.density(z)) ** 2
+    s_z = float(curvature_source(lam, np.array([z]))[0])
     integrand = green(R, z, pts) * (src - s_z)
     potential = (float(w @ integrand) / (2.0 * math.pi)
                  + s_z * (R**2 - abs(z) ** 2) / 4.0)
@@ -160,9 +158,7 @@ def potential_direct(lam: Pseudometric, R: float, z: complex,
     relies only on the node-perturbation rule at w = z.
     """
     pts, w = grid.nodes(avoid=z)
-    dens = np.asarray(lam.density(pts), dtype=float)
-    kap = curvature_grid(lam, pts)
-    src = np.where(dens > 1e-14, kap * dens**2, 0.0)
+    src = curvature_source(lam, pts)
     return float(w @ (green(R, z, pts) * src)) / (2.0 * math.pi)
 
 

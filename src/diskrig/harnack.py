@@ -44,10 +44,6 @@ class HarnackReport:
     witness: complex | None
     n_checked: int
 
-    @property
-    def ok(self) -> bool:
-        return self.passed
-
 
 @dataclass(frozen=True)
 class InequalityReport:

@@ -401,14 +401,6 @@ def f_eps(eps: float) -> HoloMap:
 # the operations of the module contract
 
 
-def eval_map(f: HoloMap, z: complex):
-    return f.eval(z)
-
-
-def derivative(f: HoloMap, z: complex):
-    return f.deriv(z)
-
-
 def certify_selfmap(f: HoloMap, n_boundary: int = 4096) -> tuple[bool, float]:
     """Sample |f| on the unit circle; the maximum principle makes boundary
     sampling sufficient.  Returns (verdict, max modulus found)."""

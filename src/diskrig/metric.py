@@ -12,7 +12,7 @@ densities across shared zeros, and a zero-order estimator.
 from __future__ import annotations
 
 import dataclasses
-import math
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,9 +31,8 @@ CURVATURE_TOL = 1e-4
 #: Absolute roundoff assumed in one computed sample of the regular part
 #: of log density (a few ulp of logs up to about 20 in magnitude).
 LOG_DENSITY_NOISE = 4e-15
-#: Sums of |stencil weights| (times h^2) of the five-point Laplacian and
-#: of its Richardson combination (4 L(h/2) - L(h)) / 3.
-FIVE_POINT_WEIGHT = 8.0
+#: Sum of |stencil weights| (times h^2) of the Richardson combination
+#: (4 L(h/2) - L(h)) / 3 of five-point Laplacians.
 RICHARDSON_WEIGHT = 128.0 / 3.0
 
 
@@ -227,66 +226,75 @@ def exp_weight(s: Callable, lap_s: Callable | None = None,
 # curvature
 
 
-def curvature(mu: Pseudometric, z: complex, h: float = CURVATURE_H,
-              richardson: bool = True) -> float:
-    """Gauss curvature -Lap(log density)/density^2 at z.
+def _regular_log_density(mu: Pseudometric, w):
+    """log density - sum(order * log|w - a|) over the declared zeros a:
+    smooth at the zeros, and its Laplacian is that of log density off
+    them because the subtracted term is harmonic there."""
+    v = np.log(np.asarray(mu.density(w), dtype=float))
+    for rec in mu.zeros:
+        v = v - rec.order * np.log(np.abs(w - rec.location))
+    return v
 
-    Uses the exact provider when available, otherwise a five-point
-    (by default Richardson-extrapolated) Laplacian of the regular part
-    log density - sum(order * log|z - a|) over the declared zeros a; the
-    subtracted term is harmonic off the zeros, so the Laplacian is
-    unchanged.  A numeric result is accurate to CURVATURE_TOL or refused
-    with a MetricError: at |z| > 0.999 (finite differences degrade
-    there), when the stencil comes within 2h of a declared zero, when
-    the roundoff floor, which grows like 1/(h density)^2, exceeds the
-    tolerance, and when halving h moves the value by more than half the
-    tolerance.
+
+def curvature_grid(mu: Pseudometric, zs, h: float = CURVATURE_H) -> np.ndarray:
+    """Gauss curvature -Lap(log density)/density^2 on an array of points.
+
+    Uses the exact provider when available, otherwise the
+    Richardson-extrapolated five-point Laplacian of the regular part of
+    log density.  A numeric result is accurate to CURVATURE_TOL or the
+    call raises a MetricError naming the first refused point: at
+    |z| > 0.999 (finite differences degrade there), when the stencil
+    comes within 2h of a declared zero, when the roundoff floor, which
+    grows like 1/(h density)^2, exceeds the tolerance, and when halving
+    h moves the value by more than half the tolerance.
     """
     if mu.curvature is not None:
-        return float(mu.curvature(z))
-    if abs(z) > min(NEAR_BOUNDARY_CUTOFF, mu.domain_radius - 2 * h):
-        raise MetricError("refusing near-boundary numeric curvature; "
-                          "move the sample point inward")
+        return np.asarray(mu.curvature(zs), dtype=float)
+    zs = np.asarray(zs, dtype=complex)
+
+    def refuse(bad, why: str, *per_point) -> None:
+        """Raise for the first point where ``bad`` holds; ``why`` is
+        formatted with the values of ``per_point`` there."""
+        bad = np.ravel(bad)
+        if bad.any():
+            i = int(bad.argmax())
+            raise MetricError(f"numeric curvature at {complex(zs.flat[i])} "
+                              + why.format(*(np.ravel(v)[i] for v in per_point)))
+
+    refuse(np.abs(zs) > min(NEAR_BOUNDARY_CUTOFF, mu.domain_radius - 2 * h),
+           "is refused: near-boundary finite differences degrade; move the "
+           "sample point inward")
     for rec in mu.zeros:
-        if abs(z - rec.location) < 2.0 * h:
-            raise MetricError(
-                f"curvature stencil touches the zero at {rec.location}; "
-                "use a larger offset")
-
-    d = float(mu.density(z))
-    weight = RICHARDSON_WEIGHT if richardson else FIVE_POINT_WEIGHT
-    floor = weight * LOG_DENSITY_NOISE / (h * d) ** 2
-    if floor > CURVATURE_TOL:
-        raise MetricError(
-            f"numeric curvature at {z} is lost in roundoff: density "
-            f"{d:.3e} gives a roundoff floor {floor:.1e} > {CURVATURE_TOL:g}; "
-            "use a larger offset from the zeros or a larger step h")
-
-    def regular_part(w):
-        v = math.log(float(mu.density(w)))
-        for rec in mu.zeros:
-            v -= rec.order * math.log(abs(w - rec.location))
-        return v
-
-    lap = laplacian_fd(regular_part, z, h, richardson=richardson)
-    drift = abs(laplacian_fd(regular_part, z, h / 2.0, richardson=richardson)
-                - lap) / d**2
-    if drift > CURVATURE_TOL / 2.0:
-        raise MetricError(
-            f"numeric curvature at {z} does not settle: halving the step h "
-            f"moves it by {drift:.1e} > {CURVATURE_TOL / 2.0:g}")
+        refuse(np.abs(zs - rec.location) < 2.0 * h, "is refused: the stencil "
+               f"touches the zero at {rec.location}; use a larger offset")
+    d = np.asarray(mu.density(zs), dtype=float)
+    floor = RICHARDSON_WEIGHT * LOG_DENSITY_NOISE / (h * d) ** 2
+    refuse(floor > CURVATURE_TOL, "is lost in roundoff: density {:.3e} gives "
+           f"a roundoff floor {{:.1e}} > {CURVATURE_TOL:g}; use a larger "
+           "offset from the zeros or a larger step h", d, floor)
+    regular = functools.partial(_regular_log_density, mu)
+    lap = laplacian_fd(regular, zs, h, richardson=True)
+    drift = np.abs(laplacian_fd(regular, zs, h / 2.0, richardson=True) - lap) / d**2
+    refuse(drift > CURVATURE_TOL / 2.0, "does not settle: halving the step h "
+           f"moves it by {{:.1e}} > {CURVATURE_TOL / 2.0:g}", drift)
     return -lap / d**2
 
 
-def curvature_grid(mu: Pseudometric, zs: np.ndarray, h: float = CURVATURE_H) -> np.ndarray:
-    """Vectorized numeric curvature on an array of points (no Richardson)."""
+def curvature(mu: Pseudometric, z: complex, h: float = CURVATURE_H) -> float:
+    """Gauss curvature at one point: the point view of curvature_grid."""
+    return float(curvature_grid(mu, z, h))
+
+
+def curvature_source(mu: Pseudometric, zs) -> np.ndarray:
+    """The source kappa density^2 = -Lap(log density) on an array of points:
+    exact provider times density^2, or else the plain five-point Laplacian
+    of the regular part of log density at step CURVATURE_H.  Nothing is
+    divided by density^2, so no roundoff floor applies."""
     if mu.curvature is not None:
-        return np.asarray(mu.curvature(zs), dtype=float)
-    zs = np.asarray(zs)
-    logd = lambda w: np.log(np.asarray(mu.density(w), dtype=float))
-    lap = (logd(zs + h) + logd(zs - h) + logd(zs + 1j * h) + logd(zs - 1j * h)
-           - 4.0 * logd(zs)) / h**2
-    return -lap / np.asarray(mu.density(zs), dtype=float) ** 2
+        return (np.asarray(mu.curvature(zs), dtype=float)
+                * np.asarray(mu.density(zs), dtype=float) ** 2)
+    return -laplacian_fd(functools.partial(_regular_log_density, mu),
+                         np.asarray(zs), CURVATURE_H)
 
 
 # ---------------------------------------------------------------------------

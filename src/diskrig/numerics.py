@@ -101,10 +101,16 @@ class PolarGrid:
                          factor * self.n_r, factor * self.n_t)
 
 
+# cached apart from the nodes: the rule depends on n_r alone
+@functools.lru_cache(maxsize=8)
+def _gauss_rule(n_r: int):
+    return np.polynomial.legendre.leggauss(n_r)
+
+
 @functools.lru_cache(maxsize=32)
 def _grid_nodes(center: complex, radius: float, n_r: int, n_t: int):
     # Gauss-Legendre in u = r^2 on [0, R^2]: area element is du dtheta / 2.
-    x, w = np.polynomial.legendre.leggauss(n_r)
+    x, w = _gauss_rule(n_r)
     u = 0.5 * radius**2 * (x + 1.0)
     wu = 0.5 * radius**2 * w
     theta = 2.0 * np.pi * np.arange(n_t) / n_t
@@ -115,25 +121,18 @@ def _grid_nodes(center: complex, radius: float, n_r: int, n_t: int):
     return pts, weights
 
 
-def _eval_vectorized(f: Callable, pts: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array of points, falling back to a loop."""
-    try:
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape == pts.shape:
-            return vals
-    except Exception:
-        pass
-    return np.array([float(f(p)) for p in pts])
-
-
 def quadrature_disk(grid: PolarGrid, f: Callable, avoid: complex | None = None) -> float:
     """Integrate f over the grid's disk: sum of w_i * f(node_i).
 
+    f is called once, on the node array, and must act elementwise.
     Raises NumericsError naming the offending node if f is not finite
     somewhere on the grid.
     """
     pts, w = grid.nodes(avoid=avoid)
-    vals = _eval_vectorized(f, pts)
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != pts.shape:
+        raise NumericsError(f"integrand returned shape {vals.shape} on "
+                            f"{pts.shape} nodes; it must act elementwise")
     bad = ~np.isfinite(vals)
     if np.any(bad):
         node = pts[np.argmax(bad)]
@@ -141,33 +140,35 @@ def quadrature_disk(grid: PolarGrid, f: Callable, avoid: complex | None = None) 
     return float(w @ vals)
 
 
-def laplacian_fd(u: Callable, z: complex, h: float, richardson: bool = False) -> float:
+def laplacian_fd(u: Callable, z, h: float, richardson: bool = False):
     """Five-point Laplacian of a real-valued function of a complex point.
 
     O(h^2) accurate; with ``richardson`` the step is halved once and the
-    two estimates combined to O(h^4).
+    two estimates combined to O(h^4).  u is called once per stencil
+    offset, on z shifted by it, so a scalar z hands u scalars and an
+    array z hands it arrays.  Raises NumericsError naming the first
+    stencil point where u is not finite.
     """
     if h <= 0:
         raise NumericsError("step h must be positive")
 
-    def five_point(step: float) -> float:
-        stencil = [z + step, z - step, z + 1j * step, z - 1j * step]
-        vals = []
-        for p in stencil:
-            v = float(u(p))
-            if not np.isfinite(v):
-                raise NumericsError(f"stencil value not finite at {p}")
-            vals.append(v)
-        c = float(u(z))
-        if not np.isfinite(c):
-            raise NumericsError(f"stencil value not finite at {z}")
-        return (sum(vals) - 4.0 * c) / step**2
+    def sample(p):
+        v = np.asarray(u(p), dtype=float)
+        bad = ~np.isfinite(v)
+        if np.any(bad):
+            raise NumericsError(
+                f"stencil value not finite at {np.ravel(p)[np.argmax(bad)]}")
+        return v
+
+    def five_point(step: float):
+        return (sample(z + step) + sample(z - step) + sample(z + 1j * step)
+                + sample(z - 1j * step) - 4.0 * sample(z)) / step**2
 
     coarse = five_point(h)
     if not richardson:
-        return coarse
+        return coarse[()]
     fine = five_point(h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    return ((4.0 * fine - coarse) / 3.0)[()]
 
 
 def dyadic_ts(k_min: int = 4, k_max: int = 20) -> np.ndarray:

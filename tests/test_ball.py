@@ -49,6 +49,15 @@ class TestDistance:
             assert dzw <= bl.kobayashi_distance(z, u) + \
                 bl.kobayashi_distance(u, w) + 1e-12
 
+    @pytest.mark.parametrize("delta", [1e-8, 1e-10, 1e-13])
+    def test_rim_distance_keeps_digits(self, delta):
+        # K(x e1, -x e1) = log((1+x)/(1-x)); 1 - x is exact in floating
+        # point, so the reference carries full precision
+        x = 1.0 - delta
+        z = np.array([x, 0.0])
+        exact = math.log((1.0 + x) / (1.0 - x))
+        assert bl.kobayashi_distance(z, -z) == pytest.approx(exact, rel=1e-12)
+
     def test_band_is_bounded_to_tiny_delta(self):
         # K(0, z) + (1/2) log delta(z) = (1/2) log(1 + |z|), inside [0, 0.7]
         for d in (1e-1, 1e-2, 1e-3, 1e-4):

@@ -134,11 +134,21 @@ class TestCurvature:
         mm = mt.mu_max(0.5).without_exact_curvature()
         for z in (0.005 + 0j, 0.01 + 0j):
             assert mt.curvature(mm, z) == pytest.approx(-4.0, abs=1e-4)
+        # the unguarded grid path gave +12.0 on the square pullback at 0.05
+        pb = mt.pullback(hm.Monomial(2), P).without_exact_curvature()
+        vals = mt.curvature_grid(pb, np.array([0.05 + 0j, 0.05j, 0.3 - 0.2j]))
+        assert vals == pytest.approx(-4.0, abs=1e-4)
 
     def test_roundoff_floor_refused(self):
         pb = mt.pullback(hm.Monomial(2), P).without_exact_curvature()
         with pytest.raises(mt.MetricError, match="roundoff floor"):
             mt.curvature(pb, 0.0025 + 0j)
+        # a grid is refused at its first point below the floor; the
+        # unguarded grid path returned +1.7e4 and +1.0e7 here
+        for z in (0.0156 + 0j, 0.005 + 0.001j):
+            with pytest.raises(mt.MetricError, match="roundoff floor") as err:
+                mt.curvature_grid(pb, np.array([0.3 + 0j, z]))
+            assert f"at {z}" in str(err.value)
         pb = mt.pullback(hm.Blaschke((0.3, -0.2j)), P).without_exact_curvature()
         crit = pb.zeros[0].location
         with pytest.raises(mt.MetricError, match="roundoff floor"):
@@ -221,6 +231,12 @@ class TestDomination:
         rep = mt.check_domination(P, mt.scale(0.9, P))
         assert not rep.passed
         assert rep.quotient_violations
+
+    def test_finite_difference_domination_off_origin_zeros(self):
+        # the unguarded grid curvature reported 9 false violations here
+        lam = mt.pullback(hm.Blaschke((0.3 + 0.2j, -0.4j)), P)
+        rep = mt.check_domination(lam.without_exact_curvature(), P)
+        assert rep.passed
 
     def test_cubic_family_dominated(self):
         rep = mt.check_domination(mt.pullback(hm.f_eps(1.0 / 12.0), P), P)

@@ -72,6 +72,14 @@ class TestQuadrature:
                 quadrature_disk(grid, lambda z: 1.0 / (np.abs(z) - np.abs(z)))
 
 
+    def test_integrand_called_once_on_all_nodes(self):
+        grid = PolarGrid(0j, 1.0, 8, 16)
+        with pytest.raises(TypeError):
+            quadrature_disk(grid, lambda z: math.exp(abs(z)))
+        with pytest.raises(NumericsError, match="elementwise"):
+            quadrature_disk(grid, lambda z: 1.0)
+
+
 class TestLaplacian:
     def test_quadratic(self):
         val = laplacian_fd(lambda z: z.real**2, 0.3 + 0.1j, 1e-3)
@@ -102,6 +110,16 @@ class TestLaplacian:
         plain = abs(laplacian_fd(u, 0.3 + 0.05j, 1e-2) - exact)
         rich = abs(laplacian_fd(u, 0.3 + 0.05j, 1e-2, richardson=True) - exact)
         assert rich < plain
+
+
+    @pytest.mark.parametrize("richardson", [False, True])
+    def test_array_matches_pointwise(self, richardson):
+        u = lambda z: np.log(1.0 / (1.0 - np.abs(z) ** 2)) + np.real(z) ** 3
+        zs = np.array([[0.3 + 0.1j, -0.5j], [0.05 - 0.6j, 0.7 + 0j]])
+        vals = laplacian_fd(u, zs, 1e-3, richardson=richardson)
+        assert vals.shape == zs.shape
+        for z, val in zip(zs.ravel(), vals.ravel()):
+            assert val == laplacian_fd(u, complex(z), 1e-3, richardson=richardson)
 
 
 class TestRateFit:
