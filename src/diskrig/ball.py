@@ -19,23 +19,30 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import RateReport, Verdict, dyadic_ts, fit_boundary_rate
+from .numerics import DiskrigError, RateReport, Verdict, dyadic_ts, fit_boundary_rate
 
 SELFMAP_SLACK = 1e-10
 BOUNDARY_TOL = 1e-12
 
 
-class BallError(ValueError):
+class BallError(DiskrigError, ValueError):
     """Raised on invalid ball-geometry input."""
 
 
-def herm(v, w) -> complex:
-    """Standard Hermitian product sum v_j conj(w_j)."""
-    return complex(np.sum(np.asarray(v) * np.conj(np.asarray(w))))
+def herm(v, w):
+    """Standard Hermitian product sum v_j conj(w_j) over the last axis."""
+    return np.sum(np.asarray(v) * np.conj(np.asarray(w)), axis=-1)
 
 
-def norm(v) -> float:
-    return float(np.linalg.norm(np.asarray(v)))
+def norm(v):
+    """Euclidean norm over the last axis, summed as np.linalg.norm sums one
+    vector (BLAS dots of the real and of the imaginary parts), bit for bit."""
+    v = np.asarray(v)
+    return np.sqrt(_dot(v.real) + _dot(v.imag))
+
+
+def _dot(x):
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
 def _as_vec(z) -> np.ndarray:
@@ -45,20 +52,34 @@ def _as_vec(z) -> np.ndarray:
     return v
 
 
+def _as_points(*arrays, n: int | None = None) -> Sequence[np.ndarray]:
+    """Points and vectors of C^N broadcast to one complex shape (..., N),
+    with N = n when given; BallError for any other shapes."""
+    out = [np.asarray(a, dtype=complex) for a in arrays]
+    shapes = [a.shape for a in out]
+    lengths = {s[-1] if s else 0 for s in shapes} | ({n} if n else set())
+    if len(lengths) != 1 or 0 in lengths:
+        raise BallError(f"shapes {shapes} are not (..., N) with one N")
+    try:
+        return np.broadcast_arrays(*out)
+    except ValueError as exc:
+        raise BallError(f"shapes {shapes} do not broadcast") from exc
+
+
 # ---------------------------------------------------------------------------
 # metric and distance
 
 
-def kobayashi_metric(z, v) -> float:
+def kobayashi_metric(z, v):
     """Infinitesimal metric of the ball:
-    sqrt((1-|z|^2)|v|^2 + |<v,z>|^2) / (1-|z|^2).  For N = 1 this is
-    |v| / (1-|z|^2)."""
-    z, v = _as_vec(z), _as_vec(v)
+    sqrt((1-|z|^2)|v|^2 + |<v,z>|^2) / (1-|z|^2), over points and vectors
+    of shape (..., N).  For N = 1 this is |v| / (1-|z|^2)."""
+    z, v = _as_points(z, v)
     zz = norm(z) ** 2
-    if zz >= 1.0:
+    if np.any(zz >= 1.0):
         raise BallError("point must lie in the open ball")
     s = 1.0 - zz
-    return math.sqrt(s * norm(v) ** 2 + abs(herm(v, z)) ** 2) / s
+    return np.sqrt(s * norm(v) ** 2 + abs(herm(v, z)) ** 2) / s
 
 
 def kobayashi_distance(z, w) -> float:
@@ -97,11 +118,12 @@ def distance_band(z, p0=None) -> float:
 
 
 def tangential_projection(p, v) -> np.ndarray:
-    """Projection of v onto the complex tangent space at p: v - <v,p> p."""
-    p, v = _as_vec(p), _as_vec(v)
-    if abs(norm(p) - 1.0) > BOUNDARY_TOL:
+    """Projection of v onto the complex tangent space at p: v - <v,p> p,
+    over points and vectors of shape (..., N)."""
+    p, v = _as_points(p, v)
+    if np.any(np.abs(norm(p) - 1.0) > BOUNDARY_TOL):
         raise BallError("projection base point must lie on the sphere")
-    return v - herm(v, p) * p
+    return v - herm(v, p)[..., None] * p
 
 def normal_decomposition(z, v) -> tuple[np.ndarray, np.ndarray]:
     """Split v at the closest sphere point pi(z) = z/|z|.
@@ -131,15 +153,17 @@ class MultiPoly:
             if len(k) != n_vars or any(e < 0 for e in k):
                 raise BallError(f"bad exponent tuple {k}")
 
-    def eval(self, z) -> complex:
-        z = _as_vec(z)
-        total = 0j
+    def eval(self, z):
+        """Values at points of shape (..., n_vars): an array of shape (...)."""
+        (z,) = _as_points(z, n=self.n_vars)
+        coords = np.moveaxis(z, -1, 0)
+        total = np.zeros(z.shape[:-1], dtype=complex)
         for expo, c in self.terms.items():
             term = c
-            for zj, e in zip(z, expo):
-                term *= zj**e
-            total += term
-        return total
+            for zj, e in zip(coords, expo):
+                term = term * zj**e
+            total = total + term
+        return total[()]
 
     def partial(self, i: int) -> "MultiPoly":
         out = {}
@@ -153,7 +177,8 @@ class MultiPoly:
 
 
 class BallMap:
-    """Base for holomorphic maps of the ball with exact differential."""
+    """Base for holomorphic maps of the ball with exact differential;
+    eval and differential map points and vectors of shape (..., N)."""
 
     n_vars: int
 
@@ -180,14 +205,13 @@ class PolyBallMap(BallMap):
                           for c in comps]
 
     def eval(self, z):
-        return np.array([c.eval(z) for c in self.components])
+        return np.stack([c.eval(z) for c in self.components], axis=-1)
 
     def differential(self, z, v):
-        v = _as_vec(v)
-        out = []
-        for row in self._partials:
-            out.append(sum(row[i].eval(z) * v[i] for i in range(self.n_vars)))
-        return np.array(out)
+        z, v = _as_points(z, v, n=self.n_vars)
+        vs = np.moveaxis(v, -1, 0)
+        return np.stack([sum(row[i].eval(z) * vs[i] for i in range(self.n_vars))
+                         for row in self._partials], axis=-1)
 
 
 def parse_ball_map(text: str) -> PolyBallMap:
@@ -206,12 +230,16 @@ def parse_ball_map(text: str) -> PolyBallMap:
             expo_text, _, coeff_text = token.partition(":")
             if not coeff_text:
                 raise BallError(f"bad polynomial term {token!r}")
-            expo = tuple(int(e) for e in expo_text.split(","))
+            try:
+                expo = tuple(int(e) for e in expo_text.split(","))
+                coeff = complex(coeff_text)
+            except ValueError as exc:
+                raise BallError(f"bad polynomial term {token!r}: {exc}") from exc
             if n_vars is None:
                 n_vars = len(expo)
             elif len(expo) != n_vars:
                 raise BallError("inconsistent exponent arities")
-            terms[expo] = terms.get(expo, 0j) + complex(coeff_text)
+            terms[expo] = terms.get(expo, 0j) + coeff
         comps.append(terms)
     if n_vars is None:
         raise BallError("map has no nonzero term to infer the arity from")
@@ -261,32 +289,34 @@ class BallAutomorphism(BallMap):
         self._s = math.sqrt(1.0 - norm(self.a) ** 2)
 
     def _moebius(self, z):
-        z = _as_vec(z)
         a, s = self.a, self._s
         aa = norm(a) ** 2
         if aa == 0.0:
             return -z
-        proj = (herm(z, a) / aa) * a
+        za = herm(z, a)[..., None]
+        proj = (za / aa) * a
         orth = z - proj
-        return (a - proj - s * orth) / (1.0 - herm(z, a))
+        return (a - proj - s * orth) / (1.0 - za)
 
     def _moebius_diff(self, z, v):
-        z, v = _as_vec(z), _as_vec(v)
         a, s = self.a, self._s
         aa = norm(a) ** 2
         if aa == 0.0:
             return -v
-        den = 1.0 - herm(z, a)
-        proj_v = (herm(v, a) / aa) * a
+        den = 1.0 - herm(z, a)[..., None]
+        va = herm(v, a)[..., None]
+        proj_v = (va / aa) * a
         lin = proj_v + s * (v - proj_v)
         num = self._moebius(z) * den     # a - proj(z) - s orth(z)
-        return (-lin * den + num * herm(v, a)) / den**2
+        return (-lin * den + num * va) / den**2
 
     def eval(self, z):
-        return self.unitary @ self._moebius(z)
+        (z,) = _as_points(z, n=self.n_vars)
+        return (self.unitary @ self._moebius(z)[..., None])[..., 0]
 
     def differential(self, z, v):
-        return self.unitary @ self._moebius_diff(z, v)
+        z, v = _as_points(z, v, n=self.n_vars)
+        return (self.unitary @ self._moebius_diff(z, v)[..., None])[..., 0]
 
 
 def random_automorphism(n: int, rng: np.random.Generator) -> BallAutomorphism:
@@ -299,12 +329,11 @@ def random_automorphism(n: int, rng: np.random.Generator) -> BallAutomorphism:
 def certify_ball_map(F: BallMap, n_samples: int = 2000,
                      seed: int = 7) -> tuple[bool, float]:
     """Sample |F| on the sphere; self-maps stay within 1 + 1e-10."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        p = rng.normal(size=F.n_vars) + 1j * rng.normal(size=F.n_vars)
-        p /= norm(p)
-        worst = max(worst, norm(F.eval(p)))
+    # per sample, N real parts then N imaginary parts of the stream
+    draws = np.random.default_rng(seed).normal(size=(n_samples, 2, F.n_vars))
+    p = draws[:, 0] + 1j * draws[:, 1]
+    p /= norm(p)[:, None]
+    worst = float(np.max(norm(F.eval(p)), initial=0.0))
     return worst <= 1.0 + SELFMAP_SLACK, worst
 
 
@@ -318,6 +347,7 @@ class GeodesicSlice:
 
     phi(zeta) = p + (w0 + rho eta zeta) v with phi(1) = p; the image is a
     complex geodesic, so k(phi(zeta); phi'(zeta)) (1 - |zeta|^2) = 1.
+    An array of zeta gives points of shape zeta.shape + (N,).
     """
 
     p: tuple
@@ -326,15 +356,16 @@ class GeodesicSlice:
     rho: float
     eta: complex
 
-    def __call__(self, zeta: complex) -> np.ndarray:
+    def __call__(self, zeta) -> np.ndarray:
+        w = np.asarray(self.w0 + self.rho * self.eta * zeta)
         return (np.asarray(self.p, dtype=complex)
-                + (self.w0 + self.rho * self.eta * zeta)
-                * np.asarray(self.v, dtype=complex))
+                + w[..., None] * np.asarray(self.v, dtype=complex))
 
     eval = __call__
 
-    def deriv(self, zeta: complex) -> np.ndarray:
-        return self.rho * self.eta * np.asarray(self.v, dtype=complex)
+    def deriv(self, zeta) -> np.ndarray:
+        v = np.asarray(self.v, dtype=complex)
+        return np.broadcast_to(self.rho * self.eta * v, np.shape(zeta) + v.shape)
 
 
 def geodesic_slice(p, v) -> GeodesicSlice:
@@ -386,14 +417,14 @@ class DiscMap:
 
     coeff_rows: tuple[tuple[complex, ...], ...]   # ascending, one per component
 
-    def eval(self, zeta: complex) -> np.ndarray:
-        return np.array([np.polynomial.polynomial.polyval(zeta, np.array(row))
-                         for row in self.coeff_rows])
+    def eval(self, zeta) -> np.ndarray:
+        return np.stack([np.polynomial.polynomial.polyval(zeta, np.array(row))
+                         for row in self.coeff_rows], axis=-1)
 
-    def deriv(self, zeta: complex) -> np.ndarray:
-        return np.array([np.polynomial.polynomial.polyval(
+    def deriv(self, zeta) -> np.ndarray:
+        return np.stack([np.polynomial.polynomial.polyval(
             zeta, np.polynomial.polynomial.polyder(np.array(row)))
-            for row in self.coeff_rows])
+            for row in self.coeff_rows], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -413,19 +444,18 @@ def geodesic_boundary_check(f, k_min: int = 3, k_max: int = 14,
     normalization k(f(0); f'(0)) = 1 must hold.
     """
     rs = dyadic_ts(k_min, k_max)
-    deficits = []
-    proj_norms = []
-    for r in rs:
-        z = f.eval(complex(r))
-        if norm(z) >= 1.0:
-            raise BallError("disc image escapes the ball")
-        dz = f.deriv(complex(r))
-        deficits.append((r, kobayashi_metric(z, dz) - 1.0 / (1.0 - r**2)))
-        if norm(z) > 0.5:
-            proj_norms.append(norm(tangential_projection(z / norm(z), dz)))
-    rate = fit_boundary_rate(deficits, 1.0)
+    z = f.eval(rs + 0j)
+    nz = norm(z)
+    if np.any(nz >= 1.0):
+        raise BallError("disc image escapes the ball")
+    dz = f.deriv(rs + 0j)
+    deficits = kobayashi_metric(z, dz) - 1.0 / (1.0 - rs**2)
+    rate = fit_boundary_rate(list(zip(rs, deficits)), 1.0)
+    far = nz > 0.5
+    proj_norms = norm(tangential_projection(z[far] / nz[far, None], dz[far]))
     iso0 = kobayashi_metric(f.eval(0j), f.deriv(0j))
-    bounded = (not proj_norms) or max(proj_norms) <= 10.0 * (1.0 + min(proj_norms))
+    bounded = bool(proj_norms.size == 0
+                   or proj_norms.max() <= 10.0 * (1.0 + proj_norms.min()))
     is_geo = (rate.verdict is Verdict.VANISHES
               and abs(iso0 - 1.0) <= tol_iso and bounded)
     return GeodesicCheckReport(verdict="GEODESIC" if is_geo else "NOT_GEODESIC",
@@ -451,21 +481,17 @@ class RigidityConditionsReport:
                 and self.metric_rate.verdict is Verdict.VANISHES)
 
 
-def tangential_directions(n: int, count: int = 16, seed: int = 3) -> list[np.ndarray]:
-    """Unit vectors in the complex tangent space at e_1."""
+def tangential_directions(n: int, count: int = 16, seed: int = 3) -> np.ndarray:
+    """Unit vectors in the complex tangent space at e_1, shape (count, n)."""
     if n < 2:
-        return []
-    out = []
+        return np.empty((0, n), dtype=complex)
     if n == 2:
-        for j in range(count):
-            out.append(np.array([0.0, np.exp(2j * np.pi * j / count)]))
-        return out
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        w = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
-        w /= norm(w)
-        out.append(np.concatenate([[0.0 + 0j], w]))
-    return out
+        w = np.exp(2j * np.pi * np.arange(count) / count)[:, None]
+    else:
+        draws = np.random.default_rng(seed).normal(size=(count, 2, n - 1))
+        w = draws[:, 0] + 1j * draws[:, 1]
+        w /= norm(w)[:, None]
+    return np.concatenate([np.zeros((count, 1), dtype=complex), w], axis=1)
 
 
 def ball_rigidity_check(F: BallMap, v, k_min: int = 3, k_max: int = 16,
@@ -489,39 +515,25 @@ def ball_rigidity_check(F: BallMap, v, k_min: int = 3, k_max: int = 16,
     v = v / norm(v)
     phi = geodesic_slice(e1, v)
 
-    ts = dyadic_ts(k_min, k_max)
-    samples = []
-    proj_vals = []
-    for t in ts:
-        z = phi(complex(t))
-        w = F.eval(z)
-        dv = F.differential(z, v)
-        delta = boundary_distance(z)
-        diff = kobayashi_metric(w, dv) - kobayashi_metric(z, v)
-        samples.append((1.0 - delta, diff))
-        if norm(w) > 0.9:
-            proj_vals.append(norm(tangential_projection(w / norm(w), dv)))
-    rate = fit_boundary_rate(samples, 1.0)
-    proj_sup = max(proj_vals) if proj_vals else 0.0
-    head = proj_vals[: max(1, len(proj_vals) // 2)] if proj_vals else [0.0]
+    z = phi(dyadic_ts(k_min, k_max) + 0j)
+    w = F.eval(z)
+    dv = F.differential(z, v)
+    diff = kobayashi_metric(w, dv) - kobayashi_metric(z, v)
+    rate = fit_boundary_rate(list(zip(1.0 - boundary_distance(z), diff)), 1.0)
+    nw = norm(w)
+    near = nw > 0.9
+    proj_vals = norm(tangential_projection(w[near] / nw[near, None], dv[near]))
+    proj_sup = float(proj_vals.max()) if proj_vals.size else 0.0
+    head = proj_vals[: max(1, proj_vals.size // 2)] if proj_vals.size else [0.0]
     bounded = proj_sup <= max(5.0, 3.0 * float(np.median(head)) + 5.0)
 
-    tang_details = []
-    tang_ok = True
-    if n >= 2:
-        ss = 2.0 ** (-np.arange(2, 13, dtype=float))
-        for tau in tangential_directions(n, n_directions):
-            gaps = []
-            for s in ss:
-                z = (1.0 - s**1.5) * e1 + s * tau
-                if norm(z) >= 1.0:
-                    continue
-                gaps.append(1.0 - norm(F.eval(z)))
-            ok = gaps[-1] <= 0.05 and gaps[-1] <= 0.5 * gaps[0] + 1e-15
-            tang_ok = tang_ok and ok
-            tang_details.append((tuple(tau), gaps[-1], ok))
-    return RigidityConditionsReport(tangential_cluster_ok=tang_ok,
-                                    projection_bounded=bounded,
-                                    metric_rate=rate,
-                                    tangential_details=tuple(tang_details),
-                                    projection_sup=proj_sup)
+    # z = (1 - s^1.5) e1 + s tau has |z|^2 = 1 - 2 s^1.5 + s^2 + s^3 < 1
+    taus = tangential_directions(n, n_directions)
+    ss = 2.0 ** (-np.arange(2, 13, dtype=float))[:, None]
+    gaps = 1.0 - norm(F.eval((1.0 - ss**1.5) * e1 + ss * taus[:, None, :]))
+    oks = (gaps[:, -1] <= 0.05) & (gaps[:, -1] <= 0.5 * gaps[:, 0] + 1e-15)
+    return RigidityConditionsReport(
+        tangential_cluster_ok=bool(np.all(oks)), projection_bounded=bounded,
+        metric_rate=rate, projection_sup=proj_sup,
+        tangential_details=tuple((tuple(tau), float(gap), bool(ok))
+                                 for tau, gap, ok in zip(taus, gaps[:, -1], oks)))

@@ -5,7 +5,8 @@ A config is plain text, one ``key = value`` per line, with a mandatory
 Reports are machine-first JSON written atomically; radial scans also
 emit a two-column gnuplot-ready profile (1-|z|, value) with a JSON
 metadata sidecar.  Exit codes: 0 all asserted checks pass, 1 a check
-failed (report still written), 2 invalid configuration.
+failed (report still written), 2 invalid configuration or an input the
+library refuses (any DiskrigError, message on standard error).
 
 Metric expressions (for ``lam`` / ``mu`` keys)::
 
@@ -39,18 +40,26 @@ from . import harnack as hk
 from . import liouville as lv
 from . import metric as mt
 from . import sequences as sq
-from .holomap import Automorphism, HoloMapError, parse_map, rotation
-from .numerics import PolarGrid, Verdict
+from .holomap import Automorphism, parse_map, rotation
+from .numerics import DiskrigError, PolarGrid, Verdict
 
 ENV_OUT_DIR = "DISKRIG_OUT_DIR"
 
 
-class ConfigError(ValueError):
+class ConfigError(DiskrigError, ValueError):
     """Raised for malformed or unknown configuration."""
 
 
 # ---------------------------------------------------------------------------
 # config parsing
+
+
+def _cast(cast, raw: str, where: str):
+    """cast(raw), or a ConfigError naming the value and where it was read."""
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad {cast.__name__} {raw!r} for {where}") from exc
 
 
 @dataclass(frozen=True)
@@ -64,13 +73,15 @@ class ExperimentConfig:
                 return v
         return default
 
-    def getfloat(self, key: str, default: float) -> float:
+    def _read(self, key: str, cast, default):
         raw = self.get(key)
-        return default if raw is None else float(raw)
+        return default if raw is None else _cast(cast, raw, f"key {key!r}")
+
+    def getfloat(self, key: str, default: float) -> float:
+        return self._read(key, float, default)
 
     def getint(self, key: str, default: int) -> int:
-        raw = self.get(key)
-        return default if raw is None else int(raw)
+        return self._read(key, int, default)
 
     def getbool(self, key: str, default: bool) -> bool:
         raw = self.get(key)
@@ -83,8 +94,7 @@ class ExperimentConfig:
         raise ConfigError(f"bad boolean {raw!r} for key {key!r}")
 
     def getcomplex(self, key: str, default: complex) -> complex:
-        raw = self.get(key)
-        return default if raw is None else complex(raw)
+        return self._read(key, complex, default)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -127,18 +137,18 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def parse_metric(text: str) -> mt.Pseudometric:
     text = text.strip()
+    where = f"metric expression {text!r}"
     if text == "poincare":
         return mt.poincare()
     if text.startswith("mu_max(") and text.endswith(")"):
-        return mt.mu_max(float(text[len("mu_max("):-1]))
+        return mt.mu_max(_cast(float, text[len("mu_max("):-1], where))
     if text.startswith("scale(") and text.endswith(")"):
-        body = text[len("scale("):-1]
-        t_str, rest = body.split(",", 1)
-        return mt.scale(float(t_str), parse_metric(rest))
+        t_str, _, rest = text[len("scale("):-1].partition(",")
+        return mt.scale(_cast(float, t_str, where), parse_metric(rest))
     if text.startswith("pullback(") and text.endswith(")"):
         return mt.pullback(parse_map(text[len("pullback("):-1]), mt.poincare())
     if text.startswith("exp_weight(example4_1(") and text.endswith("))"):
-        n = int(text[len("exp_weight(example4_1("):-2])
+        n = _cast(int, text[len("exp_weight(example4_1("):-2], where)
         return sq.weighted_family(n)
     raise ConfigError(f"unknown metric expression {text!r}")
 
@@ -217,11 +227,11 @@ def run_rigidity_scan(cfg: ExperimentConfig) -> dict:
     expect = cfg.get("expect-verdict")
     if expect is not None:
         passed = rep.verdict.value == expect
-    expect_limit = cfg.get("expect-limit")
+    expect_limit = cfg.getfloat("expect-limit", None)
     if expect_limit is not None:
         tol = cfg.getfloat("limit-tol", 0.02)
-        passed = passed and abs(rep.fitted_limit - float(expect_limit)) <= \
-            tol * max(1.0, abs(float(expect_limit)))
+        passed = passed and abs(rep.fitted_limit - expect_limit) <= \
+            tol * max(1.0, abs(expect_limit))
     scaled = [(1.0 - t, v / (1.0 - t) ** (c / 2.0)) for t, v in rep.samples]
     report = {"rate": _rate_dict(rep), "verdict": rep.verdict.value,
               "passed": passed, "profile_samples": scaled}
@@ -466,7 +476,8 @@ def run_ball_check(cfg: ExperimentConfig) -> dict:
                     "passed": False}
         v_text = cfg.get("v")
         v = (np.eye(F.n_vars)[0].astype(complex) if v_text is None
-             else np.array([complex(t) for t in v_text.split(",")]))
+             else np.array([_cast(complex, t, "key 'v'")
+                            for t in v_text.split(",")]))
         rep = bl.ball_rigidity_check(F, v)
         expect = cfg.get("expect-verdict")
         passed = (rep.metric_rate.verdict.value == expect) if expect \
@@ -492,41 +503,41 @@ COMMANDS = {
         run_rigidity_scan,
         frozenset({"lam", "mu", "c", "angle", "k-min", "k-max",
                    "expect-verdict", "expect-limit", "limit-tol",
-                   "out", "profile", "seed"}),
+                   "out", "profile"}),
         ("harnack.rigidity_scan", "harnack.boundary_schwarz_scan",
          "harnack.identity_spot_check")),
     "verify-harnack": CommandSpec(
         run_verify_harnack,
-        frozenset({"include-liouville", "tol", "liouville-n", "out", "seed"}),
+        frozenset({"include-liouville", "tol", "liouville-n", "out"}),
         ("harnack.check_harnack", "harnack.cubic_check",
          "harnack.verify_barrier_pde")),
     "golusin": CommandSpec(
         run_golusin,
-        frozenset({"lam", "tol", "out", "seed"}),
+        frozenset({"lam", "tol", "out"}),
         ("harnack.check_golusin",)),
     "burns-krantz": CommandSpec(
         run_burns_krantz,
-        frozenset({"map", "k-min", "k-max", "out", "profile", "seed"}),
+        frozenset({"map", "k-min", "k-max", "out", "profile"}),
         ("harnack.burns_krantz_check",)),
     "pj-decompose": CommandSpec(
         run_pj_decompose,
         frozenset({"lam", "mu", "R", "z", "n-r", "n-t", "tol",
-                   "bound-r", "bound-xi", "out", "seed"}),
+                   "bound-r", "bound-xi", "out"}),
         ("greenpj.pj_decompose", "greenpj.green_mean",
          "greenpj.harmonic_majorant", "greenpj.zero_quotient_bound")),
     "sequence-scan": CommandSpec(
         run_sequence_scan,
         frozenset({"family", "mu", "c", "a", "z", "expect-verdict",
-                   "out", "seed"}),
+                   "out"}),
         ("sequences.dichotomy_scan", "sequences.sequential_schwarz_pick",
          "sequences.extremal_family_witness")),
     "zero-track": CommandSpec(
         run_zero_track,
-        frozenset({"family", "tol-order", "out", "seed"}),
+        frozenset({"family", "tol-order", "out"}),
         ("sequences.zero_rigidity_track",)),
     "liouville-solve": CommandSpec(
         run_liouville_solve,
-        frozenset({"kappa", "R", "n", "out-csv", "out", "seed"}),
+        frozenset({"kappa", "R", "n", "out-csv", "out"}),
         ("liouville.solve",)),
     "ball-check": CommandSpec(
         run_ball_check,
@@ -565,8 +576,7 @@ def run(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
                               for k, v in cfg.params))
     try:
         report = COMMANDS[cfg.command].runner(cfg)
-    except (ConfigError, HoloMapError, mt.MetricError, hk.HarnackError,
-            sq.SequenceError, gp.GreenPJError, bl.BallError) as exc:
+    except DiskrigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report["command"] = cfg.command

@@ -19,13 +19,13 @@ import numpy as np
 
 from .metric import (Pseudometric, ZeroRecord, curvature_source, quotient,
                      require_structural_domination)
-from .numerics import PolarGrid, quadrature_disk
+from .numerics import DiskrigError, PolarGrid, quadrature_disk
 
 CIRCLE_ZERO_TOL = 1e-9
 POINT_COINCIDENCE_TOL = 1e-14
 
 
-class GreenPJError(ValueError):
+class GreenPJError(DiskrigError, ValueError):
     """Raised on invalid potential-theory input."""
 
 
@@ -34,14 +34,13 @@ def green(R: float, z: complex, w) -> float:
     vanishing as w tends to the rim.  Vectorized over w."""
     if abs(z) >= R:
         raise GreenPJError("first argument must lie inside the disk")
-    w = np.asarray(w) if np.ndim(w) else complex(w)
-    if np.any(np.abs(w) >= R) if np.ndim(w) else abs(w) >= R:
+    w = np.asarray(w)
+    if np.any(np.abs(w) >= R):
         raise GreenPJError("second argument must lie inside the disk")
     dist = np.abs(z - w)
-    if np.any(dist < POINT_COINCIDENCE_TOL) if np.ndim(w) else dist < POINT_COINCIDENCE_TOL:
+    if np.any(dist < POINT_COINCIDENCE_TOL):
         raise GreenPJError("Green's function has a logarithmic pole at w = z")
-    val = -np.log(R * dist / np.abs(R**2 - np.conj(w) * z))
-    return val if np.ndim(w) else float(val)
+    return -np.log(R * dist / np.abs(R**2 - np.conj(w) * z))
 
 
 def green_mean(R: float, z: complex, grid: PolarGrid | None = None) -> float:

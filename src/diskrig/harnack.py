@@ -25,13 +25,14 @@ import numpy as np
 from .holomap import Blaschke, HoloMap, certify_selfmap, f_eps, hyperbolic_derivative, zpow
 from .metric import (MetricError, Pseudometric, check_domination, mu_max,
                      poincare, pullback, quotient, scale)
-from .numerics import RateReport, dyadic_ts, fit_boundary_rate, laplacian_fd
+from .numerics import (DiskrigError, RateReport, dyadic_ts, fit_boundary_rate,
+                       laplacian_fd)
 
 INEQ_TOL = 1e-7
 ANNULUS_CAP = 0.9995
 
 
-class HarnackError(ValueError):
+class HarnackError(DiskrigError, ValueError):
     """Raised on invalid checker input."""
 
 
@@ -86,10 +87,10 @@ def barrier_v(r: float, c: float, z: complex) -> float:
         raise HarnackError("r must lie in (0, 1)")
     if c < 4.0:
         raise HarnackError("c must be >= 4")
-    s = 1.0 - abs(z) ** 2
-    if s < 0:
+    s = 1.0 - np.abs(z) ** 2
+    if np.any(s < 0):
         raise HarnackError("barrier defined on the closed disk only")
-    return s ** (c / 2.0) * math.exp(s / r**2)
+    return s ** (c / 2.0) * np.exp(s / r**2)
 
 
 def barrier_cubic(c: float, r: float):
@@ -119,7 +120,7 @@ def cubic_check(c: float, r: float, n_samples: int = 400) -> InequalityReport:
     id_r2 = 2.0 * c + c * (c - 4.0) * r**2
     id_one = (c - 2.0) * c
     xs = np.linspace(r**2, 1.0, n_samples)
-    vals = np.array([f(x) for x in xs])
+    vals = f(xs)
     min_val = float(np.min(vals))
     witness = complex(xs[int(np.argmin(vals))])
     passed = (abs(at_r2 - id_r2) < 1e-9 and abs(at_one - id_one) < 1e-9
@@ -142,19 +143,15 @@ def verify_barrier_pde(r: float, c: float, grid: np.ndarray | None = None,
         angles = np.exp(2j * np.pi * np.arange(8) / 8)
         grid = np.outer(radii, angles).ravel()
     grid = np.asarray(grid)
-    if np.any(np.abs(grid) < r):
-        raise HarnackError("barrier inequality only claimed on r <= |z| < 1")
-    worst = -np.inf
-    witness = None
-    for z in grid:
-        lap = laplacian_fd(lambda w: barrier_v(r, c, w), complex(z), h,
-                           richardson=True)
-        rhs = 2.0 * c * barrier_v(r, c, complex(z)) / (1.0 - abs(z) ** 2) ** 2
-        viol = rhs - lap
-        if viol > worst:
-            worst, witness = viol, complex(z)
-    return InequalityReport(passed=worst <= tol, max_violation=float(worst),
-                            witness=witness, n_checked=int(grid.size))
+    if grid.size == 0 or np.any(np.abs(grid) < r):
+        raise HarnackError("barrier inequality only claimed on a nonempty "
+                           "grid in r <= |z| < 1")
+    lap = laplacian_fd(lambda w: barrier_v(r, c, w), grid, h, richardson=True)
+    viol = 2.0 * c * barrier_v(r, c, grid) / (1.0 - np.abs(grid) ** 2) ** 2 - lap
+    worst = int(np.argmax(viol))
+    return InequalityReport(passed=float(viol[worst]) <= tol,
+                            max_violation=float(viol[worst]),
+                            witness=complex(grid[worst]), n_checked=int(grid.size))
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +195,10 @@ def check_harnack(lam: Pseudometric, mu: Pseudometric, c: float, r: float,
     grid = grid[(np.abs(grid) >= r - 1e-12) & (np.abs(grid) <= cap + 1e-12)]
 
     circle = r * np.exp(2j * np.pi * np.arange(n_circle) / n_circle)
-    inner_max = float(np.max(np.log(np.asarray(quotient(lam, mu, circle),
-                                               dtype=float))))
+    inner_max = float(np.max(np.log(quotient(lam, mu, circle))))
     coeff = harnack_constant(r) / (1.0 - r**2) ** (c / 2.0)
 
-    q = np.asarray(quotient(lam, mu, grid), dtype=float)
+    q = quotient(lam, mu, grid)
     with np.errstate(divide="ignore"):
         lhs = np.log(q)
     rhs = coeff * inner_max * (1.0 - np.abs(grid) ** 2) ** (c / 2.0)
@@ -295,7 +291,7 @@ def identity_spot_check(lam: Pseudometric, mu: Pseudometric,
     if grid is None:
         grid = annulus_grid(0.05, 0.9, n_r=10, n_t=12)
     grid = np.asarray(grid)
-    dev = np.abs(np.asarray(quotient(lam, mu, grid), dtype=float) - 1.0)
+    dev = np.abs(quotient(lam, mu, grid) - 1.0)
     worst = int(np.argmax(dev))
     return InequalityReport(passed=float(dev[worst]) <= tol,
                             max_violation=float(dev[worst]),
@@ -307,9 +303,8 @@ def boundary_schwarz_scan(f: HoloMap, k_min: int = 4, k_max: int = 20,
                           angle: float = 0.0) -> RateReport:
     """Invariant-derivative-to-one rate for a self-map along a radius."""
     ts = dyadic_ts(k_min, k_max)
-    zs = ts * np.exp(1j * angle)
-    samples = [(t, hyperbolic_derivative(f, z) - 1.0) for t, z in zip(ts, zs)]
-    return fit_boundary_rate(samples, 2.0)
+    deficit = hyperbolic_derivative(f, ts * np.exp(1j * angle)) - 1.0
+    return fit_boundary_rate(list(zip(ts, deficit)), 2.0)
 
 
 def burns_krantz_check(f: HoloMap, k_min: int = 4, k_max: int = 20) -> tuple[RateReport, RateReport]:
@@ -322,10 +317,10 @@ def burns_krantz_check(f: HoloMap, k_min: int = 4, k_max: int = 20) -> tuple[Rat
     if not ok:
         raise HarnackError(f"map is not a certified self-map (max modulus {mx})")
     ts = dyadic_ts(k_min, k_max)
-    displacement = [(t, abs(complex(f.eval(t + 0j)) - t)) for t in ts]
-    invariant = [(t, hyperbolic_derivative(f, t + 0j) - 1.0) for t in ts]
-    return (fit_boundary_rate(displacement, 3.0),
-            fit_boundary_rate(invariant, 2.0))
+    displacement = np.abs(f.eval(ts + 0j) - ts)
+    invariant = hyperbolic_derivative(f, ts + 0j) - 1.0
+    return (fit_boundary_rate(list(zip(ts, displacement)), 3.0),
+            fit_boundary_rate(list(zip(ts, invariant)), 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -30,18 +30,20 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .numerics import DiskrigError
+
 POLE_TOL = 1e-14
 SELFMAP_SLACK = 1e-12
 ROOT_CLUSTER_TOL = 1e-7
 INTERIOR_MARGIN = 1e-9
 
 
-class HoloMapError(ValueError):
+class HoloMapError(DiskrigError, ValueError):
     """Raised on invalid evaluation (poles, non-self-maps, bad input)."""
 
 
 class HoloMap:
-    """Base class; concrete nodes implement eval, deriv and rational."""
+    """Base class; nodes implement eval and deriv (elementwise) and rational."""
 
     def __call__(self, z):
         return self.eval(z)
@@ -76,7 +78,7 @@ class Identity(HoloMap):
         return z
 
     def deriv(self, z):
-        return np.ones_like(np.asarray(z, dtype=complex)) if np.ndim(z) else 1.0 + 0j
+        return np.ones(np.shape(z), dtype=complex)[()]
 
     def rational(self):
         return np.array([0, 1], dtype=complex), np.array([1], dtype=complex)
@@ -90,10 +92,10 @@ class Const(HoloMap):
     value: complex
 
     def eval(self, z):
-        return np.full(np.shape(z), self.value) if np.ndim(z) else self.value
+        return np.full(np.shape(z), self.value)[()]
 
     def deriv(self, z):
-        return np.zeros(np.shape(z), dtype=complex) if np.ndim(z) else 0j
+        return np.zeros(np.shape(z), dtype=complex)[()]
 
     def rational(self):
         return np.array([self.value], dtype=complex), np.array([1], dtype=complex)
@@ -111,13 +113,11 @@ class Monomial(HoloMap):
             raise HoloMapError("monomial power must be nonnegative")
 
     def eval(self, z):
-        return np.asarray(z) ** self.power if np.ndim(z) else z**self.power
+        return np.asarray(z) ** self.power
 
     def deriv(self, z):
-        k = self.power
-        if k == 0:
-            return np.zeros(np.shape(z), dtype=complex) if np.ndim(z) else 0j
-        return k * (np.asarray(z) ** (k - 1) if np.ndim(z) else z ** (k - 1))
+        # k z^(k-1), with z^0 standing in for z^-1 when k = 0
+        return self.power * np.asarray(z) ** max(self.power - 1, 0)
 
     def rational(self):
         p = np.zeros(self.power + 1, dtype=complex)
@@ -206,8 +206,7 @@ class Blaschke(HoloMap):
         object.__setattr__(self, "zeros", zs)
 
     def eval(self, z):
-        out = cmath.exp(1j * self.theta) * (np.ones(np.shape(z), dtype=complex)
-                                            if np.ndim(z) else (1.0 + 0j))
+        out = cmath.exp(1j * self.theta) * np.ones(np.shape(z), dtype=complex)
         for a in self.zeros:
             out = out * _moebius_factor_eval(a, z)
         return out
@@ -216,7 +215,7 @@ class Blaschke(HoloMap):
         # product rule accumulation keeps zeros of individual factors safe
         factors = [_moebius_factor_eval(a, z) for a in self.zeros]
         dfactors = [_moebius_factor_deriv(a, z) for a in self.zeros]
-        total = np.zeros(np.shape(z), dtype=complex) if np.ndim(z) else 0j
+        total = np.zeros(np.shape(z), dtype=complex)
         for j in range(len(self.zeros)):
             term = dfactors[j]
             for k in range(len(self.zeros)):
@@ -412,14 +411,21 @@ def certify_selfmap(f: HoloMap, n_boundary: int = 4096) -> tuple[bool, float]:
     return max_mod <= 1.0 + SELFMAP_SLACK, max_mod
 
 
-def hyperbolic_derivative(f: HoloMap, z: complex) -> float:
-    """(1-|z|^2) |f'(z)| / (1-|f(z)|^2), the invariant derivative."""
-    if abs(z) >= 1.0:
-        raise HoloMapError("hyperbolic derivative needs |z| < 1")
-    w = complex(f.eval(z))
-    if abs(w) >= 1.0:
-        raise HoloMapError(f"|f(z)| = {abs(w)} >= 1 at interior point: not a self-map")
-    return (1.0 - abs(z) ** 2) * abs(complex(f.deriv(z))) / (1.0 - abs(w) ** 2)
+def hyperbolic_derivative(f: HoloMap, z):
+    """(1-|z|^2) |f'(z)| / (1-|f(z)|^2), the invariant derivative, elementwise.
+    Raises HoloMapError naming the first point with |z| >= 1 or |f(z)| >= 1."""
+    z = np.asarray(z)
+    outside = np.abs(z) >= 1.0
+    if np.any(outside):
+        raise HoloMapError(f"hyperbolic derivative needs |z| < 1; "
+                           f"z = {complex(z.flat[np.argmax(outside)])}")
+    w_mod = np.abs(f.eval(z))
+    escaped = w_mod >= 1.0
+    if np.any(escaped):
+        i = np.argmax(escaped)
+        raise HoloMapError(f"|f(z)| = {np.ravel(w_mod)[i]} >= 1 at interior point "
+                           f"z = {complex(z.flat[i])}: not a self-map")
+    return (1.0 - np.abs(z) ** 2) * np.abs(f.deriv(z)) / (1.0 - w_mod**2)
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +440,18 @@ def parse_map(text: str) -> HoloMap:
     return f
 
 
-def _take_complex(tokens: list[str]) -> tuple[complex, list[str]]:
-    if not tokens:
-        raise HoloMapError("unexpected end of map expression")
-    try:
-        return complex(tokens[0]), tokens[1:]
-    except ValueError as exc:
-        raise HoloMapError(f"bad complex literal {tokens[0]!r}") from exc
+def _take(tokens: list[str], cast=complex, count: int = 1) -> tuple[list, list[str]]:
+    """``count`` tokens read by ``cast`` (complex, int or float), and the rest."""
+    if not 0 <= count <= len(tokens):
+        raise HoloMapError(f"map expression needs {count} more tokens, "
+                           f"has {len(tokens)}")
+    values = []
+    for token in tokens[:count]:
+        try:
+            values.append(cast(token))
+        except ValueError as exc:
+            raise HoloMapError(f"bad {cast.__name__} literal {token!r}") from exc
+    return values, tokens[count:]
 
 
 def _parse_tokens(tokens: list[str]) -> tuple[HoloMap, list[str]]:
@@ -450,29 +461,24 @@ def _parse_tokens(tokens: list[str]) -> tuple[HoloMap, list[str]]:
     if head == "id":
         return Identity(), rest
     if head == "const":
-        c, rest = _take_complex(rest)
+        (c,), rest = _take(rest)
         return Const(c), rest
     if head == "zpow":
-        return Monomial(int(rest[0])), rest[1:]
+        (k,), rest = _take(rest, int)
+        return Monomial(k), rest
     if head == "poly":
-        n = int(rest[0])
-        rest = rest[1:]
-        coeffs = []
-        for _ in range(n):
-            c, rest = _take_complex(rest)
-            coeffs.append(c)
+        (n,), rest = _take(rest, int)
+        coeffs, rest = _take(rest, complex, n)
         return Poly(tuple(coeffs)), rest
     if head == "auto":
-        a, rest = _take_complex(rest)
-        return Automorphism(a, float(rest[0])), rest[1:]
+        (a,), rest = _take(rest)
+        (theta,), rest = _take(rest, float)
+        return Automorphism(a, theta), rest
     if head == "blaschke":
-        n = int(rest[0])
-        rest = rest[1:]
-        zeros = []
-        for _ in range(n):
-            a, rest = _take_complex(rest)
-            zeros.append(a)
-        return Blaschke(tuple(zeros), float(rest[0])), rest[1:]
+        (n,), rest = _take(rest, int)
+        zeros, rest = _take(rest, complex, n)
+        (theta,), rest = _take(rest, float)
+        return Blaschke(tuple(zeros), theta), rest
     if head == "compose":
         outer, rest = _parse_tokens(rest)
         inner, rest = _parse_tokens(rest)
@@ -482,9 +488,10 @@ def _parse_tokens(tokens: list[str]) -> tuple[HoloMap, list[str]]:
         right, rest = _parse_tokens(rest)
         return Sum(left, right), rest
     if head == "scale":
-        c, rest = _take_complex(rest)
+        (c,), rest = _take(rest)
         inner, rest = _parse_tokens(rest)
         return Scaled(c, inner), rest
     if head == "feps":
-        return f_eps(float(rest[0])), rest[1:]
+        (eps,), rest = _take(rest, float)
+        return f_eps(eps), rest
     raise HoloMapError(f"unknown map constructor {head!r}")

@@ -25,12 +25,13 @@ import scipy.sparse.linalg as spla
 from scipy.interpolate import RectBivariateSpline
 
 from .metric import MetricError, Pseudometric
+from .numerics import DiskrigError
 
 DEFAULT_N = 129
 AHLFORS_MARGIN = 0.5
 
 
-class LiouvilleError(RuntimeError):
+class LiouvilleError(DiskrigError, RuntimeError):
     """Raised when the nonlinear solve cannot be completed."""
 
 
@@ -82,11 +83,9 @@ def poincare_problem(R: float = 0.9) -> DirichletProblem:
     """Constant curvature -4 with exact hyperbolic boundary data."""
     return DirichletProblem(
         R=R,
-        kappa=lambda z: np.full(np.shape(z), -4.0) if np.ndim(z) else -4.0,
+        kappa=lambda z: np.full(np.shape(z), -4.0),
         pinch=(-4.0, -4.0),
-        boundary=lambda theta: np.full(np.shape(theta),
-                                       -np.log(1.0 - R**2)) if np.ndim(theta)
-        else -np.log(1.0 - R**2),
+        boundary=lambda theta: np.full(np.shape(theta), -np.log(1.0 - R**2)),
     )
 
 
@@ -100,9 +99,7 @@ def pinched_problem(R: float = 0.9) -> DirichletProblem:
         R=R,
         kappa=radial_pinched_kappa,
         pinch=(-5.0, -4.0),
-        boundary=lambda theta: np.full(np.shape(theta),
-                                       -np.log(1.0 - R**2)) if np.ndim(theta)
-        else -np.log(1.0 - R**2),
+        boundary=lambda theta: np.full(np.shape(theta), -np.log(1.0 - R**2)),
     )
 
 
@@ -352,9 +349,8 @@ def make_pinched_metric(kappa: Callable | None = None,
     if kappa is None:
         kappa = radial_pinched_kappa
     if boundary is None:
-        boundary = (lambda theta: np.full(np.shape(theta),
-                                          -np.log(1.0 - R_construct**2))
-                    if np.ndim(theta) else -np.log(1.0 - R_construct**2))
+        boundary = (lambda theta:
+                    np.full(np.shape(theta), -np.log(1.0 - R_construct**2)))
     problem = DirichletProblem(R=R_construct, kappa=kappa, pinch=pinch,
                                boundary=boundary)
     sol = solve(problem, n=n)
@@ -366,8 +362,7 @@ def make_pinched_metric(kappa: Callable | None = None,
         if np.any(np.abs(za) > r_valid + 1e-12):
             raise MetricError(
                 f"constructed metric only valid on |z| <= {r_valid:.4g}")
-        vals = np.exp(spline.ev(np.real(za), np.imag(za)))
-        return vals if np.ndim(z) else float(vals)
+        return np.exp(spline.ev(np.real(za), np.imag(za)))
 
     return Pseudometric(density=density, zeros=(), curvature=kappa,
                         pinch=pinch, name=f"pinched(c={-pinch[0]:g})",

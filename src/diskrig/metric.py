@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .holomap import HoloMap, critical_points, is_constant, preimages
-from .numerics import laplacian_fd
+from .numerics import DiskrigError, laplacian_fd
 
 ZERO_MATCH_TOL = 1e-9
 QUOTIENT_LIMIT_RADIUS = 1e-4
@@ -36,7 +36,7 @@ LOG_DENSITY_NOISE = 4e-15
 RICHARDSON_WEIGHT = 128.0 / 3.0
 
 
-class MetricError(ValueError):
+class MetricError(DiskrigError, ValueError):
     """Raised on invalid pseudometric input."""
 
 
@@ -101,12 +101,7 @@ class Pseudometric:
 
 
 def _const_curvature(value: float) -> Callable:
-    def kappa(z):
-        if np.ndim(z):
-            return np.full(np.shape(z), value)
-        return value
-
-    return kappa
+    return lambda z: np.full(np.shape(z), value)
 
 
 def poincare() -> Pseudometric:
@@ -329,31 +324,22 @@ def quotient(lam: Pseudometric, mu: Pseudometric, z):
     Off zeros of mu this is the plain density ratio.  At a zero of mu of
     order beta where lam carries order alpha >= beta, the value is 0 for
     alpha > beta and the angular average of the ratio on a small ring for
-    alpha = beta.
+    alpha = beta.  Elementwise over an array of points.
     """
     require_structural_domination(lam, mu)
-    if np.ndim(z):
-        zs = np.asarray(z)
-        out = np.empty(zs.shape, dtype=float)
-        flat = zs.ravel()
-        res = out.ravel()
-        special = np.zeros(flat.shape, dtype=bool)
-        for rec in mu.zeros:
-            special |= np.abs(flat - rec.location) < ZERO_MATCH_TOL
-        plain = ~special
-        if np.any(plain):
-            res[plain] = (np.asarray(lam.density(flat[plain]), dtype=float)
-                          / np.asarray(mu.density(flat[plain]), dtype=float))
-        for idx in np.nonzero(special)[0]:
-            res[idx] = quotient(lam, mu, complex(flat[idx]))
-        return out
-    z = complex(z)
+    z = np.asarray(z)
+    out = np.zeros(z.shape)
+    on_zero = np.zeros(z.shape, dtype=bool)
     for rec in mu.zeros:
-        if abs(z - rec.location) < ZERO_MATCH_TOL:
+        hit = (np.abs(z - rec.location) < ZERO_MATCH_TOL) & ~on_zero
+        if np.any(hit):
             lam_rec = lam.zero_at(rec.location)
             lam_order = lam_rec.order if lam_rec is not None else 0.0
-            return _limit_quotient(lam, mu, rec, lam_order)
-    return float(lam.density(z)) / float(mu.density(z))
+            out[hit] = _limit_quotient(lam, mu, rec, lam_order)
+            on_zero |= hit
+    np.divide(np.asarray(lam.density(z), dtype=float),
+              np.asarray(mu.density(z), dtype=float), out=out, where=~on_zero)
+    return out[()]
 
 
 @dataclass(frozen=True)
@@ -390,7 +376,7 @@ def check_domination(lam: Pseudometric, mu: Pseudometric,
     grid = np.asarray(grid)
 
     qv = []
-    q = np.asarray(quotient(lam, mu, grid), dtype=float)
+    q = quotient(lam, mu, grid)
     bad_q = (q < -tol_quotient) | (q > 1.0 + tol_quotient)
     for z, val in zip(grid[bad_q], q[bad_q]):
         qv.append((complex(z), float(val)))

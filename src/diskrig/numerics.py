@@ -23,7 +23,11 @@ TOL_VANISH = 1e-3
 COINCIDENCE_TOL = 1e-12
 
 
-class NumericsError(ValueError):
+class DiskrigError(Exception):
+    """Base of every error the library raises on input it refuses."""
+
+
+class NumericsError(DiskrigError, ValueError):
     """Raised on invalid quadrature/fitting input."""
 
 
@@ -48,10 +52,6 @@ class RateReport:
     fitted_limit: float
     fitted_slope: float
     verdict: Verdict
-
-    @property
-    def vanishes(self) -> bool:
-        return self.verdict is Verdict.VANISHES
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,6 @@ class PolarGrid:
                                      1.0 + 0j)
                 pts[hit] = self.center + shifted + half_cell * direction
         return pts, w
-
-    def refined(self, factor: int = 2) -> "PolarGrid":
-        return PolarGrid(self.center, self.radius,
-                         factor * self.n_r, factor * self.n_t)
 
 
 # cached apart from the nodes: the rule depends on n_r alone

@@ -22,14 +22,14 @@ from .holomap import Automorphism, HoloMap, certify_selfmap, hyperbolic_derivati
 from .metric import (DominationError, Pseudometric, ZeroRecord,
                      check_domination, exp_weight, mu_max, poincare, pullback,
                      quotient)
-from .numerics import Verdict, fit_boundary_rate
+from .numerics import DiskrigError, Verdict, fit_boundary_rate
 
 MAX_FACTORIAL_N = 170
 COMPACT_GRID_RADIUS = 0.8
 UNIFORM_TOL = 0.05
 
 
-class SequenceError(ValueError):
+class SequenceError(DiskrigError, ValueError):
     """Raised on invalid sequence input."""
 
 
@@ -182,7 +182,7 @@ def dichotomy_scan(seq: MetricSequence, mu: Pseudometric, c: float,
                  if abs(r.location) <= COMPACT_GRID_RADIUS]
         if extra:
             pts = np.concatenate([pts, np.asarray(extra)])
-        q = np.asarray(quotient(lam, mu, pts), dtype=float)
+        q = quotient(lam, mu, pts)
         sups.append(float(np.max(np.abs(q - 1.0))))
         hyp_vals.append(abs(quotient(lam, mu, z_n) - 1.0))
 
@@ -272,9 +272,8 @@ def sequential_schwarz_pick(maps: Callable[[int], HoloMap],
         if not ok:
             raise SequenceError(f"member {n} is not a self-map (max {mx})")
         z_n = complex(points(n))
-        hyp_samples.append((abs(z_n), hyperbolic_derivative(f, z_n) - 1.0))
-        fh = np.array([hyperbolic_derivative(f, complex(p)) for p in pts])
-        sups.append(float(np.max(np.abs(fh - 1.0))))
+        hyp_samples.append((abs(z_n), float(hyperbolic_derivative(f, z_n)) - 1.0))
+        sups.append(float(np.max(np.abs(hyperbolic_derivative(f, pts) - 1.0))))
         min_mod.append(float(np.min(np.abs(f.eval(pts)))))
 
     ts = [t for t, _ in hyp_samples]

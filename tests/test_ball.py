@@ -299,3 +299,79 @@ class TestOneDimensionalAgreement:
             ratio = bl.kobayashi_metric(fz, dfv) / bl.kobayashi_metric(z, v)
             assert ratio == pytest.approx(hm.hyperbolic_derivative(f, t + 0j),
                                           rel=1e-12)
+
+
+# -- one evaluation path for points and arrays ------------------------------
+
+MAPS = [
+    bl.identity_map(2),
+    bl.embedded_power_map(3),
+    bl.PolyBallMap([bl.MultiPoly(2, {(0, 1): 0.5, (2, 0): 0.25j}),
+                    bl.MultiPoly(2, {(1, 1): 0.5, (0, 0): 0.1})]),
+    bl.random_automorphism(2, np.random.default_rng(13)),
+    bl.random_automorphism(3, np.random.default_rng(14)),
+]
+
+
+def batch(n, seed=21, shape=(4, 5)):
+    """Points of shape shape + (n,) with |z| <= 0.8, and vectors beside them."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=shape + (n,)) + 1j * rng.normal(size=shape + (n,))
+    z *= rng.uniform(0.1, 0.8, size=shape + (1,)) / np.linalg.norm(z, axis=-1,
+                                                                   keepdims=True)
+    return z, rng.normal(size=shape + (n,)) + 1j * rng.normal(size=shape + (n,))
+
+
+def assert_pointwise(out, single, shape):
+    """An array result against the results point by point, to 1e-15
+    relative (numpy's array loops may round differently from its scalar
+    arithmetic)."""
+    assert out.shape == shape
+    np.testing.assert_allclose(out, np.reshape(single, shape), rtol=1e-15, atol=0)
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("F", MAPS, ids=lambda F: type(F).__name__)
+    def test_map_matches_pointwise(self, F):
+        z, v = batch(F.n_vars)
+        pairs = list(zip(z.reshape(-1, F.n_vars), v.reshape(-1, F.n_vars)))
+        assert_pointwise(F.eval(z), [F.eval(p) for p, _ in pairs], z.shape)
+        assert_pointwise(F.differential(z, v),
+                         [F.differential(p, u) for p, u in pairs], z.shape)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_metric_matches_pointwise(self, n):
+        z, v = batch(n)
+        single = [bl.kobayashi_metric(p, u)
+                  for p, u in zip(z.reshape(-1, n), v.reshape(-1, n))]
+        assert_pointwise(bl.kobayashi_metric(z, v), single, z.shape[:-1])
+        # one vector against many points broadcasts
+        assert_pointwise(bl.kobayashi_metric(z, v[0, 0]),
+                         [bl.kobayashi_metric(p, v[0, 0]) for p in z.reshape(-1, n)],
+                         z.shape[:-1])
+
+    @pytest.mark.parametrize("call", [
+        lambda: MAPS[1].eval(np.zeros((4, 2))),
+        lambda: MAPS[0].eval(0.3),
+        lambda: MAPS[3].differential(np.zeros(2), np.ones(3)),
+        lambda: bl.kobayashi_metric(np.zeros((4, 2)), np.ones((3, 2))),
+        lambda: bl.tangential_projection(e1_2, np.ones(3)),
+    ], ids=["arity", "no-last-axis", "vector-length", "leading-axes",
+            "projection-length"])
+    def test_wrong_shape_is_ball_error(self, call):
+        with pytest.raises(bl.BallError):
+            call()
+
+    @pytest.mark.parametrize("F", MAPS + [
+        bl.PolyBallMap([bl.MultiPoly(2, {(1, 0): 2.0}), bl.MultiPoly(2, {})])],
+        ids=lambda F: type(F).__name__)
+    def test_certify_matches_pointwise_loop(self, F):
+        certified, worst = bl.certify_ball_map(F, n_samples=400, seed=5)
+        rng = np.random.default_rng(5)
+        loop_worst = 0.0
+        for _ in range(400):
+            p = rng.normal(size=F.n_vars) + 1j * rng.normal(size=F.n_vars)
+            p /= bl.norm(p)
+            loop_worst = max(loop_worst, bl.norm(F.eval(p)))
+        assert certified == (loop_worst <= 1.0 + bl.SELFMAP_SLACK)
+        assert worst == pytest.approx(loop_worst, rel=1e-15, abs=0)

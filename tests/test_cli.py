@@ -64,6 +64,23 @@ class TestExitCodes:
     def test_main_bad_config_file(self):
         assert cli.main(["/nonexistent/config.cfg"]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "command = rigidity-scan\nc = abc\n",
+        "command = rigidity-scan\nk-min = 10\nk-max = 12\n",
+        "command = burns-krantz\nmap = zpow\n",
+        "command = burns-krantz\nmap = zpow x\n",
+        "command = ball-check\nwhat = custom\nmap = 2,0:1 | 0,1:x\n",
+    ])
+    def test_refused_input_is_two(self, text, tmp_path, capsys):
+        assert run_text(text, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_seed_is_unknown_key_where_unread(self, tmp_path):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("command = rigidity-scan\nseed = 3\n")
+        assert cli.main([str(cfg)]) == 2
+
     def test_main_end_to_end(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
         cfg.write_text("command = rigidity-scan\nlam = pullback(zpow 2)\n"
@@ -86,7 +103,7 @@ class TestReports:
 
     def test_determinism_byte_identical(self, tmp_path):
         text = ("command = rigidity-scan\nlam = pullback(feps 0.05)\n"
-                "out = det.json\nseed = 3\n")
+                "out = det.json\n")
         run_text(text, tmp_path)
         first = (tmp_path / "det.json").read_bytes()
         run_text(text, tmp_path)

@@ -62,6 +62,10 @@ class TestBarrier:
         with pytest.raises(hk.HarnackError, match="only claimed"):
             hk.verify_barrier_pde(0.5, 4.0, grid=np.array([0.2 + 0j]))
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(hk.HarnackError, match="nonempty"):
+            hk.verify_barrier_pde(0.5, 4.0, grid=np.array([], dtype=complex))
+
     def test_barrier_matches_cubic(self):
         # cross-check: (Lap v / v)(1-|z|^2)^2 equals the cubic at |z|^2
         from diskrig.numerics import laplacian_fd

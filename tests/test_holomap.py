@@ -275,6 +275,12 @@ class TestSerialization:
         with pytest.raises(hm.HoloMapError):
             hm.parse_map("wavelet 3")
 
+    @pytest.mark.parametrize("text", ["zpow", "zpow x", "auto 0.3 x", "feps",
+                                      "blaschke 2 0.1", "poly 1000000000000 0.1"])
+    def test_missing_or_malformed_token_rejected(self, text):
+        with pytest.raises(hm.HoloMapError):
+            hm.parse_map(text)
+
     def test_trailing_tokens_rejected(self):
         with pytest.raises(hm.HoloMapError):
             hm.parse_map("id id")
@@ -282,3 +288,55 @@ class TestSerialization:
     def test_rotation_helper(self):
         r = hm.rotation(math.pi / 2)
         assert complex(r.eval(0.5 + 0j)) == pytest.approx(0.5j)
+
+
+# -- one evaluation path for points and arrays ------------------------------
+
+POINTS = np.array([[0.3 + 0.1j, -0.2j, 0.55 + 0j, -0.4 + 0.35j],
+                   [0.05 - 0.6j, 0.7 + 0.2j, -0.65 + 0j, 0.1 + 0.1j]])
+
+
+def assert_pointwise(out, single, exact):
+    """An array result against the results point by point: bit for bit
+    where no rounding happens, else to 1e-15 relative (numpy's array
+    loops may round differently from its scalar arithmetic)."""
+    assert np.shape(out) == POINTS.shape
+    assert all(np.ndim(s) == 0 and isinstance(s, (float, complex)) for s in single)
+    single = np.reshape(single, POINTS.shape)
+    if exact:
+        np.testing.assert_array_equal(out, single)
+    else:
+        np.testing.assert_allclose(out, single, rtol=1e-15, atol=0)
+
+
+class TestArrayEvaluation:
+    NODES = TestSerialization.CASES + [hm.Monomial(0)]
+
+    @pytest.mark.parametrize("method", ["eval", "deriv"])
+    @pytest.mark.parametrize("f", NODES, ids=lambda f: f.to_text().split()[0])
+    def test_node_matches_pointwise(self, f, method):
+        exact = isinstance(f, (hm.Identity, hm.Const)) or f == hm.Monomial(0)
+        assert_pointwise(getattr(f, method)(POINTS),
+                         [getattr(f, method)(complex(z)) for z in POINTS.ravel()],
+                         exact)
+
+    @pytest.mark.parametrize("f", [
+        hm.Identity(), hm.Monomial(3), hm.f_eps(1.0 / 12.0),
+        hm.Automorphism(0.3 + 0.1j, 0.7), hm.Blaschke((0.2j, -0.4 + 0.1j), 1.1),
+        hm.Compose(hm.Blaschke((0.2 - 0.3j,)), hm.Scaled(0.5, hm.Identity())),
+    ], ids=lambda f: f.to_text().split()[0])
+    def test_hyperbolic_derivative_matches_pointwise(self, f):
+        assert_pointwise(hm.hyperbolic_derivative(f, POINTS),
+                         [hm.hyperbolic_derivative(f, complex(z))
+                          for z in POINTS.ravel()], isinstance(f, hm.Identity))
+
+    def test_refusal_names_the_point_outside(self):
+        zs = np.array([0.1, 0.5j, 1.0 + 0j, 0.2, 2.0])
+        with pytest.raises(hm.HoloMapError, match=r"\|z\| < 1; z = \(1\+0j\)"):
+            hm.hyperbolic_derivative(hm.Monomial(2), zs)
+
+    def test_refusal_names_the_point_that_escapes(self):
+        f = hm.Scaled(3.0, hm.Identity())
+        with pytest.raises(hm.HoloMapError,
+                           match=r"z = 0.5j: not a self-map"):
+            hm.hyperbolic_derivative(f, np.array([[0.1, 0.2j], [0.5j, 0.9]]))
