@@ -135,6 +135,15 @@ def cubic_check(c: float, r: float, n_samples: int = 400) -> InequalityReport:
                                      "min_on_interval": min_val})
 
 
+def _worst_violation(viol: np.ndarray, grid: np.ndarray) -> tuple[float, complex]:
+    """The largest violation over a grid and the point where it occurs."""
+    if grid.size == 0:
+        raise HarnackError("no point to check: the checker needs a nonempty "
+                           "grid inside its region")
+    worst = int(np.argmax(viol))
+    return float(viol[worst]), complex(grid[worst])
+
+
 def verify_barrier_pde(r: float, c: float, grid: np.ndarray | None = None,
                        h: float = 1e-4, tol: float = 1e-5) -> InequalityReport:
     """Check Lap v_r >= 2c v_r / (1-|z|^2)^2 at annulus grid points."""
@@ -143,15 +152,13 @@ def verify_barrier_pde(r: float, c: float, grid: np.ndarray | None = None,
         angles = np.exp(2j * np.pi * np.arange(8) / 8)
         grid = np.outer(radii, angles).ravel()
     grid = np.asarray(grid)
-    if grid.size == 0 or np.any(np.abs(grid) < r):
-        raise HarnackError("barrier inequality only claimed on a nonempty "
-                           "grid in r <= |z| < 1")
+    if np.any(np.abs(grid) < r):
+        raise HarnackError("barrier inequality only claimed in r <= |z| < 1")
     lap = laplacian_fd(lambda w: barrier_v(r, c, w), grid, h, richardson=True)
     viol = 2.0 * c * barrier_v(r, c, grid) / (1.0 - np.abs(grid) ** 2) ** 2 - lap
-    worst = int(np.argmax(viol))
-    return InequalityReport(passed=float(viol[worst]) <= tol,
-                            max_violation=float(viol[worst]),
-                            witness=complex(grid[worst]), n_checked=int(grid.size))
+    worst, witness = _worst_violation(viol, grid)
+    return InequalityReport(passed=worst <= tol, max_violation=worst,
+                            witness=witness, n_checked=int(grid.size))
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +209,9 @@ def check_harnack(lam: Pseudometric, mu: Pseudometric, c: float, r: float,
     with np.errstate(divide="ignore"):
         lhs = np.log(q)
     rhs = coeff * inner_max * (1.0 - np.abs(grid) ** 2) ** (c / 2.0)
-    viol = lhs - rhs
-    worst = int(np.argmax(viol))
-    max_violation = float(viol[worst])
-    return HarnackReport(r=r, c=c, lhs_max_violation=max_violation,
-                         passed=max_violation <= tol,
-                         witness=complex(grid[worst]) if max_violation > tol else None,
+    worst, witness = _worst_violation(lhs - rhs, grid)
+    return HarnackReport(r=r, c=c, lhs_max_violation=worst, passed=worst <= tol,
+                         witness=witness if worst > tol else None,
                          n_checked=int(grid.size))
 
 
@@ -239,12 +243,9 @@ def check_golusin(lam: Pseudometric, grid: np.ndarray | None = None,
     bound = (lam0 + m) / (1.0 + lam0 * m)
     ratio = np.asarray(lam.density(grid), dtype=float) / \
         np.asarray(hyp.density(grid), dtype=float)
-    viol = ratio - bound
-    worst = int(np.argmax(viol))
-    return InequalityReport(passed=float(viol[worst]) <= tol,
-                            max_violation=float(viol[worst]),
-                            witness=complex(grid[worst]),
-                            n_checked=int(grid.size),
+    worst, witness = _worst_violation(ratio - bound, grid)
+    return InequalityReport(passed=worst <= tol, max_violation=worst,
+                            witness=witness, n_checked=int(grid.size),
                             details={"lam0": lam0})
 
 
@@ -291,12 +292,9 @@ def identity_spot_check(lam: Pseudometric, mu: Pseudometric,
     if grid is None:
         grid = annulus_grid(0.05, 0.9, n_r=10, n_t=12)
     grid = np.asarray(grid)
-    dev = np.abs(quotient(lam, mu, grid) - 1.0)
-    worst = int(np.argmax(dev))
-    return InequalityReport(passed=float(dev[worst]) <= tol,
-                            max_violation=float(dev[worst]),
-                            witness=complex(grid[worst]),
-                            n_checked=int(grid.size))
+    worst, witness = _worst_violation(np.abs(quotient(lam, mu, grid) - 1.0), grid)
+    return InequalityReport(passed=worst <= tol, max_violation=worst,
+                            witness=witness, n_checked=int(grid.size))
 
 
 def boundary_schwarz_scan(f: HoloMap, k_min: int = 4, k_max: int = 20,
@@ -318,9 +316,8 @@ def burns_krantz_check(f: HoloMap, k_min: int = 4, k_max: int = 20) -> tuple[Rat
         raise HarnackError(f"map is not a certified self-map (max modulus {mx})")
     ts = dyadic_ts(k_min, k_max)
     displacement = np.abs(f.eval(ts + 0j) - ts)
-    invariant = hyperbolic_derivative(f, ts + 0j) - 1.0
     return (fit_boundary_rate(list(zip(ts, displacement)), 3.0),
-            fit_boundary_rate(list(zip(ts, invariant)), 2.0))
+            boundary_schwarz_scan(f, k_min, k_max))
 
 
 # ---------------------------------------------------------------------------

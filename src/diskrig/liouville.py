@@ -1,12 +1,12 @@
 """Dirichlet solver for the curvature equation Lap u = -kappa(z) e^(2u).
 
 Solves for u = log density on a disk of radius R < 1 with finite
-boundary data, via damped Newton on a second-order finite-difference
-system.  The Cartesian grid is masked to the disk; stencil legs that
-cross the circle are shortened to end exactly on it (Shortley-Weller),
-which keeps the scheme second order up to the boundary.  A factored
-variant Lap log v = -kappa |z - xi|^(2 alpha) v^2 handles densities with
-one prescribed zero.
+boundary data, via damped Newton on finite differences masked to the
+disk.  One rule gives the rows: the compact nine-point stencil where all
+eight neighbors lie inside, else per axis the u'' weights on the offsets
+at hand, legs that cross the circle ending exactly on it
+(Shortley-Weller).  A factored variant
+Lap log v = -kappa |z - xi|^(2 alpha) v^2 handles one prescribed zero.
 
 The solver doubles as a factory for variable-curvature test metrics:
 ``make_pinched_metric`` wraps a solution in a Pseudometric whose pinch
@@ -103,34 +103,40 @@ def pinched_problem(R: float = 0.9) -> DirichletProblem:
     )
 
 
-def _one_sided_weights(a: float, h: float, depth: int) -> np.ndarray:
-    """Weights at offsets (a, 0, -h, ..., -depth*h) for u''(0).
+# compact nine-point stencil (over 6 h^2) and five-point Laplacian (over h^2)
+NINE_POINT = {(0, 0): -20.0, (1, 0): 4.0, (-1, 0): 4.0, (0, 1): 4.0, (0, -1): 4.0,
+              (1, 1): 1.0, (1, -1): 1.0, (-1, 1): 1.0, (-1, -1): 1.0}
+FIVE_POINT = {(0, 0): -4.0, (1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}
 
-    Used where a stencil leg is shortened to the circle crossing at
-    distance a; the extra inner nodes cancel the low-order terms a plain
-    three-point unequal-arm formula would leave (local accuracy
-    O(h^(depth-1))).
+
+def _second_derivative_weights(offsets: list[float]) -> np.ndarray:
+    """Weights w with sum_j w_j u(offsets[j]) = u''(0) for every polynomial
+    u of degree < len(offsets).
+
+    These are Fornberg's finite-difference weights on arbitrary offsets
+    (Math. Comp. 51, 1988), taken here from the moment equations.
     """
-    xs = np.array([a, 0.0] + [-k * h for k in range(1, depth + 1)])
-    m = np.vstack([xs**p / math.factorial(p) for p in range(depth + 2)])
-    rhs = np.zeros(depth + 2)
-    rhs[2] = 1.0
-    return np.linalg.solve(m, rhs)
+    x = np.asarray(offsets)
+    m = np.vstack([x**p / math.factorial(p) for p in range(len(x))])
+    return np.linalg.solve(m, np.eye(len(x))[2])
 
 
 def _assemble(problem: DirichletProblem, n: int):
     """Disk-masked finite differences, fourth order in the interior.
 
-    Interior nodes with all eight neighbors inside get the compact
+    A node whose eight neighbors all lie inside gets the compact
     nine-point operator (which equals Lap + h^2/12 Lap^2 to O(h^4) and is
     paired in the solver with the matching h^2/12 Lap F source term).
-    Nodes near the circle use shortened legs ending exactly on it, with a
-    cubic-fit four-point arm where an extra inner node is available.
+    These rows, and the five-point rows of L5, come from one index array
+    per stencil offset.  Every other node is in the boundary layer: along
+    each axis its row takes u'' from one weight solve on the offsets at
+    hand, which are, on each side, the neighbor or the leg shortened to
+    end exactly on the circle (Shortley-Weller), and, where exactly one
+    leg is short, up to three nodes on the far side.
 
-    Returns (xs, ys, mask, A, b, L5, compact_mask, pts): A acts on
-    interior unknowns, b collects boundary contributions, L5 is the
-    five-point Laplacian on the compact rows (zero elsewhere) for the
-    source correction.
+    Returns (xs, ys, mask, A, b, L5, pts): A acts on interior unknowns,
+    b collects boundary contributions, L5 is the five-point Laplacian on
+    the compact rows (zero elsewhere) for the source correction.
     """
     R = problem.R
     xs = np.linspace(-R, R, n)
@@ -138,108 +144,63 @@ def _assemble(problem: DirichletProblem, n: int):
     h = xs[1] - xs[0]
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     inside = X**2 + Y**2 < R**2 * (1.0 - 1e-14)
-    idx = -np.ones((n, n), dtype=int)
-    idx[inside] = np.arange(int(inside.sum()))
     n_unknown = int(inside.sum())
-
-    rows, cols, vals = [], [], []
-    l5_rows, l5_cols, l5_vals = [], [], []
-    b = np.zeros(n_unknown)
     pts = (X + 1j * Y)[inside]
-    compact_mask = np.zeros(n_unknown, dtype=bool)
+    idx = -np.ones((n, n), dtype=int)   # unknown number of each node, -1 outside
+    idx[inside] = np.arange(n_unknown)
+    core = inside[1:-1, 1:-1]           # no node on the edge of the grid is inside
 
-    def boundary_value(x, y):
-        return float(problem.boundary(np.arctan2(y, x)))
+    def neighbor(di, dj):
+        return idx[1 + di:n - 1 + di, 1 + dj:n - 1 + dj][core]
 
-    def inb(pi, pj):
-        return 0 <= pi < n and 0 <= pj < n and inside[pi, pj]
+    compact = np.all([neighbor(*d) >= 0 for d in NINE_POINT], axis=0)
 
-    ii, jj = np.nonzero(inside)
-    for i, j in zip(ii, jj):
-        k = idx[i, j]
-        x, y = xs[i], ys[j]
-        neighbors8 = [(i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                      if (di, dj) != (0, 0)]
-        if all(inb(pi, pj) for pi, pj in neighbors8):
-            compact_mask[k] = True
-            # nine-point compact operator
-            for (di, dj), w in (((1, 0), 4.0), ((-1, 0), 4.0), ((0, 1), 4.0),
-                                ((0, -1), 4.0), ((1, 1), 1.0), ((1, -1), 1.0),
-                                ((-1, 1), 1.0), ((-1, -1), 1.0)):
-                rows.append(k); cols.append(idx[i + di, j + dj])
-                vals.append(w / (6.0 * h**2))
-            rows.append(k); cols.append(k); vals.append(-20.0 / (6.0 * h**2))
-            # matching five-point Laplacian for the source correction
-            for (di, dj) in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                l5_rows.append(k); l5_cols.append(idx[i + di, j + dj])
-                l5_vals.append(1.0 / h**2)
-            l5_rows.append(k); l5_cols.append(k); l5_vals.append(-4.0 / h**2)
-            continue
+    def stencil(weights, denom):
+        rows = np.flatnonzero(compact)
+        return (np.repeat([w / denom for w in weights.values()], rows.size),
+                (np.tile(rows, len(weights)),
+                 np.concatenate([neighbor(*d)[compact] for d in weights])))
 
-        # boundary-layer node: per-axis shortened legs
-        for axis in (0, 1):
-            step = (1, 0) if axis == 0 else (0, 1)
-            arms = []
-            for sgn in (-1.0, 1.0):
-                nb = (i + int(sgn) * step[0], j + int(sgn) * step[1])
-                if inb(*nb):
-                    arms.append((1.0, idx[nb], None))
-                else:
-                    other = y if axis == 0 else x
-                    base = x if axis == 0 else y
-                    cross = sgn * np.sqrt(max(R**2 - other**2, 0.0))
-                    frac = min(max((cross - base) / (sgn * h), 1e-6), 1.0)
-                    gx, gy = (cross, y) if axis == 0 else (x, cross)
-                    arms.append((frac, -1, boundary_value(gx, gy)))
-            (tm, km, gm), (tp, kp, gp) = arms
-
-            def inner_chain(sgn, depth):
-                chain = []
-                for d in range(1, depth + 1):
-                    nb = (i + int(sgn) * d * step[0], j + int(sgn) * d * step[1])
-                    if not inb(*nb):
-                        return None
-                    chain.append(idx[nb])
-                return chain
-
-            short_sgn = None
-            if km >= 0 and kp < 0:
-                short_sgn, frac, gval = -1, tp, gp
-            elif kp >= 0 and km < 0:
-                short_sgn, frac, gval = 1, tm, gm
-
-            handled = False
-            if short_sgn is not None:
-                for depth in (3, 2):
-                    chain = inner_chain(short_sgn, depth)
-                    if chain is not None:
-                        w = _one_sided_weights(frac * h, h, depth)
-                        rows.append(k); cols.append(k); vals.append(w[1])
-                        for d, kk in enumerate(chain):
-                            rows.append(k); cols.append(kk)
-                            vals.append(w[2 + d])
-                        b[k] += w[0] * gval
-                        handled = True
+    vals, (rows, cols) = stencil(NINE_POINT, 6.0 * h**2)
+    layer_vals, layer_rows, layer_cols = [], [], []
+    b_weights, b_rows, b_angles = [], [], []
+    for k, (i, j) in zip(np.flatnonzero(~compact), np.argwhere(inside)[~compact]):
+        for di, dj in ((1, 0), (0, 1)):
+            along, across = (xs[i], ys[j]) if di else (ys[j], xs[i])
+            legs = []   # (offset, unknown number or -1, angle of the circle point)
+            for s in (-1, 1):
+                kk = idx[i + s * di, j + s * dj]
+                if kk >= 0:
+                    legs.append((s * h, kk, None))
+                    continue
+                cross = s * np.sqrt(max(R**2 - across**2, 0.0))
+                frac = min(max((cross - along) / (s * h), 1e-6), 1.0)
+                angle = np.arctan2(across, cross) if di else np.arctan2(cross, across)
+                legs.append((s * frac * h, -1, angle))
+            legs.sort(key=lambda leg: leg[1] >= 0)      # a short leg first
+            nodes = [legs[0], (0.0, k, None), legs[1]]
+            if legs[0][1] < 0 <= legs[1][1]:
+                s = 1 if legs[1][0] > 0 else -1
+                for d in (2, 3):
+                    kk = idx[i + s * d * di, j + s * d * dj]
+                    if kk < 0:
                         break
-            if not handled:
-                # plain unequal-arm formula (both legs short, or sliver)
-                wm = 2.0 / (tm * (tm + tp)) / h**2
-                wp = 2.0 / (tp * (tm + tp)) / h**2
-                wc = -2.0 / (tm * tp) / h**2
-                rows.append(k); cols.append(k); vals.append(wc)
-                if km >= 0:
-                    rows.append(k); cols.append(km); vals.append(wm)
+                    nodes.append((s * d * h, kk, None))
+            weights = _second_derivative_weights([off for off, _, _ in nodes])
+            for w, (_, kk, angle) in zip(weights, nodes):
+                if kk >= 0:
+                    layer_vals.append(w); layer_rows.append(k); layer_cols.append(kk)
                 else:
-                    b[k] += wm * gm
-                if kp >= 0:
-                    rows.append(k); cols.append(kp); vals.append(wp)
-                else:
-                    b[k] += wp * gp
+                    b_weights.append(w); b_rows.append(k); b_angles.append(angle)
 
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n_unknown, n_unknown))
-    L5 = sp.csr_matrix((l5_vals, (l5_rows, l5_cols)),
-                       shape=(n_unknown, n_unknown))
-    return xs, ys, inside, A, b, L5, compact_mask, pts
+    shape = (n_unknown, n_unknown)
+    A = sp.csr_matrix((np.concatenate([vals, layer_vals]),
+                       (np.concatenate([rows, layer_rows]),
+                        np.concatenate([cols, layer_cols]))), shape=shape)
+    L5 = sp.csr_matrix(stencil(FIVE_POINT, h**2), shape=shape)
+    g = np.asarray(problem.boundary(np.asarray(b_angles)), dtype=float)
+    b = np.bincount(b_rows, weights=np.multiply(b_weights, g), minlength=n_unknown)
+    return xs, ys, inside, A, b, L5, pts
 
 
 def solve(problem: DirichletProblem, n: int = DEFAULT_N, max_iter: int = 40,
@@ -253,7 +214,7 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N, max_iter: int = 40,
     """
     if n < 64:
         raise MetricError("grid resolution must be at least 64 per side")
-    xs, ys, inside, A, b, L5, compact, pts = _assemble(problem, n)
+    xs, ys, inside, A, b, L5, pts = _assemble(problem, n)
     h_grid = float(xs[1] - xs[0])
     kv = np.asarray(problem.kappa(pts), dtype=float)
     if problem.zero_factor is not None:
@@ -320,7 +281,6 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N, max_iter: int = 40,
 def _filled_grid(sol: LiouvilleSolution) -> np.ndarray:
     """Replace exterior NaNs by radial continuation of the boundary data."""
     U = sol.u.copy()
-    n = len(sol.xs)
     X, Y = np.meshgrid(sol.xs, sol.ys, indexing="ij")
     outside = ~sol.mask
     theta = np.arctan2(Y[outside], X[outside])

@@ -19,9 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .holomap import Automorphism, HoloMap, certify_selfmap, hyperbolic_derivative
-from .metric import (DominationError, Pseudometric, ZeroRecord,
-                     check_domination, exp_weight, mu_max, poincare, pullback,
-                     quotient)
+from .metric import (DominationError, Pseudometric, check_domination,
+                     exp_weight, mu_max, poincare, pullback, quotient)
 from .numerics import DiskrigError, Verdict, fit_boundary_rate
 
 MAX_FACTORIAL_N = 170
@@ -35,19 +34,13 @@ class SequenceError(DiskrigError, ValueError):
 
 @dataclass(frozen=True)
 class MetricSequence:
-    """A pseudometric for every index n, with declared zero paths."""
+    """A pseudometric for every index n; each member declares its zeros."""
 
     generator: Callable[[int], Pseudometric]
     description: str = ""
-    zero_paths: Callable[[int], tuple[ZeroRecord, ...]] | None = None
 
     def metric(self, n: int) -> Pseudometric:
         return self.generator(n)
-
-    def zeros(self, n: int) -> tuple[ZeroRecord, ...]:
-        if self.zero_paths is not None:
-            return self.zero_paths(n)
-        return self.generator(n).zeros
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +165,15 @@ def dichotomy_scan(seq: MetricSequence, mu: Pseudometric, c: float,
 
     sups = []
     hyp_vals = []
+    member_zeros = []
     for n, z_n in zip(ns, samples):
         lam = seq.metric(n)
+        member_zeros.append(lam.zeros)
         dom = check_domination(lam, mu)
         if not dom.passed:
             raise DominationError(f"domination fails at index n = {n}")
         pts = np.asarray(compact_grid)
-        extra = [r.location for r in seq.zeros(n)
+        extra = [r.location for r in lam.zeros
                  if abs(r.location) <= COMPACT_GRID_RADIUS]
         if extra:
             pts = np.concatenate([pts, np.asarray(extra)])
@@ -207,8 +202,7 @@ def dichotomy_scan(seq: MetricSequence, mu: Pseudometric, c: float,
     else:
         orders = []
         locs = []
-        for n in ns:
-            zs = seq.zeros(n)
+        for zs in member_zeros:
             if not zs:
                 orders = []
                 break
@@ -343,7 +337,7 @@ def zero_rigidity_track(seq: MetricSequence, mu: Pseudometric,
             raise DominationError(f"domination fails at index n = {n}")
         z_n = complex(points(n))
         hyp.append(abs(quotient(lam, mu, z_n) - 1.0))
-        zs = seq.zeros(n)
+        zs = lam.zeros
         if not zs:
             orders.append(0.0)
             locs.append(complex(xi))

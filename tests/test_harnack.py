@@ -78,6 +78,20 @@ class TestBarrier:
             assert lhs == pytest.approx(f(abs(z) ** 2), rel=1e-5)
 
 
+class TestEmptyGrid:
+    @pytest.mark.parametrize("check", [
+        lambda: hk.check_harnack(mt.pullback(hm.zpow(2), P), P, 4.0, 0.5,
+                                 grid=np.array([0.1j])),
+        lambda: hk.identity_spot_check(P, P, grid=np.array([], dtype=complex)),
+        lambda: hk.check_golusin(mt.pullback(hm.zpow(2), P),
+                                 grid=np.array([], dtype=complex)),
+    ], ids=["check_harnack", "identity_spot_check", "check_golusin"])
+    def test_refused_with_harnack_error(self, check):
+        # check_harnack's one point lies inside |z| < r and is filtered away
+        with pytest.raises(hk.HarnackError, match="nonempty"):
+            check()
+
+
 class TestCubic:
     @pytest.mark.parametrize("c", [4.0, 5.0, 8.0])
     @pytest.mark.parametrize("r", [0.3, 0.5, 0.7])

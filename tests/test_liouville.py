@@ -18,6 +18,47 @@ def density_error_vs_hyperbolic(sol):
     return float(np.max(np.abs(np.exp(sol.u[sol.mask]) - exact)))
 
 
+def compact_nodes(mask):
+    """Unknowns whose eight grid neighbors all lie inside the disk."""
+    n = mask.shape[0]
+    padded = np.pad(mask, 1)
+    ok = mask.copy()
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            ok &= padded[1 + di:n + 1 + di, 1 + dj:n + 1 + dj]
+    return ok[mask]
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("n", [64, 65, 97])
+    def test_rows_exact_on_a_quadratic(self, n):
+        # every row, compact or boundary-layer, is exact on quadratics:
+        # A u + b = Lap u = 2 - 4 = -2 with u = x^2 - 2y^2 + xy + 3x
+        R = 0.9
+
+        def quad(x, y):
+            return x**2 - 2.0 * y**2 + x * y + 3.0 * x
+
+        prob = lv.DirichletProblem(
+            R=R, kappa=lambda z: np.full(np.shape(z), -4.0), pinch=(-4.0, -4.0),
+            boundary=lambda th: quad(R * np.cos(th), R * np.sin(th)))
+        xs, ys, mask, A, b, L5, pts = lv._assemble(prob, n)
+        u = quad(pts.real, pts.imag)
+        row_sum = np.asarray(abs(A).sum(axis=1)).ravel()
+        assert np.all(np.abs(A @ u + b + 2.0) <= 1e-12 * row_sum)
+
+        # L5 is the five-point Laplacian on the compact rows, zero elsewhere
+        h = xs[1] - xs[0]
+        compact = compact_nodes(mask)
+        per_row = np.diff(L5.indptr)
+        assert np.all(per_row[compact] == 5) and np.all(per_row[~compact] == 0)
+        assert np.all(L5.diagonal()[compact] == -4.0 / h**2)
+        off_diagonal = L5.data[L5.data > 0]
+        assert off_diagonal.size == 4 * compact.sum()
+        assert np.all(off_diagonal == 1.0 / h**2)
+        assert np.all(np.abs(L5 @ u + 2.0)[compact] <= 1e-12 * 8.0 / h**2)
+
+
 class TestSolve:
     def test_hyperbolic_recovery_coarse(self):
         sol = lv.solve(lv.poincare_problem(0.9), n=65)

@@ -185,6 +185,23 @@ class TestZeroTracking:
             sq.zero_rigidity_track(seq, P, lambda n: 0.3 + 0j, 0j)
 
 
+class TestMemberBuilds:
+    def test_one_build_per_index(self):
+        built = []
+
+        def counted(n):
+            built.append(n)
+            return sq.moving_zero_family(n)
+
+        seq = sq.MetricSequence(counted, "counted moving-zero family")
+        rep = sq.dichotomy_scan(seq, P, 4.0, lambda n: 0j)
+        assert rep.verdict == "FADING_ZEROS"
+        assert built == [2, 4, 8, 16, 32, 64]
+        built.clear()
+        assert sq.zero_rigidity_track(seq, P, lambda n: 0j, 0j).passed
+        assert built == [2, 4, 8, 16, 32, 64, 128]
+
+
 class TestExtremalWitness:
     def test_running_max_reaches_hyperbolic(self):
         running, target = sq.extremal_family_witness(1.0, 0.5 + 0j)
