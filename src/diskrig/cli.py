@@ -396,6 +396,8 @@ def run_liouville_solve(cfg: ExperimentConfig) -> dict:
     return {"kappa": name, "R": R, "n": len(sol.xs),
             "iterations": sol.iterations,
             "residual_history": sol.residual_history,
+            "step_sizes": sol.step_sizes,
+            "krylov_iterations": sol.krylov_iterations,
             "passed": sol.converged}
 
 

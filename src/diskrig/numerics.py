@@ -225,7 +225,7 @@ def fit_boundary_rate(samples: Sequence[tuple[float, float]], exponent: float,
     dropping any trailing stretch where rounding noise has taken over
     (see _noise_onset).  The extrapolated limit at t = 1 yields the
     verdict: VANISHES below ``tol_vanish``, DIVERGES when |g| grows
-    beyond 1/tol_vanish, BOUNDED_NONZERO otherwise.
+    beyond 1/tol_vanish on that same cut tail, BOUNDED_NONZERO otherwise.
     """
     samples = [(float(t), float(v)) for t, v in samples]
     if len(samples) < 5:
@@ -247,7 +247,7 @@ def fit_boundary_rate(samples: Sequence[tuple[float, float]], exponent: float,
     eps_t, g_t = usable_e[half:], usable_g[half:]
     limit, slope = _trimmed_linear_fit(eps_t, g_t)
 
-    abs_tail = np.abs(g[len(samples) // 2:])
+    abs_tail = np.abs(g_t)
     growing = np.all(np.diff(abs_tail) > 0)
     if abs(limit) > 1.0 / tol_vanish or (growing and abs_tail[-1] > 1.0 / tol_vanish):
         verdict = Verdict.DIVERGES

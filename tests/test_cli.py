@@ -191,6 +191,17 @@ class TestSubcommands:
         assert lines[0] == "x,y,log_density"
         assert len(lines) > 2000
 
+    def test_liouville_report_records_each_step(self, tmp_path):
+        code = run_text("command = liouville-solve\nkappa = pinched-5\nn = 65\n"
+                        "out = lv.json\n", tmp_path)
+        assert code == 0
+        rep = json.loads((tmp_path / "lv.json").read_text())
+        steps = rep["iterations"]
+        assert len(rep["residual_history"]) == steps + 1
+        assert len(rep["step_sizes"]) == steps
+        assert len(rep["krylov_iterations"]) == steps
+        assert all(k >= 1 for k in rep["krylov_iterations"])
+
     def test_pj_decompose_with_bound(self, tmp_path):
         code = run_text("command = pj-decompose\nlam = pullback(zpow 2)\n"
                         "mu = poincare\nR = 0.9\nz = 0.4\nn-r = 80\n"

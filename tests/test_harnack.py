@@ -203,6 +203,33 @@ class TestRigidityScan:
                                P, 4.0)
         assert rep.verdict is Verdict.VANISHES
 
+    def test_rounding_noise_is_not_divergence(self):
+        # the deficit of an automorphism is rounding noise over (1-t)^2; a
+        # divergence test on the raw tail, not the noise-cut one, calls this
+        # DIVERGES with a fitted limit of 8.3e-11
+        f = hm.Blaschke((-0.648080352110346 + 0.2214859936577993j,),
+                        0.739227338617312)
+        rep = hk.rigidity_scan(mt.pullback(f, P), P, 4.0)
+        assert abs(rep.fitted_limit) < 1e-9
+        assert rep.verdict is Verdict.VANISHES
+
+    def test_seeded_automorphisms_all_vanish(self):
+        # degree-1 Blaschke products, zero area-uniform in |a| < 0.7 and
+        # rotation uniform; a divergence test on the raw tail calls 12 of
+        # these 1000 DIVERGES
+        rng = np.random.default_rng(0)
+        n = 1000
+        zeros = 0.7 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        thetas = 2.0 * np.pi * rng.random(n)
+        wrong = []
+        for a, theta in zip(zeros, thetas):
+            f = hm.Blaschke((complex(a),), float(theta))
+            verdicts = (hk.rigidity_scan(mt.pullback(f, P), P, 4.0).verdict,
+                        hk.boundary_schwarz_scan(f).verdict)
+            if verdicts != (Verdict.VANISHES, Verdict.VANISHES):
+                wrong.append((f, verdicts))
+        assert wrong == []
+
     def test_path_must_stay_inside(self):
         with pytest.raises(hk.HarnackError, match="leaves"):
             hk.rigidity_scan(P, P, 4.0, path=np.array([0.5, 1.5]))

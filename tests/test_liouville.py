@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from diskrig import liouville as lv
 from diskrig import metric as mt
@@ -27,6 +29,60 @@ def compact_nodes(mask):
         for dj in (-1, 0, 1):
             ok &= padded[1 + di:n + 1 + di, 1 + dj:n + 1 + dj]
     return ok[mask]
+
+
+def factored_zero_problem():
+    """Curvature -4 with a simple zero at 0: the density 2|z|/(1-|z|^4)."""
+    R = 0.8
+    logv = math.log(2.0 / (1.0 - R**4))
+    return lv.DirichletProblem(
+        R=R,
+        kappa=lambda z: np.full(np.shape(z), -4.0) if np.ndim(z) else -4.0,
+        pinch=(-4.0, -4.0),
+        boundary=lambda th: np.full(np.shape(th), logv) if np.ndim(th) else logv,
+        zero_factor=(0j, 1.0))
+
+
+def direct_newton(problem, n, max_iter=40, tol=1e-10):
+    """Reference: the same damped Newton iteration with a direct sparse
+    solve of every Newton system.  Returns (u on the unknowns, iterations)."""
+    xs, ys, inside, A, b, L5, pts = lv._assemble(problem, n)
+    h = xs[1] - xs[0]
+    kv = np.asarray(problem.kappa(pts), dtype=float)
+    cap = lv.hyperbolic_log_density(pts) + lv.AHLFORS_MARGIN
+    if problem.zero_factor is not None:
+        xi, alpha = problem.zero_factor
+        kv = kv * np.abs(pts - xi) ** (2.0 * alpha)
+        cap = cap - alpha * np.log(np.maximum(np.abs(pts - xi), 1e-300))
+    source_op = sp.identity(len(pts), format="csr") + (h**2 / 12.0) * L5
+    row_scale = np.maximum(np.asarray(abs(A).sum(axis=1)).ravel(), 1.0)
+
+    def residual(uv):
+        return A @ uv + b + source_op @ (kv * np.exp(2.0 * uv))
+
+    def scaled_norm(res):
+        return float(np.max(np.abs(res) / row_scale))
+
+    u = np.minimum(spla.spsolve(A.tocsc(), -b), cap)
+    res = residual(u)
+    res_norm = scaled_norm(res)
+    it = 0
+    while res_norm > tol and it < max_iter:
+        it += 1
+        jac = A + source_op @ sp.diags(2.0 * kv * np.exp(2.0 * u))
+        delta = spla.spsolve(jac.tocsc(), -res)
+        step = 1.0
+        while step >= 1.0 / 64.0:
+            trial = np.minimum(u + step * delta, cap)
+            trial_res = residual(trial)
+            if scaled_norm(trial_res) < res_norm:
+                break
+            step *= 0.5
+        else:
+            assert res_norm <= 1e-9, "reference Newton stalled"
+            break
+        u, res, res_norm = trial, trial_res, scaled_norm(trial_res)
+    return u, it
 
 
 class TestAssembly:
@@ -89,15 +145,7 @@ class TestSolve:
     def test_factored_zero_recovery(self):
         # unique solution with the extremal-zero boundary data recovers
         # the factored density 2/(1-|z|^4)
-        R = 0.8
-        logv = math.log(2.0 / (1.0 - R**4))
-        prob = lv.DirichletProblem(
-            R=R,
-            kappa=lambda z: np.full(np.shape(z), -4.0) if np.ndim(z) else -4.0,
-            pinch=(-4.0, -4.0),
-            boundary=lambda th: np.full(np.shape(th), logv) if np.ndim(th) else logv,
-            zero_factor=(0j, 1.0))
-        sol = lv.solve(prob, n=97)
+        sol = lv.solve(factored_zero_problem(), n=97)
         pts = solution_points(sol)
         exact = 2.0 / (1.0 - np.abs(pts) ** 4)
         err = np.max(np.abs(np.exp(sol.u[sol.mask]) - exact))
@@ -116,6 +164,55 @@ class TestSolve:
     def test_iteration_budget_error(self):
         with pytest.raises(lv.LiouvilleError, match="residual history"):
             lv.solve(lv.poincare_problem(0.9), n=65, max_iter=1, tol=1e-14)
+
+
+PROBLEMS = {"poincare": lambda: lv.poincare_problem(0.9),
+            "pinched": lambda: lv.pinched_problem(0.9),
+            "factored-zero": factored_zero_problem}
+
+
+class TestNewtonKrylov:
+    def test_one_factorization_and_no_direct_solve(self, monkeypatch):
+        calls = {"splu": 0, "spsolve": 0}
+
+        def counted(name):
+            fn = getattr(spla, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(lv.spla, name, counted(name))
+        sol = lv.solve(lv.pinched_problem(0.9), n=65)
+        assert sol.iterations >= 3
+        assert calls == {"splu": 1, "spsolve": 0}
+
+    @pytest.mark.parametrize("n", [65, 97])
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_matches_direct_newton(self, name, n):
+        problem = PROBLEMS[name]()
+        u_ref, it_ref = direct_newton(problem, n)
+        sol = lv.solve(problem, n=n)
+        assert sol.iterations == it_ref
+        assert np.max(np.abs(sol.u[sol.mask] - u_ref)) <= 1e-12
+
+    def test_step_and_krylov_records(self):
+        sol = lv.solve(lv.pinched_problem(0.9), n=65)
+        assert len(sol.step_sizes) == len(sol.residual_history) - 1
+        assert len(sol.krylov_iterations) == sol.iterations
+        assert all(0.0 < s <= 1.0 for s in sol.step_sizes)
+        assert all(1 <= k <= lv.GMRES_RESTART for k in sol.krylov_iterations)
+
+    def test_gmres_failure_names_the_step(self, monkeypatch):
+        def failing(op, rhs, **kwargs):
+            return np.zeros_like(rhs), 1
+
+        monkeypatch.setattr(lv.spla, "gmres", failing)
+        with pytest.raises(lv.LiouvilleError,
+                           match=r"Newton step 1 .*relative residual 1\.000e\+00"):
+            lv.solve(lv.poincare_problem(0.9), n=65)
 
 
 class TestPinchedMetric:
