@@ -214,6 +214,34 @@ class TestNewtonKrylov:
                            match=r"Newton step 1 .*relative residual 1\.000e\+00"):
             lv.solve(lv.poincare_problem(0.9), n=65)
 
+    def test_gmres_runs_on_one_blas_thread(self, monkeypatch):
+        controls = lv._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread control in this process")
+        before = [get() for get, _ in controls]
+        seen = []
+        gmres = spla.gmres
+
+        def recording(*args, **kwargs):
+            seen.append([get() for get, _ in controls])
+            return gmres(*args, **kwargs)
+
+        monkeypatch.setattr(lv.spla, "gmres", recording)
+        sol = lv.solve(lv.pinched_problem(0.9), n=65)
+        assert seen == [[1] * len(controls)] * sol.iterations
+        assert [get() for get, _ in controls] == before
+
+    def test_blas_threads_restored_after_gmres_failure(self, monkeypatch):
+        controls = lv._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread control in this process")
+        before = [get() for get, _ in controls]
+        monkeypatch.setattr(lv.spla, "gmres",
+                            lambda op, rhs, **kwargs: (np.zeros_like(rhs), 1))
+        with pytest.raises(lv.LiouvilleError):
+            lv.solve(lv.poincare_problem(0.9), n=65)
+        assert [get() for get, _ in controls] == before
+
 
 class TestPinchedMetric:
     def test_flat_curvature_reproduces_hyperbolic(self):
