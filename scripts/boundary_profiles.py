@@ -7,6 +7,7 @@ radius.  The square map's profile settles at -1/2; the cubic
 perturbation family settles at -2 eps.
 
 Usage: python scripts/boundary_profiles.py [--out-dir DIR]
+Exit code: the worst exit code of the four runs (0 when all pass).
 """
 
 import argparse
@@ -31,17 +32,22 @@ def main() -> int:
     args = parser.parse_args()
     out_dir = Path(args.out_dir)
 
+    worst = 0
     for name, map_expr in MAPS:
         text = (f"command = rigidity-scan\nlam = pullback({map_expr})\n"
                 f"out = {name}.json\nprofile = {name}.dat\n")
-        cli.run(cli.parse_config(text), out_dir=out_dir)
+        code = cli.run(cli.parse_config(text), out_dir=out_dir)
+        worst = max(worst, code)
+        if code == 2:
+            print(f"{name:16s} refused")
+            continue
         rows = (out_dir / f"{name}.dat").read_text().splitlines()
         tail = rows[min(len(rows) - 1, 10)].split()
         print(f"{name:16s} {len(rows):3d} rows; "
               f"deficit near the boundary: {float(tail[1]):+.5f}")
     print(f"\nprofiles in {out_dir}/ "
           f"(plot with: gnuplot> plot 'zsquare.dat' w lp)")
-    return 0
+    return worst
 
 
 if __name__ == "__main__":

@@ -68,6 +68,10 @@ def _as_points(*arrays, n: int | None = None) -> Sequence[np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # metric and distance
+#
+# Squares are np.square and moduli np.abs, never ** or abs(): numpy's scalar
+# arithmetic rounds differently from its array loops, and one point must give,
+# bit for bit, what it gives inside a batch.
 
 
 def kobayashi_metric(z, v):
@@ -75,15 +79,16 @@ def kobayashi_metric(z, v):
     sqrt((1-|z|^2)|v|^2 + |<v,z>|^2) / (1-|z|^2), over points and vectors
     of shape (..., N).  For N = 1 this is |v| / (1-|z|^2)."""
     z, v = _as_points(z, v)
-    zz = norm(z) ** 2
+    zz = np.square(norm(z))
     if np.any(zz >= 1.0):
         raise BallError("point must lie in the open ball")
     s = 1.0 - zz
-    return np.sqrt(s * norm(v) ** 2 + abs(herm(v, z)) ** 2) / s
+    return np.sqrt(s * np.square(norm(v)) + np.square(np.abs(herm(v, z)))) / s
 
 
-def kobayashi_distance(z, w) -> float:
-    """Distance normalized so K(0, r e_1) = arctanh r.
+def kobayashi_distance(z, w):
+    """Distance normalized so K(0, r e_1) = arctanh r, between points of
+    shape (..., N).
 
     arctanh of the Moebius invariant m, with q = 1 - m^2 =
     (1-|z|^2)(1-|w|^2) / |1 - <z,w>|^2; symmetric and
@@ -91,26 +96,27 @@ def kobayashi_distance(z, w) -> float:
     and arctanh m = (1/2) log((1+m)^2 / q), so the distance keeps its
     digits up to the sphere.
     """
-    z, w = _as_vec(z), _as_vec(w)
+    z, w = _as_points(z, w)
     nz, nw = norm(z), norm(w)
-    if nz >= 1.0 or nw >= 1.0:
+    if np.any(nz >= 1.0) or np.any(nw >= 1.0):
         raise BallError("points must lie in the open ball")
-    q = min((1.0 - nz) * (1.0 + nz) * (1.0 - nw) * (1.0 + nw)
-            / abs(1.0 - herm(z, w)) ** 2, 1.0)
-    m = math.sqrt(1.0 - q)
-    return 0.5 * math.log((1.0 + m) ** 2 / q)
+    q = np.minimum((1.0 - nz) * (1.0 + nz) * (1.0 - nw) * (1.0 + nw)
+                   / np.square(np.abs(1.0 - herm(z, w))), 1.0)
+    m = np.sqrt(1.0 - q)
+    return 0.5 * np.log(np.square(1.0 + m) / q)
 
 
-def boundary_distance(z) -> float:
+def boundary_distance(z):
     return 1.0 - norm(z)
 
 
-def distance_band(z, p0=None) -> float:
-    """K(p0, z) + (1/2) log delta(z); bounded as z approaches the sphere."""
-    z = _as_vec(z)
+def distance_band(z, p0=None):
+    """K(p0, z) + (1/2) log delta(z) over points of shape (..., N);
+    bounded as z approaches the sphere."""
+    (z,) = _as_points(z)
     if p0 is None:
         p0 = np.zeros(z.shape, dtype=complex)
-    return kobayashi_distance(p0, z) + 0.5 * math.log(boundary_distance(z))
+    return kobayashi_distance(p0, z) + 0.5 * np.log(boundary_distance(z))
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +132,18 @@ def tangential_projection(p, v) -> np.ndarray:
     return v - herm(v, p)[..., None] * p
 
 def normal_decomposition(z, v) -> tuple[np.ndarray, np.ndarray]:
-    """Split v at the closest sphere point pi(z) = z/|z|.
+    """Split v at the closest sphere point pi(z) = z/|z|, over points and
+    vectors of shape (..., N).
 
     Returns (normal part <v,p> p, tangential part v - <v,p> p); the two
     are Hermitian-orthogonal.  Undefined at the center.
     """
-    z, v = _as_vec(z), _as_vec(v)
-    if norm(z) == 0.0:
+    z, v = _as_points(z, v)
+    nz = norm(z)
+    if np.any(nz == 0.0):
         raise BallError("closest boundary point undefined at the center")
-    p = z / norm(z)
-    normal = herm(v, p) * p
+    p = z / nz[..., None]
+    normal = herm(v, p)[..., None] * p
     return normal, v - normal
 
 
@@ -392,18 +400,18 @@ def geodesic_slice(p, v) -> GeodesicSlice:
 # near-boundary comparison ratio
 
 
-def metric_comparison_ratio(z, v) -> float:
+def metric_comparison_ratio(z, v):
     """Kobayashi metric over the splitting-based comparison quantity
-    sqrt(|v_tan| / (2 delta) + |v_norm|^2 / (4 delta^2)); bounded between
-    constants near the sphere."""
-    z, v = _as_vec(z), _as_vec(v)
+    sqrt(|v_tan| / (2 delta) + |v_norm|^2 / (4 delta^2)), over points and
+    vectors of shape (..., N); bounded between constants near the sphere."""
+    z, v = _as_points(z, v)
     delta = boundary_distance(z)
-    if norm(z) == 0.0 or delta >= 0.2:
+    if np.any(delta >= 0.2):
         raise BallError("comparison ratio is a near-boundary quantity "
                         "(need 0 < delta < 0.2)")
     normal, tangential = normal_decomposition(z, v)
-    comparison = math.sqrt(norm(tangential) / (2.0 * delta)
-                           + norm(normal) ** 2 / (4.0 * delta**2))
+    comparison = np.sqrt(norm(tangential) / (2.0 * delta)
+                         + np.square(norm(normal)) / (4.0 * np.square(delta)))
     return kobayashi_metric(z, v) / comparison
 
 

@@ -1,7 +1,13 @@
 """Batch front-end: named experiments from flat config files.
 
 A config is plain text, one ``key = value`` per line, with a mandatory
-``command`` key naming the experiment.  Unknown keys are rejected.
+``command`` key naming the experiment.  Each command has one runner, and
+its keyword parameters are the keys it takes: ``k_min`` is key ``k-min``,
+read by the type of its default (yes/no for a bool, raw text for a string
+or None).  ``what`` (``ball-check``) and ``family`` (``sequence-scan``,
+``zero-track``) pick the runner from a table; its first entry is the
+default.  A config may also set ``out`` and, where the report carries
+radial samples, ``profile``; any other key is refused, listing the allowed.
 Reports are machine-first JSON written atomically; radial scans also
 emit a two-column gnuplot-ready profile (1-|z|, value) with a JSON
 metadata sidecar.  Exit codes: 0 all asserted checks pass, 1 a check
@@ -22,13 +28,14 @@ Environment: DISKRIG_OUT_DIR sets the default output directory.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
 import json
 import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -62,44 +69,54 @@ def _cast(cast, raw: str, where: str):
         raise ConfigError(f"bad {cast.__name__} {raw!r} for {where}") from exc
 
 
+def _read(raw: str, default, key: str):
+    """The text value of a key, read by the type of its parameter's default:
+    yes/no for a bool, the raw text for a string or None."""
+    if default is None or isinstance(default, str):
+        return raw
+    if not isinstance(default, bool):
+        return _cast(type(default), raw, f"key {key!r}")
+    if raw.lower() in ("true", "yes", "1", "false", "no", "0"):
+        return raw.lower() in ("true", "yes", "1")
+    raise ConfigError(f"bad boolean {raw!r} for key {key!r}")
+
+
+def _keys(runner) -> dict:
+    """Config key -> parameter, one per keyword parameter of a runner."""
+    return {name.replace("_", "-"): param
+            for name, param in inspect.signature(runner).parameters.items()}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str
     params: tuple[tuple[str, str], ...]
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
 
-    def _read(self, key: str, cast, default):
-        raw = self.get(key)
-        return default if raw is None else _cast(cast, raw, f"key {key!r}")
-
-    def getfloat(self, key: str, default: float) -> float:
-        return self._read(key, float, default)
-
-    def getint(self, key: str, default: int) -> int:
-        return self._read(key, int, default)
-
-    def getbool(self, key: str, default: bool) -> bool:
-        raw = self.get(key)
-        if raw is None:
-            return default
-        if raw.lower() in ("true", "yes", "1"):
-            return True
-        if raw.lower() in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"bad boolean {raw!r} for key {key!r}")
-
-    def getcomplex(self, key: str, default: complex) -> complex:
-        return self._read(key, complex, default)
+def _select_runner(command: str, params: dict):
+    """The runner a command's config selects; ConfigError for any key that
+    neither it nor the command reads."""
+    spec = COMMANDS[command]
+    runner, where = spec.runner, f"command {command!r}"
+    allowed = {"out", "profile"} if spec.profile else {"out"}
+    if spec.selector is not None:
+        choice = params.get(spec.selector, next(iter(runner)))
+        if choice not in runner:
+            raise ConfigError(f"unknown {spec.selector} {choice!r} for "
+                              f"{where}; known: {', '.join(sorted(runner))}")
+        runner = runner[choice]
+        where += f" with {spec.selector} = {choice}"
+        allowed.add(spec.selector)
+    allowed |= set(_keys(runner))
+    for key in params:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r} for {where}; "
+                              f"allowed: {', '.join(sorted(allowed))}")
+    return runner
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    command = None
-    params = []
+    params = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -108,21 +125,17 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
-        if key == "command":
-            command = value
-        else:
-            params.append((key, value))
+        if key in params:
+            raise ConfigError(f"line {lineno}: key {key!r} is set twice")
+        params[key] = value
+    command = params.pop("command", None)
     if command is None:
         raise ConfigError("config must set 'command'")
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; "
                           f"known: {', '.join(sorted(COMMANDS))}")
-    allowed = COMMANDS[command].allowed_keys
-    for key, _ in params:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} for command {command!r}; "
-                              f"allowed: {', '.join(sorted(allowed))}")
-    return ExperimentConfig(command=command, params=tuple(sorted(params)))
+    _select_runner(command, params)
+    return ExperimentConfig(command, tuple(sorted(params.items())))
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -171,13 +184,7 @@ def _atomic_write(path: Path, data: str) -> None:
 
 
 def _jsonify(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     if isinstance(obj, complex):
         return str(obj)
@@ -216,22 +223,16 @@ def _rate_dict(rep) -> dict:
             "exponent": rep.exponent_tested}
 
 
-def run_rigidity_scan(cfg: ExperimentConfig) -> dict:
-    lam = parse_metric(cfg.get("lam", "pullback(zpow 2)"))
-    mu = parse_metric(cfg.get("mu", "poincare"))
-    c = cfg.getfloat("c", 4.0)
-    rep = hk.rigidity_scan(lam, mu, c, angle=cfg.getfloat("angle", 0.0),
-                           k_min=cfg.getint("k-min", 4),
-                           k_max=cfg.getint("k-max", 20))
-    passed = True
-    expect = cfg.get("expect-verdict")
-    if expect is not None:
-        passed = rep.verdict.value == expect
-    expect_limit = cfg.getfloat("expect-limit", None)
+def run_rigidity_scan(lam="pullback(zpow 2)", mu="poincare", c=4.0,
+                      angle=0.0, k_min=4, k_max=20, expect_verdict=None,
+                      expect_limit=None, limit_tol=0.02) -> dict:
+    lam, mu = parse_metric(lam), parse_metric(mu)
+    rep = hk.rigidity_scan(lam, mu, c, angle=angle, k_min=k_min, k_max=k_max)
+    passed = expect_verdict is None or rep.verdict.value == expect_verdict
     if expect_limit is not None:
-        tol = cfg.getfloat("limit-tol", 0.02)
-        passed = passed and abs(rep.fitted_limit - expect_limit) <= \
-            tol * max(1.0, abs(expect_limit))
+        limit = _cast(float, expect_limit, "key 'expect-limit'")
+        passed = passed and abs(rep.fitted_limit - limit) <= \
+            limit_tol * max(1.0, abs(limit))
     scaled = [(1.0 - t, v / (1.0 - t) ** (c / 2.0)) for t, v in rep.samples]
     report = {"rate": _rate_dict(rep), "verdict": rep.verdict.value,
               "passed": passed, "profile_samples": scaled}
@@ -245,11 +246,10 @@ def run_rigidity_scan(cfg: ExperimentConfig) -> dict:
     return report
 
 
-def run_verify_harnack(cfg: ExperimentConfig) -> dict:
-    include = cfg.getbool("include-liouville", True)
-    tol = cfg.getfloat("tol", 1e-7)
-    results = hk.run_catalog(include_liouville=include, tol=tol,
-                             liouville_n=cfg.getint("liouville-n", 97))
+def run_verify_harnack(include_liouville=True, tol=1e-7,
+                       liouville_n=97) -> dict:
+    results = hk.run_catalog(include_liouville=include_liouville, tol=tol,
+                             liouville_n=liouville_n)
     cases = {case.name: {"passed": rep.passed,
                          "max_violation": rep.lhs_max_violation,
                          "c": case.c, "r": case.r}
@@ -266,17 +266,15 @@ def run_verify_harnack(cfg: ExperimentConfig) -> dict:
             "barrier_pde": barrier.passed, "passed": passed}
 
 
-def run_golusin(cfg: ExperimentConfig) -> dict:
-    lam = parse_metric(cfg.get("lam", "pullback(zpow 2)"))
-    rep = hk.check_golusin(lam, tol=cfg.getfloat("tol", 1e-9))
+def run_golusin(lam="pullback(zpow 2)", tol=1e-9) -> dict:
+    rep = hk.check_golusin(parse_metric(lam), tol=tol)
     return {"passed": rep.passed, "max_violation": rep.max_violation,
             "lam0": rep.details["lam0"], "n_checked": rep.n_checked}
 
 
-def run_burns_krantz(cfg: ExperimentConfig) -> dict:
-    f = parse_map(cfg.get("map", "id"))
-    disp, inv = hk.burns_krantz_check(f, k_min=cfg.getint("k-min", 4),
-                                      k_max=cfg.getint("k-max", 20))
+def run_burns_krantz(map="id", k_min=4, k_max=20) -> dict:
+    disp, inv = hk.burns_krantz_check(parse_map(map), k_min=k_min,
+                                      k_max=k_max)
     implication = (disp.verdict is not Verdict.VANISHES
                    or inv.verdict is Verdict.VANISHES)
     return {"displacement_rate": _rate_dict(disp),
@@ -285,13 +283,10 @@ def run_burns_krantz(cfg: ExperimentConfig) -> dict:
             "profile_samples": [(1.0 - t, v) for t, v in inv.samples]}
 
 
-def run_pj_decompose(cfg: ExperimentConfig) -> dict:
-    lam = parse_metric(cfg.get("lam", "poincare"))
-    R = cfg.getfloat("R", 0.9)
-    z = cfg.getcomplex("z", 0.3 + 0j)
-    grid = PolarGrid(0j, R, cfg.getint("n-r", 220), cfg.getint("n-t", 440))
-    dec = gp.pj_decompose(lam, R, z, grid=grid)
-    tol = cfg.getfloat("tol", 1e-3)
+def run_pj_decompose(lam="poincare", mu=None, R=0.9, z=0.3 + 0j, n_r=220,
+                     n_t=440, tol=1e-3, bound_r=0.8, bound_xi=0j) -> dict:
+    lam = parse_metric(lam)
+    dec = gp.pj_decompose(lam, R, z, grid=PolarGrid(0j, R, n_r, n_t))
     gm = gp.green_mean(R, z, grid=PolarGrid(0j, R, 900, 1800))
     gm_exact = (R**2 - abs(z) ** 2) / 4.0
     report = {
@@ -306,86 +301,77 @@ def run_pj_decompose(cfg: ExperimentConfig) -> dict:
         "green_mean": gm, "green_mean_exact": gm_exact,
         "passed": dec.passed(tol) and abs(gm - gm_exact) <= 1e-5,
     }
-    mu_expr = cfg.get("mu")
-    if mu_expr is not None:
-        mu = parse_metric(mu_expr)
-        bound = gp.zero_quotient_bound(lam, mu, cfg.getfloat("bound-r", 0.8),
-                                       cfg.getcomplex("bound-xi", 0j), z)
+    if mu is not None:
+        bound = gp.zero_quotient_bound(lam, parse_metric(mu), bound_r,
+                                       bound_xi, z)
         report["quotient_bound"] = {"lhs": bound.lhs, "rhs": bound.rhs,
                                     "passed": bound.passed}
         report["passed"] = report["passed"] and bound.passed
     return report
 
 
-_SEQ_FAMILIES = {
-    "weighted": sq.weighted_sequence,
-    "moving-zero": sq.moving_zero_sequence,
-}
+def _dichotomy(sequence, mu="poincare", c=4.0, expect_verdict=None) -> dict:
+    rep = sq.dichotomy_scan(sequence(), parse_metric(mu), c, lambda n: 0j)
+    return {"kind": "dichotomy", "verdict": rep.verdict,
+            "sup_deviation": list(rep.sup_deviation),
+            "largest_n": rep.largest_n, "notes": rep.notes,
+            "passed": expect_verdict is None or rep.verdict == expect_verdict}
 
 
-def run_sequence_scan(cfg: ExperimentConfig) -> dict:
-    family = cfg.get("family", "moving-zero")
-    c = cfg.getfloat("c", 4.0)
-    expect = cfg.get("expect-verdict")
-    if family in _SEQ_FAMILIES:
-        seq = _SEQ_FAMILIES[family]()
-        mu = parse_metric(cfg.get("mu", "poincare"))
-        rep = sq.dichotomy_scan(seq, mu, c, lambda n: 0j)
-        passed = expect is None or rep.verdict == expect
-        return {"kind": "dichotomy", "verdict": rep.verdict,
-                "sup_deviation": list(rep.sup_deviation),
-                "largest_n": rep.largest_n, "notes": rep.notes,
-                "passed": passed}
-    if family == "rotations":
-        rep = sq.sequential_schwarz_pick(lambda n: rotation(1.0 / n),
-                                         lambda n: 1.0 - 1.0 / n)
-    elif family == "shrinking-automorphisms":
-        rep = sq.sequential_schwarz_pick(lambda n: Automorphism(1.0 - 1.0 / n),
-                                         lambda n: 1.0 - 1.0 / n)
-    elif family == "extremal-witness":
-        running, target = sq.extremal_family_witness(
-            cfg.getfloat("a", 1.0), cfg.getcomplex("z", 0.5 + 0j))
-        gap = float(target - running[-1])
-        return {"kind": "witness", "running_max": list(map(float, running)),
-                "target": target, "gap": gap, "passed": gap <= 1e-2}
-    else:
-        raise ConfigError(f"unknown sequence family {family!r}")
-    passed = expect is None or rep.classification == expect
+def _schwarz_pick(maps, expect_verdict=None) -> dict:
+    rep = sq.sequential_schwarz_pick(maps, lambda n: 1.0 - 1.0 / n)
     return {"kind": "sequential-schwarz-pick",
             "classification": rep.classification,
             "hypothesis_ok": rep.hypothesis_ok,
-            "uniform_ok": rep.uniform_ok, "passed": passed}
+            "uniform_ok": rep.uniform_ok,
+            "passed": (expect_verdict is None
+                       or rep.classification == expect_verdict)}
 
 
-def run_zero_track(cfg: ExperimentConfig) -> dict:
-    family = cfg.get("family", "extremal-orders")
-    tol = cfg.getfloat("tol-order", 1e-2)
-    if family == "extremal-orders":
-        seq = sq.MetricSequence(lambda n: mt.mu_max(1.0 + 1.0 / n),
-                                "extremal orders 1 + 1/n")
-        rep = sq.zero_rigidity_track(seq, mt.mu_max(1.0),
-                                     lambda n: 0.5 + 0j, 0j, tol_order=tol)
-    elif family == "moving-zero":
-        rep = sq.zero_rigidity_track(sq.moving_zero_sequence(), mt.poincare(),
-                                     lambda n: 0j, 0j, tol_order=tol)
-    else:
-        raise ConfigError(f"unknown zero-track family {family!r}")
+def _extremal_witness(a=1.0, z=0.5 + 0j) -> dict:
+    running, target = sq.extremal_family_witness(a, z)
+    gap = float(target - running[-1])
+    return {"kind": "witness", "running_max": list(map(float, running)),
+            "target": target, "gap": gap, "passed": gap <= 1e-2}
+
+
+#: family -> runner; the first is the default
+SEQUENCE_FAMILIES = {
+    "moving-zero": partial(_dichotomy, sq.moving_zero_sequence),
+    "weighted": partial(_dichotomy, sq.weighted_sequence),
+    "rotations": partial(_schwarz_pick, lambda n: rotation(1.0 / n)),
+    "shrinking-automorphisms": partial(
+        _schwarz_pick, lambda n: Automorphism(1.0 - 1.0 / n)),
+    "extremal-witness": _extremal_witness,
+}
+
+
+def _zero_track(setup, tol_order=1e-2) -> dict:
+    seq, mu, points = setup()
+    rep = sq.zero_rigidity_track(seq, mu, points, 0j, tol_order=tol_order)
     return {"kind": rep.kind, "orders": list(rep.orders),
             "target": rep.target, "final_gap": rep.final_gap,
             "largest_n": rep.largest_n, "passed": rep.passed}
 
 
-def run_liouville_solve(cfg: ExperimentConfig) -> dict:
-    name = cfg.get("kappa", "const-4")
-    R = cfg.getfloat("R", 0.9)
-    if name == "const-4":
-        problem = lv.poincare_problem(R)
-    elif name == "pinched-5":
-        problem = lv.pinched_problem(R)
-    else:
-        raise ConfigError(f"unknown curvature profile {name!r}")
-    sol = lv.solve(problem, n=cfg.getint("n", 129))
-    out_csv = cfg.get("out-csv")
+#: family -> runner; the first is the default
+ZERO_TRACKS = {
+    "extremal-orders": partial(_zero_track, lambda: (
+        sq.MetricSequence(lambda n: mt.mu_max(1.0 + 1.0 / n),
+                          "extremal orders 1 + 1/n"),
+        mt.mu_max(1.0), lambda n: 0.5 + 0j)),
+    "moving-zero": partial(_zero_track, lambda: (
+        sq.moving_zero_sequence(), mt.poincare(), lambda n: 0j)),
+}
+
+
+_KAPPAS = {"const-4": lv.poincare_problem, "pinched-5": lv.pinched_problem}
+
+
+def run_liouville_solve(kappa="const-4", R=0.9, n=129, out_csv=None) -> dict:
+    if kappa not in _KAPPAS:
+        raise ConfigError(f"unknown curvature profile {kappa!r}")
+    sol = lv.solve(_KAPPAS[kappa](R), n=n)
     if out_csv is not None:
         rows = ["x,y,log_density"]
         for i, x in enumerate(sol.xs):
@@ -393,7 +379,7 @@ def run_liouville_solve(cfg: ExperimentConfig) -> dict:
                 if sol.mask[i, j]:
                     rows.append(f"{x:.17g},{y:.17g},{sol.u[i, j]:.17g}")
         _atomic_write(Path(out_csv), "\n".join(rows) + "\n")
-    return {"kappa": name, "R": R, "n": len(sol.xs),
+    return {"kappa": kappa, "R": R, "n": len(sol.xs),
             "iterations": sol.iterations,
             "residual_history": sol.residual_history,
             "step_sizes": sol.step_sizes,
@@ -401,152 +387,155 @@ def run_liouville_solve(cfg: ExperimentConfig) -> dict:
             "passed": sol.converged}
 
 
-def run_ball_check(cfg: ExperimentConfig) -> dict:
-    what = cfg.get("what", "automorphisms")
-    n = cfg.getint("N", 2)
-    seed = cfg.getint("seed", 0)
+def _at_least(key: str, value: int, low: int) -> int:
+    if value < low:
+        raise ConfigError(f"key {key!r} must be at least {low}, got {value}")
+    return value
+
+
+def _ball_automorphisms(N=2, seed=0, count=5) -> dict:
     rng = np.random.default_rng(seed)
-    if what == "automorphisms":
-        count = cfg.getint("count", 5)
-        results = []
-        for _ in range(count):
-            F = bl.random_automorphism(n, rng)
-            rep = bl.ball_rigidity_check(F, np.eye(n)[0])
-            results.append({"all_pass": rep.all_pass,
-                            "rate_verdict": rep.metric_rate.verdict.value,
-                            "fitted_limit": rep.metric_rate.fitted_limit})
-        return {"what": what, "results": results,
-                "passed": all(r["all_pass"] for r in results)}
-    if what == "power":
-        F = bl.embedded_power_map(n, cfg.getint("k", 2))
-        rep = bl.ball_rigidity_check(F, np.eye(n)[0])
-        slope = rep.metric_rate.fitted_limit
-        ok = (rep.metric_rate.verdict is Verdict.BOUNDED_NONZERO
-              and abs(slope + 0.25) <= 0.1 * 0.25)
-        return {"what": what, "fitted_limit": slope,
-                "rate_verdict": rep.metric_rate.verdict.value,
-                "cond1": rep.tangential_cluster_ok,
-                "cond2a": rep.projection_bounded, "passed": ok}
-    if what == "slices":
-        count = cfg.getint("count", 20)
-        worst = 0.0
-        for _ in range(count):
-            p = rng.normal(size=n) + 1j * rng.normal(size=n)
-            p /= bl.norm(p)
-            v = rng.normal(size=n) + 1j * rng.normal(size=n)
-            if abs(bl.herm(v, p)) < 0.1:
-                v = v + p
-            sl = bl.geodesic_slice(p, v)
-            for _ in range(10):
-                zeta = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-                err = abs(bl.kobayashi_metric(sl(zeta), sl.deriv(zeta))
-                          * (1.0 - abs(zeta) ** 2) - 1.0)
-                worst = max(worst, err)
-        return {"what": what, "max_isometry_error": worst,
-                "passed": worst <= 1e-10}
-    if what == "band":
-        deltas = [10.0 ** (-k) for k in range(1, 5)]
-        vals = [abs(bl.distance_band(np.eye(n)[0] * (1.0 - d)))
-                for d in deltas]
-        return {"what": what, "band_values": vals,
-                "passed": max(vals) <= 0.7}
-    if what == "geodesic-rate":
-        sl = bl.geodesic_slice(np.eye(n)[0],
-                               np.ones(n) / math.sqrt(n))
-        rep = bl.geodesic_boundary_check(sl)
-        square = bl.DiscMap(tuple([(0j, 0j, 1.0 + 0j)]
-                                  + [(0j,)] * (n - 1)))
-        rep2 = bl.geodesic_boundary_check(square)
-        return {"what": what, "slice_verdict": rep.verdict,
-                "square_verdict": rep2.verdict,
-                "passed": rep.verdict == "GEODESIC"
-                and rep2.verdict == "NOT_GEODESIC"}
-    if what == "comparison":
-        vals = []
-        for d in (0.1, 0.01, 0.001):
-            z = (1.0 - d) * np.eye(n)[0]
-            for v in (np.eye(n)[0], np.eye(n)[min(1, n - 1)],
-                      np.ones(n) / math.sqrt(n)):
-                vals.append(bl.metric_comparison_ratio(z, v))
-        ok = all(0.25 <= r <= 4.0 for r in vals)
-        return {"what": what, "ratios": vals, "passed": ok}
-    if what == "custom":
-        F = bl.parse_ball_map(cfg.get("map", "2,0:1 |"))
-        certified, mx = bl.certify_ball_map(F, seed=seed)
-        if not certified:
-            return {"what": what, "certified": False, "max_modulus": mx,
-                    "passed": False}
-        v_text = cfg.get("v")
-        v = (np.eye(F.n_vars)[0].astype(complex) if v_text is None
-             else np.array([_cast(complex, t, "key 'v'")
-                            for t in v_text.split(",")]))
-        rep = bl.ball_rigidity_check(F, v)
-        expect = cfg.get("expect-verdict")
-        passed = (rep.metric_rate.verdict.value == expect) if expect \
-            else rep.all_pass
-        return {"what": what, "certified": True,
-                "map": bl.serialize_ball_map(F),
-                "rate_verdict": rep.metric_rate.verdict.value,
-                "fitted_limit": rep.metric_rate.fitted_limit,
-                "cond1": rep.tangential_cluster_ok,
-                "cond2a": rep.projection_bounded, "passed": passed}
-    raise ConfigError(f"unknown ball check {what!r}")
+    e1 = np.eye(_at_least("N", N, 1))[0]
+    results = []
+    for _ in range(_at_least("count", count, 1)):
+        rep = bl.ball_rigidity_check(bl.random_automorphism(N, rng), e1)
+        results.append({"all_pass": rep.all_pass,
+                        "rate_verdict": rep.metric_rate.verdict.value,
+                        "fitted_limit": rep.metric_rate.fitted_limit})
+    return {"what": "automorphisms", "results": results,
+            "passed": all(r["all_pass"] for r in results)}
+
+
+def _ball_power(N=2, k=2) -> dict:
+    F = bl.embedded_power_map(_at_least("N", N, 1), k)
+    rep = bl.ball_rigidity_check(F, np.eye(N)[0])
+    slope = rep.metric_rate.fitted_limit
+    ok = (rep.metric_rate.verdict is Verdict.BOUNDED_NONZERO
+          and abs(slope + 0.25) <= 0.1 * 0.25)
+    return {"what": "power", "fitted_limit": slope,
+            "rate_verdict": rep.metric_rate.verdict.value,
+            "cond1": rep.tangential_cluster_ok,
+            "cond2a": rep.projection_bounded, "passed": ok}
+
+
+def _ball_slices(N=2, seed=0, count=20) -> dict:
+    rng = np.random.default_rng(seed)
+    _at_least("N", N, 1)
+    worst = 0.0
+    for _ in range(_at_least("count", count, 1)):
+        p = rng.normal(size=N) + 1j * rng.normal(size=N)
+        p /= bl.norm(p)
+        v = rng.normal(size=N) + 1j * rng.normal(size=N)
+        if abs(bl.herm(v, p)) < 0.1:
+            v = v + p
+        sl = bl.geodesic_slice(p, v)
+        # ten points, each drawn as (real part, imaginary part)
+        draws = rng.uniform(-0.7, 0.7, size=(10, 2))
+        zeta = draws[:, 0] + 1j * draws[:, 1]
+        err = np.abs(bl.kobayashi_metric(sl(zeta), sl.deriv(zeta))
+                     * (1.0 - np.abs(zeta) ** 2) - 1.0)
+        worst = max(worst, float(err.max()))
+    return {"what": "slices", "max_isometry_error": worst,
+            "passed": worst <= 1e-10}
+
+
+def _ball_band(N=2) -> dict:
+    deltas = np.array([10.0 ** (-k) for k in range(1, 5)])
+    e1 = np.eye(_at_least("N", N, 1))[0]
+    vals = np.abs(bl.distance_band((1.0 - deltas)[:, None] * e1))
+    return {"what": "band", "band_values": vals,
+            "passed": bool(vals.max() <= 0.7)}
+
+
+def _ball_geodesic_rate(N=2) -> dict:
+    sl = bl.geodesic_slice(np.eye(_at_least("N", N, 1))[0],
+                           np.ones(N) / math.sqrt(N))
+    rep = bl.geodesic_boundary_check(sl)
+    square = bl.DiscMap(tuple([(0j, 0j, 1.0 + 0j)] + [(0j,)] * (N - 1)))
+    rep2 = bl.geodesic_boundary_check(square)
+    return {"what": "geodesic-rate", "slice_verdict": rep.verdict,
+            "square_verdict": rep2.verdict,
+            "passed": rep.verdict == "GEODESIC"
+            and rep2.verdict == "NOT_GEODESIC"}
+
+
+def _ball_comparison(N=2) -> dict:
+    eye = np.eye(_at_least("N", N, 1))
+    # three depths, each with the normal, a tangential and a mixed direction
+    z = (1.0 - np.array([0.1, 0.01, 0.001]))[:, None, None] * eye[0]
+    v = np.stack([eye[0], eye[min(1, N - 1)], np.ones(N) / math.sqrt(N)])
+    ratios = bl.metric_comparison_ratio(z, v).ravel()
+    return {"what": "comparison", "ratios": ratios,
+            "passed": bool(np.all((0.25 <= ratios) & (ratios <= 4.0)))}
+
+
+def _ball_custom(map="2,0:1 |", v=None, seed=0, expect_verdict=None) -> dict:
+    F = bl.parse_ball_map(map)
+    certified, mx = bl.certify_ball_map(F, seed=seed)
+    if not certified:
+        return {"what": "custom", "certified": False, "max_modulus": mx,
+                "passed": False}
+    v = (np.eye(F.n_vars)[0].astype(complex) if v is None
+         else np.array([_cast(complex, t, "key 'v'") for t in v.split(",")]))
+    rep = bl.ball_rigidity_check(F, v)
+    passed = (rep.metric_rate.verdict.value == expect_verdict) \
+        if expect_verdict else rep.all_pass
+    return {"what": "custom", "certified": True,
+            "map": bl.serialize_ball_map(F),
+            "rate_verdict": rep.metric_rate.verdict.value,
+            "fitted_limit": rep.metric_rate.fitted_limit,
+            "cond1": rep.tangential_cluster_ok,
+            "cond2a": rep.projection_bounded, "passed": passed}
+
+
+#: what -> runner; the first is the default
+BALL_CHECKS = {
+    "automorphisms": _ball_automorphisms,
+    "power": _ball_power,
+    "slices": _ball_slices,
+    "band": _ball_band,
+    "geodesic-rate": _ball_geodesic_rate,
+    "comparison": _ball_comparison,
+    "custom": _ball_custom,
+}
 
 
 @dataclass(frozen=True)
 class CommandSpec:
-    runner: object
-    allowed_keys: frozenset
+    runner: object           # a runner, or a table {selector value: runner}
     covers: tuple[str, ...]
+    selector: str | None = None   # the key that picks from the table
+    profile: bool = False         # the report carries radial samples
 
 
 COMMANDS = {
     "rigidity-scan": CommandSpec(
         run_rigidity_scan,
-        frozenset({"lam", "mu", "c", "angle", "k-min", "k-max",
-                   "expect-verdict", "expect-limit", "limit-tol",
-                   "out", "profile"}),
         ("harnack.rigidity_scan", "harnack.boundary_schwarz_scan",
-         "harnack.identity_spot_check")),
+         "harnack.identity_spot_check"), profile=True),
     "verify-harnack": CommandSpec(
         run_verify_harnack,
-        frozenset({"include-liouville", "tol", "liouville-n", "out"}),
         ("harnack.check_harnack", "harnack.cubic_check",
          "harnack.verify_barrier_pde")),
-    "golusin": CommandSpec(
-        run_golusin,
-        frozenset({"lam", "tol", "out"}),
-        ("harnack.check_golusin",)),
+    "golusin": CommandSpec(run_golusin, ("harnack.check_golusin",)),
     "burns-krantz": CommandSpec(
-        run_burns_krantz,
-        frozenset({"map", "k-min", "k-max", "out", "profile"}),
-        ("harnack.burns_krantz_check",)),
+        run_burns_krantz, ("harnack.burns_krantz_check",), profile=True),
     "pj-decompose": CommandSpec(
         run_pj_decompose,
-        frozenset({"lam", "mu", "R", "z", "n-r", "n-t", "tol",
-                   "bound-r", "bound-xi", "out"}),
         ("greenpj.pj_decompose", "greenpj.green_mean",
          "greenpj.harmonic_majorant", "greenpj.zero_quotient_bound")),
     "sequence-scan": CommandSpec(
-        run_sequence_scan,
-        frozenset({"family", "mu", "c", "a", "z", "expect-verdict",
-                   "out"}),
+        SEQUENCE_FAMILIES,
         ("sequences.dichotomy_scan", "sequences.sequential_schwarz_pick",
-         "sequences.extremal_family_witness")),
+         "sequences.extremal_family_witness"), selector="family"),
     "zero-track": CommandSpec(
-        run_zero_track,
-        frozenset({"family", "tol-order", "out"}),
-        ("sequences.zero_rigidity_track",)),
-    "liouville-solve": CommandSpec(
-        run_liouville_solve,
-        frozenset({"kappa", "R", "n", "out-csv", "out"}),
-        ("liouville.solve",)),
+        ZERO_TRACKS, ("sequences.zero_rigidity_track",), selector="family"),
+    "liouville-solve": CommandSpec(run_liouville_solve, ("liouville.solve",)),
     "ball-check": CommandSpec(
-        run_ball_check,
-        frozenset({"what", "N", "seed", "count", "k", "map", "v",
-                   "expect-verdict", "out"}),
+        BALL_CHECKS,
         ("ball.ball_rigidity_check", "ball.geodesic_boundary_check",
-         "ball.metric_comparison_ratio", "ball.distance_band")),
+         "ball.metric_comparison_ratio", "ball.distance_band"),
+        selector="what"),
 }
 
 #: checkers that must each be reachable from exactly one subcommand
@@ -570,26 +559,25 @@ def run(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
     """Execute a parsed config; returns the process exit code."""
     if out_dir is None:
         out_dir = Path(os.environ.get(ENV_OUT_DIR, "."))
-    raw_csv = cfg.get("out-csv")
-    if raw_csv is not None and not os.path.isabs(raw_csv):
+    params = dict(cfg.params)
+    if "out-csv" in params:
         # auxiliary outputs resolve against the output directory too
-        cfg = dataclasses.replace(
-            cfg, params=tuple((k, str(out_dir / v) if k == "out-csv" else v)
-                              for k, v in cfg.params))
+        params["out-csv"] = str(out_dir / params["out-csv"])
     try:
-        report = COMMANDS[cfg.command].runner(cfg)
+        runner = _select_runner(cfg.command, params)
+        report = runner(**{param.name: _read(params[key], param.default, key)
+                           for key, param in _keys(runner).items()
+                           if key in params})
     except DiskrigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report["command"] = cfg.command
-    report["parameters"] = dict(cfg.params)
+    report["parameters"] = params
     report["tool_version"] = __version__
-    out = cfg.get("out")
-    if out is not None:
-        write_report(report, out_dir / out)
-    profile = cfg.get("profile")
-    if profile is not None:
-        emit_profile(report, out_dir / profile)
+    if "out" in params:
+        write_report(report, out_dir / params["out"])
+    if "profile" in params:
+        emit_profile(report, out_dir / params["profile"])
     return 0 if report.get("passed", False) else 1
 
 

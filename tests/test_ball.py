@@ -375,3 +375,39 @@ class TestArrayEvaluation:
             loop_worst = max(loop_worst, bl.norm(F.eval(p)))
         assert certified == (loop_worst <= 1.0 + bl.SELFMAP_SLACK)
         assert worst == pytest.approx(loop_worst, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_geometry_batch_equals_per_point_bit_for_bit(self, n):
+        z, v = batch(n)
+        w = z[::-1, ::-1] * 0.9
+        rng = np.random.default_rng(22)
+        # near-sphere points for the comparison ratio: 1e-4 <= delta <= 0.19
+        near = z / bl.norm(z)[..., None] * (
+            1.0 - 10.0 ** rng.uniform(-4.0, math.log10(0.19), size=z.shape[:-1] + (1,)))
+        flat = [a.reshape(-1, n) for a in (z, w, v, near)]
+        cases = [
+            (bl.kobayashi_distance, (z, w), zip(flat[0], flat[1])),
+            (bl.distance_band, (z,), zip(flat[0])),
+            (bl.distance_band, (z, w), zip(flat[0], flat[1])),
+            (bl.metric_comparison_ratio, (near, v), zip(flat[3], flat[2])),
+        ]
+        for fn, args, points in cases:
+            out = fn(*args)
+            assert out.shape == z.shape[:-1]
+            single = [fn(*p) for p in points]
+            assert all(isinstance(s, np.float64) for s in single)
+            assert np.array_equal(out.ravel(), single), fn.__name__
+        normal, tangential = bl.normal_decomposition(z, v)
+        for k, (p, u) in enumerate(zip(flat[0], flat[2])):
+            one = bl.normal_decomposition(p, u)
+            assert np.array_equal(normal.reshape(-1, n)[k], one[0])
+            assert np.array_equal(tangential.reshape(-1, n)[k], one[1])
+
+    def test_batch_refusal_covers_every_point(self):
+        z = np.array([[0.5, 0.0], [1.0, 0.0]])
+        with pytest.raises(bl.BallError):
+            bl.kobayashi_distance(z, np.zeros(2))
+        with pytest.raises(bl.BallError):
+            bl.normal_decomposition(np.array([[0.5, 0.0], [0.0, 0.0]]), e1_2)
+        with pytest.raises(bl.BallError):
+            bl.metric_comparison_ratio(np.array([[0.95, 0.0], [0.5, 0.0]]), e1_2)

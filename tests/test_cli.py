@@ -21,6 +21,29 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="unknown key"):
             cli.parse_config("command = golusin\nwibble = 3\n")
 
+    @pytest.mark.parametrize("command, selector, table", [
+        ("ball-check", "what", cli.BALL_CHECKS),
+        ("sequence-scan", "family", cli.SEQUENCE_FAMILIES),
+        ("zero-track", "family", cli.ZERO_TRACKS),
+    ])
+    def test_unknown_selector_lists_known_values(self, command, selector,
+                                                 table):
+        with pytest.raises(cli.ConfigError,
+                           match=f"unknown {selector} 'wibble'") as err:
+            cli.parse_config(f"command = {command}\n{selector} = wibble\n")
+        assert all(name in str(err.value) for name in table)
+
+    def test_key_set_twice_rejected(self):
+        with pytest.raises(cli.ConfigError, match="'tol' is set twice"):
+            cli.parse_config("command = golusin\ntol = 1e-9\ntol = 1e-3\n")
+
+    def test_runner_keywords_are_the_keys(self):
+        # each parameter k_min of a runner is the key k-min, nothing else
+        cfg = cli.parse_config("command = burns-krantz\nk-min = 5\n")
+        assert cfg.params == (("k-min", "5"),)
+        with pytest.raises(cli.ConfigError, match="unknown key 'k_min'"):
+            cli.parse_config("command = burns-krantz\nk_min = 5\n")
+
     def test_unknown_command_rejected(self):
         with pytest.raises(cli.ConfigError, match="unknown command"):
             cli.parse_config("command = frobnicate\n")
@@ -70,11 +93,47 @@ class TestExitCodes:
         "command = burns-krantz\nmap = zpow\n",
         "command = burns-krantz\nmap = zpow x\n",
         "command = ball-check\nwhat = custom\nmap = 2,0:1 | 0,1:x\n",
+        "command = verify-harnack\ninclude-liouville = maybe\n",
+        "command = rigidity-scan\nexpect-limit = half\n",
+        "command = ball-check\nwhat = band\nN = 0\n",
     ])
     def test_refused_input_is_two(self, text, tmp_path, capsys):
         assert run_text(text, tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("what", ["automorphisms", "slices"])
+    def test_vacuous_ball_check_is_two(self, what, tmp_path, capsys):
+        # count = 0 would check nothing and pass
+        text = f"command = ball-check\nwhat = {what}\ncount = 0\n"
+        assert run_text(text, tmp_path) == 2
+        assert "'count'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", [
+        ("command = ball-check\nwhat = power\nexpect-verdict = VANISHES\n",
+         "expect-verdict"),
+        ("command = ball-check\nwhat = automorphisms\n"
+         "expect-verdict = BOUNDED_NONZERO\n", "expect-verdict"),
+        ("command = ball-check\nwhat = band\nseed = 3\n", "seed"),
+        ("command = ball-check\nwhat = band\ncount = 2\n", "count"),
+        ("command = ball-check\nwhat = band\nk = 3\n", "k"),
+        ("command = ball-check\nwhat = band\nmap = 2,0:1 |\n", "map"),
+        ("command = ball-check\nwhat = band\nv = 1,0\n", "v"),
+        ("command = ball-check\nwhat = custom\nN = 7\n", "N"),
+        ("command = sequence-scan\nfamily = extremal-witness\n"
+         "expect-verdict = UNIFORM_CONVERGENCE\n", "expect-verdict"),
+        ("command = sequence-scan\nfamily = rotations\nmu = wibble\n", "mu"),
+        ("command = sequence-scan\nfamily = rotations\nc = 5\n", "c"),
+        ("command = sequence-scan\nfamily = moving-zero\na = 0.5\n", "a"),
+        ("command = sequence-scan\nfamily = moving-zero\nz = 0.3\n", "z"),
+    ])
+    def test_key_the_selected_runner_does_not_read_is_two(self, text, key,
+                                                         tmp_path):
+        with pytest.raises(cli.ConfigError, match=f"unknown key '{key}'"):
+            cli.parse_config(text)
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(text)
+        assert cli.main([str(cfg), "--out-dir", str(tmp_path)]) == 2
 
     def test_seed_is_unknown_key_where_unread(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
@@ -167,6 +226,10 @@ class TestSubcommands:
         "command = sequence-scan\nfamily = rotations\n"
         "expect-verdict = automorphism-like\n",
         "command = sequence-scan\nfamily = extremal-witness\nz = 0.5\n",
+        "command = sequence-scan\nfamily = weighted\n"
+        "expect-verdict = INCONCLUSIVE\n",
+        "command = sequence-scan\nfamily = shrinking-automorphisms\n"
+        "expect-verdict = constant-like\n",
         "command = zero-track\nfamily = extremal-orders\n",
         "command = zero-track\nfamily = moving-zero\n",
         "command = ball-check\nwhat = slices\nN = 3\n",
