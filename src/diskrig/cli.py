@@ -217,6 +217,13 @@ def emit_profile(report: dict, path: Path) -> None:
 # command runners (each returns a JSON-able report with a 'passed' bool)
 
 
+def _expected(expect_verdict, known=tuple(v.value for v in Verdict)) -> None:
+    """Refuse an expect-verdict that the runner never returns."""
+    if expect_verdict is not None and expect_verdict not in known:
+        raise ConfigError(f"unknown expect-verdict {expect_verdict!r}; "
+                          f"known: {', '.join(known)}")
+
+
 def _rate_dict(rep) -> dict:
     return {"verdict": rep.verdict.value, "fitted_limit": rep.fitted_limit,
             "fitted_slope": rep.fitted_slope,
@@ -226,6 +233,7 @@ def _rate_dict(rep) -> dict:
 def run_rigidity_scan(lam="pullback(zpow 2)", mu="poincare", c=4.0,
                       angle=0.0, k_min=4, k_max=20, expect_verdict=None,
                       expect_limit=None, limit_tol=0.02) -> dict:
+    _expected(expect_verdict)
     lam, mu = parse_metric(lam), parse_metric(mu)
     rep = hk.rigidity_scan(lam, mu, c, angle=angle, k_min=k_min, k_max=k_max)
     passed = expect_verdict is None or rep.verdict.value == expect_verdict
@@ -311,6 +319,7 @@ def run_pj_decompose(lam="poincare", mu=None, R=0.9, z=0.3 + 0j, n_r=220,
 
 
 def _dichotomy(sequence, mu="poincare", c=4.0, expect_verdict=None) -> dict:
+    _expected(expect_verdict, sq.DICHOTOMY_VERDICTS)
     rep = sq.dichotomy_scan(sequence(), parse_metric(mu), c, lambda n: 0j)
     return {"kind": "dichotomy", "verdict": rep.verdict,
             "sup_deviation": list(rep.sup_deviation),
@@ -319,6 +328,7 @@ def _dichotomy(sequence, mu="poincare", c=4.0, expect_verdict=None) -> dict:
 
 
 def _schwarz_pick(maps, expect_verdict=None) -> dict:
+    _expected(expect_verdict, sq.SCHWARZ_PICK_CLASSES)
     rep = sq.sequential_schwarz_pick(maps, lambda n: 1.0 - 1.0 / n)
     return {"kind": "sequential-schwarz-pick",
             "classification": rep.classification,
@@ -407,11 +417,12 @@ def _ball_automorphisms(N=2, seed=0, count=5) -> dict:
 
 
 def _ball_power(N=2, k=2) -> dict:
-    F = bl.embedded_power_map(_at_least("N", N, 1), k)
+    F = bl.embedded_power_map(_at_least("N", N, 1), _at_least("k", k, 2))
     rep = bl.ball_rigidity_check(F, np.eye(N)[0])
     slope = rep.metric_rate.fitted_limit
+    limit = -(k * k - 1) / 12.0     # derived in the README
     ok = (rep.metric_rate.verdict is Verdict.BOUNDED_NONZERO
-          and abs(slope + 0.25) <= 0.1 * 0.25)
+          and abs(slope - limit) <= 0.1 * abs(limit))
     return {"what": "power", "fitted_limit": slope,
             "rate_verdict": rep.metric_rate.verdict.value,
             "cond1": rep.tangential_cluster_ok,
@@ -470,6 +481,7 @@ def _ball_comparison(N=2) -> dict:
 
 
 def _ball_custom(map="2,0:1 |", v=None, seed=0, expect_verdict=None) -> dict:
+    _expected(expect_verdict)
     F = bl.parse_ball_map(map)
     certified, mx = bl.certify_ball_map(F, seed=seed)
     if not certified:

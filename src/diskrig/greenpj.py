@@ -40,7 +40,10 @@ def green(R: float, z: complex, w) -> float:
     dist = np.abs(z - w)
     if np.any(dist < POINT_COINCIDENCE_TOL):
         raise GreenPJError("Green's function has a logarithmic pole at w = z")
-    return -np.log(R * dist / np.abs(R**2 - np.conj(w) * z))
+    # the denominator first: its complex temporaries are freed before
+    # R * dist exists, which lowers the peak on large grids
+    den = np.abs(R**2 - np.conj(w) * z)
+    return -np.log(R * dist / den)
 
 
 def green_mean(R: float, z: complex, grid: PolarGrid | None = None) -> float:

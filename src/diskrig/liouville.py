@@ -5,10 +5,10 @@ boundary data, via damped Newton on finite differences masked to the
 disk.  One rule gives the rows: the compact nine-point stencil where all
 eight neighbors lie inside, else per axis the u'' weights on the offsets
 at hand, legs that cross the circle ending exactly on it
-(Shortley-Weller).  Each solve factors the discrete Laplacian once; the
-factor gives the harmonic start and preconditions GMRES on every Newton
-system (Newton-Krylov).  A factored variant
-Lap log v = -kappa |z - xi|^(2 alpha) v^2 handles one prescribed zero.
+(Shortley-Weller).  The discrete Laplacian is factored once per grid
+(R, n), for every solve on it; the factor gives the harmonic start and
+preconditions GMRES on every Newton system (Newton-Krylov).  A factored
+variant Lap log v = -kappa |z - xi|^(2 alpha) v^2 handles one prescribed zero.
 
 The solver doubles as a factory for variable-curvature test metrics:
 ``make_pinched_metric`` wraps a solution in a Pseudometric whose pinch
@@ -17,6 +17,7 @@ bounds come from the requested curvature.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -197,7 +198,29 @@ def _second_derivative_weights(offsets: list[float]) -> np.ndarray:
     return np.linalg.solve(m, np.eye(len(x))[2])
 
 
-def _assemble(problem: DirichletProblem, n: int):
+#: the problem-independent system of one (R, n) grid; b_rows, b_weights and
+#: b_angles: row, weight and angle of each circle point a boundary row reads
+_Grid = collections.namedtuple("_Grid", "xs ys inside pts A L5 source_op row_scale "
+                               "b_rows b_weights b_angles lu precond")
+_grid_lock = threading.Lock()
+_grid_slot: dict[tuple[float, int], _Grid] = {}
+
+
+def _grid(R: float, n: int) -> _Grid:
+    """The read-only system of (R, n), built once.  One slot, emptied before
+    another grid is built: at most one factor is alive at a time."""
+    key = (float(R), int(n))
+    with _grid_lock:
+        if key not in _grid_slot:
+            _grid_slot.clear()
+            grid = _assemble(*key)      # factored once its temporaries are freed
+            lu = spla.splu(grid.A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            _grid_slot[key] = grid._replace(lu=lu, precond=spla.LinearOperator(
+                grid.A.shape, matvec=lu.solve, dtype=float))
+        return _grid_slot[key]
+
+
+def _assemble(R: float, n: int) -> _Grid:
     """Disk-masked finite differences, fourth order in the interior.
 
     A node whose eight neighbors all lie inside gets the compact
@@ -210,11 +233,11 @@ def _assemble(problem: DirichletProblem, n: int):
     end exactly on the circle (Shortley-Weller), and, where exactly one
     leg is short, up to three nodes on the far side.
 
-    Returns (xs, ys, mask, A, b, L5, pts): A acts on interior unknowns,
-    b collects boundary contributions, L5 is the five-point Laplacian on
-    the compact rows (zero elsewhere) for the source correction.
+    A acts on interior unknowns, the b_ arrays give their boundary
+    contributions (``_load``), L5 is the five-point Laplacian on
+    the compact rows (zero elsewhere) for the source correction.  The
+    factor is left to ``_grid``.
     """
-    R = problem.R
     xs = np.linspace(-R, R, n)
     ys = np.linspace(-R, R, n)
     h = xs[1] - xs[0]
@@ -274,55 +297,62 @@ def _assemble(problem: DirichletProblem, n: int):
                        (np.concatenate([rows, layer_rows]),
                         np.concatenate([cols, layer_cols]))), shape=shape)
     L5 = sp.csr_matrix(stencil(FIVE_POINT, h**2), shape=shape)
-    g = np.asarray(problem.boundary(np.asarray(b_angles)), dtype=float)
-    b = np.bincount(b_rows, weights=np.multiply(b_weights, g), minlength=n_unknown)
-    return xs, ys, inside, A, b, L5, pts
+    # source operator I + h^2/12 L5 completes the compact rows to O(h^4)
+    source_op = sp.identity(n_unknown, format="csr") + (h**2 / 12.0) * L5
+    # row-scaled norm: stencil legs shortened to nearly nothing produce
+    # rows of size 2/(theta h^2), so an unscaled max norm is meaningless
+    row_scale = np.maximum(np.asarray(np.abs(A).sum(axis=1)).ravel(), 1.0)
+    grid = _Grid(xs, ys, inside, pts, A, L5, source_op, row_scale,
+                 np.asarray(b_rows), np.asarray(b_weights), np.asarray(b_angles),
+                 lu=None, precond=None)
+    sparse = [a for m in (A, L5, source_op) for a in (m.data, m.indices, m.indptr)]
+    for a in (xs, ys, inside, pts, row_scale, grid.b_rows, grid.b_weights,
+              grid.b_angles, *sparse):
+        a.flags.writeable = False
+    return grid
+
+
+def _load(grid: _Grid, problem: DirichletProblem):
+    """A problem's part: boundary vector b, curvature kv, iterate ceiling."""
+    pts = grid.pts
+    g = np.asarray(problem.boundary(grid.b_angles), dtype=float)
+    b = np.bincount(grid.b_rows, weights=grid.b_weights * g, minlength=len(pts))
+    kv = np.asarray(problem.kappa(pts), dtype=float)
+    cap = hyperbolic_log_density(pts) + AHLFORS_MARGIN
+    if problem.zero_factor is not None:
+        xi, alpha = problem.zero_factor
+        kv = kv * np.abs(pts - xi) ** (2.0 * alpha)
+        cap = cap - alpha * np.log(np.maximum(np.abs(pts - xi), 1e-300))
+    return b, kv, cap
 
 
 def solve(problem: DirichletProblem, n: int = DEFAULT_N, max_iter: int = 40,
           tol: float = 1e-10) -> LiouvilleSolution:
     """Damped Newton-Krylov iteration on the finite-difference curvature system.
 
-    ``A`` is factored once.  The factor gives the initial iterate, the
-    harmonic extension of the boundary data, and right-preconditions
-    GMRES on every Newton system J = A + (I + h^2/12 L5) diag(2 kappa
-    e^(2u)), which differs from A only by that diagonal scaling
+    ``A`` is factored once per grid (``_grid``).  The factor gives the
+    initial iterate, the harmonic extension of the boundary data, and
+    right-preconditions GMRES on every Newton system J = A + (I + h^2/12
+    L5) diag(2 kappa e^(2u)), which differs from A only by that scaling
     (Newton-Krylov: Knoll & Keyes, J. Comput. Phys. 193, 2004).  Each
     Newton step is solved to ``GMRES_RTOL`` relative residual in the
-    2-norm, with OpenBLAS held to one thread.  Steps are halved until the residual decreases, and iterates
-    are clamped below the extremal-density ceiling (log hyperbolic
-    density plus a margin) to keep the exponential term controlled.
+    2-norm, with OpenBLAS held to one thread.  Steps are halved until the
+    residual decreases, and iterates are clamped below the
+    extremal-density ceiling (log hyperbolic density plus a margin) to
+    keep the exponential term controlled.
     """
     if n < 64:
         raise MetricError("grid resolution must be at least 64 per side")
-    xs, ys, inside, A, b, L5, pts = _assemble(problem, n)
-    h_grid = float(xs[1] - xs[0])
-    kv = np.asarray(problem.kappa(pts), dtype=float)
-    if problem.zero_factor is not None:
-        xi, alpha = problem.zero_factor
-        kv = kv * np.abs(pts - xi) ** (2.0 * alpha)
-        cap = hyperbolic_log_density(pts) + AHLFORS_MARGIN \
-            - alpha * np.log(np.maximum(np.abs(pts - xi), 1e-300))
-    else:
-        cap = hyperbolic_log_density(pts) + AHLFORS_MARGIN
-
-    # source operator I + h^2/12 L5 completes the compact rows to O(h^4)
-    source_op = (sp.identity(len(pts), format="csr")
-                 + (h_grid**2 / 12.0) * L5)
-
-    lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    precond = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+    grid = _grid(problem.R, n)
+    A, source_op, lu, precond = grid.A, grid.source_op, grid.lu, grid.precond
+    b, kv, cap = _load(grid, problem)
     u = np.minimum(lu.solve(-b), cap)
 
     def residual(uv):
         return A @ uv + b + source_op @ (kv * np.exp(2.0 * uv))
 
-    # row-scaled norm: stencil legs shortened to nearly nothing produce
-    # rows of size 2/(theta h^2), so an unscaled max norm is meaningless
-    row_scale = np.maximum(np.asarray(np.abs(A).sum(axis=1)).ravel(), 1.0)
-
     def scaled_norm(res):
-        return float(np.max(np.abs(res) / row_scale))
+        return float(np.max(np.abs(res) / grid.row_scale))
 
     res = residual(u)
     res_norm = scaled_norm(res)
@@ -372,8 +402,10 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N, max_iter: int = 40,
             f"no convergence in {max_iter} iterations; residual history {history}")
 
     U = np.full((n, n), np.nan)
-    U[inside] = u
-    return LiouvilleSolution(problem=problem, xs=xs, ys=ys, u=U, mask=inside,
+    U[grid.inside] = u
+    # copies: the grid's arrays are shared with every later solve on it
+    return LiouvilleSolution(problem=problem, xs=grid.xs.copy(),
+                             ys=grid.ys.copy(), u=U, mask=grid.inside.copy(),
                              residual_history=history, iterations=it,
                              converged=True, step_sizes=step_sizes,
                              krylov_iterations=krylov_iterations)

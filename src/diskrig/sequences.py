@@ -26,6 +26,8 @@ from .numerics import DiskrigError, Verdict, fit_boundary_rate
 MAX_FACTORIAL_N = 170
 COMPACT_GRID_RADIUS = 0.8
 UNIFORM_TOL = 0.05
+DICHOTOMY_VERDICTS = ("UNIFORM_CONVERGENCE", "FADING_ZEROS", "INCONCLUSIVE")
+SCHWARZ_PICK_CLASSES = ("automorphism-like", "constant-like", "indeterminate")
 
 
 class SequenceError(DiskrigError, ValueError):
@@ -124,7 +126,7 @@ def moving_zero_sequence() -> MetricSequence:
 
 @dataclass(frozen=True)
 class DichotomyReport:
-    verdict: str                       # UNIFORM_CONVERGENCE | FADING_ZEROS | INCONCLUSIVE
+    verdict: str                       # one of DICHOTOMY_VERDICTS
     ns: tuple[int, ...]
     sup_deviation: tuple[float, ...]   # sup over the compact grid of |q_n - 1|
     hypothesis_ok: bool
@@ -235,7 +237,7 @@ class SequentialSchwarzPickReport:
     hypothesis_limit: float
     sup_invariant_deviation: tuple[float, ...]
     uniform_ok: bool
-    classification: str        # automorphism-like | constant-like | indeterminate
+    classification: str        # one of SCHWARZ_PICK_CLASSES
     largest_n: int
 
 

@@ -96,6 +96,7 @@ class TestExitCodes:
         "command = verify-harnack\ninclude-liouville = maybe\n",
         "command = rigidity-scan\nexpect-limit = half\n",
         "command = ball-check\nwhat = band\nN = 0\n",
+        "command = ball-check\nwhat = power\nk = 1\n",
     ])
     def test_refused_input_is_two(self, text, tmp_path, capsys):
         assert run_text(text, tmp_path) == 2
@@ -134,6 +135,24 @@ class TestExitCodes:
         cfg = tmp_path / "unread.cfg"
         cfg.write_text(text)
         assert cli.main([str(cfg), "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("text, known", [
+        ("command = rigidity-scan\nexpect-verdict = BOUNDED_NONZER\n",
+         "BOUNDED_NONZERO"),
+        # each family knows only the verdicts of its own scan
+        ("command = sequence-scan\nfamily = moving-zero\n"
+         "expect-verdict = automorphism-like\n", "FADING_ZEROS"),
+        ("command = sequence-scan\nfamily = rotations\n"
+         "expect-verdict = FADING_ZEROS\n", "automorphism-like"),
+        ("command = ball-check\nwhat = custom\nexpect-verdict = vanishes\n",
+         "VANISHES"),
+    ])
+    def test_unknown_expected_verdict_is_two(self, text, known, tmp_path,
+                                             capsys):
+        assert run_text(text, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "unknown expect-verdict" in err and known in err
+        assert not list(tmp_path.iterdir())
 
     def test_seed_is_unknown_key_where_unread(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
@@ -245,6 +264,16 @@ class TestSubcommands:
     ])
     def test_pass_paths(self, text, tmp_path):
         assert run_text(text, tmp_path) == 0
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_ball_power_limit_follows_k(self, k, tmp_path):
+        # the rate of the power map z1^k is -(k^2 - 1)/12 (README)
+        code = run_text(f"command = ball-check\nwhat = power\nk = {k}\n"
+                        "out = power.json\n", tmp_path)
+        assert code == 0
+        rep = json.loads((tmp_path / "power.json").read_text())
+        assert rep["fitted_limit"] == pytest.approx(-(k * k - 1) / 12.0,
+                                                    rel=1e-3)
 
     def test_liouville_csv_export(self, tmp_path):
         code = run_text("command = liouville-solve\nkappa = const-4\nn = 65\n"

@@ -46,6 +46,17 @@ class TestGreen:
         with pytest.raises(gp.GreenPJError, match="pole"):
             gp.green(1.0, 0.2 + 0j, 0.2 + 0j)
 
+    @pytest.mark.parametrize("R, z", [(0.9, 0.4 + 0j), (0.5, 0.1 - 0.2j)])
+    def test_bitwise_equal_to_one_expression(self, R, z):
+        # the denominator is evaluated first to save memory; every value
+        # must still equal the one-expression form bit for bit
+        rng = np.random.default_rng(5)
+        w = (R * np.sqrt(rng.uniform(size=4000))
+             * np.exp(2j * np.pi * rng.uniform(size=4000)))
+        w = w[np.abs(w - z) >= 1e-6]
+        expected = -np.log(R * np.abs(z - w) / np.abs(R**2 - np.conj(w) * z))
+        assert np.array_equal(gp.green(R, z, w), expected)
+
 
 class TestGreenMean:
     @pytest.mark.parametrize("R,z", [(1.0, 0j), (1.0, 0.6 + 0j), (0.5, 0j),

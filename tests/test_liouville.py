@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from diskrig import cli
 from diskrig import liouville as lv
 from diskrig import metric as mt
 
@@ -46,7 +49,9 @@ def factored_zero_problem():
 def direct_newton(problem, n, max_iter=40, tol=1e-10):
     """Reference: the same damped Newton iteration with a direct sparse
     solve of every Newton system.  Returns (u on the unknowns, iterations)."""
-    xs, ys, inside, A, b, L5, pts = lv._assemble(problem, n)
+    grid = lv._grid(problem.R, n)
+    xs, A, L5, pts = grid.xs, grid.A, grid.L5, grid.pts
+    b, _, _ = lv._load(grid, problem)
     h = xs[1] - xs[0]
     kv = np.asarray(problem.kappa(pts), dtype=float)
     cap = lv.hyperbolic_log_density(pts) + lv.AHLFORS_MARGIN
@@ -98,7 +103,9 @@ class TestAssembly:
         prob = lv.DirichletProblem(
             R=R, kappa=lambda z: np.full(np.shape(z), -4.0), pinch=(-4.0, -4.0),
             boundary=lambda th: quad(R * np.cos(th), R * np.sin(th)))
-        xs, ys, mask, A, b, L5, pts = lv._assemble(prob, n)
+        grid = lv._grid(R, n)
+        xs, mask, A, L5, pts = grid.xs, grid.inside, grid.A, grid.L5, grid.pts
+        b, _, _ = lv._load(grid, prob)
         u = quad(pts.real, pts.imag)
         row_sum = np.asarray(abs(A).sum(axis=1)).ravel()
         assert np.all(np.abs(A @ u + b + 2.0) <= 1e-12 * row_sum)
@@ -185,6 +192,8 @@ class TestNewtonKrylov:
 
         for name in calls:
             monkeypatch.setattr(lv.spla, name, counted(name))
+        lv._grid_slot.clear()
+        lv.solve(lv.poincare_problem(0.9), n=65)
         sol = lv.solve(lv.pinched_problem(0.9), n=65)
         assert sol.iterations >= 3
         assert calls == {"splu": 1, "spsolve": 0}
@@ -241,6 +250,85 @@ class TestNewtonKrylov:
         with pytest.raises(lv.LiouvilleError):
             lv.solve(lv.poincare_problem(0.9), n=65)
         assert [get() for get, _ in controls] == before
+
+
+class TestGridCache:
+    def test_cached_solve_bitwise_equal_to_fresh(self):
+        problem = lv.pinched_problem(0.9)
+        lv.solve(lv.poincare_problem(0.9), n=65)        # fills the slot
+        cached = lv.solve(problem, n=65)
+        lv._grid_slot.clear()
+        fresh = lv.solve(problem, n=65)
+        assert np.array_equal(cached.u, fresh.u, equal_nan=True)
+        assert cached.residual_history == fresh.residual_history
+
+    def test_one_grid_at_a_time(self):
+        problem = lv.poincare_problem(0.9)
+        lv.solve(problem, n=65)
+        lv.solve(problem, n=97)
+        assert list(lv._grid_slot) == [(0.9, 97)]
+        lv.solve(lv.poincare_problem(0.8), n=97)
+        assert list(lv._grid_slot) == [(0.8, 97)]
+
+    def test_solution_arrays_are_its_own(self):
+        problem = lv.pinched_problem(0.9)
+        first = lv.solve(problem, n=65)
+        before = first.u.copy()
+        for arr in (first.xs, first.ys, first.u):
+            arr[...] = 0.0
+        first.mask[...] = False
+        second = lv.solve(problem, n=65)
+        assert np.array_equal(second.u, before, equal_nan=True)
+        assert second.mask.any() and second.h > 0.0
+        grid = lv._grid(0.9, 65)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.xs[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            grid.A.data[0] = 0.0
+
+    def test_threads_share_one_factorization(self, monkeypatch):
+        # four threads on two cores, flat and pinched on one grid, switching
+        # often: the grid is built once and every u is the sequential one
+        problems = [lv.poincare_problem(0.9), lv.pinched_problem(0.9)] * 2
+        sequential = [lv.solve(p, n=65).u for p in problems[:2]] * 2
+        lv._grid_slot.clear()
+        splu, factorizations = spla.splu, []
+
+        def counted(*args, **kwargs):
+            factorizations.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(lv.spla, "splu", counted)
+        results = [None] * len(problems)
+
+        def work(k):
+            results[k] = lv.solve(problems[k], n=65).u
+
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(len(problems))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(factorizations) == 1
+        for got, want in zip(results, sequential):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_report_independent_of_earlier_solves(self, tmp_path):
+        text = "command = liouville-solve\nkappa = pinched-5\nn = 97\nout = lv.json\n"
+        lv._grid_slot.clear()
+        assert cli.run(cli.parse_config(text), out_dir=tmp_path / "a") == 0
+        lv._grid_slot.clear()
+        lv.make_pinched_metric(n=97)
+        assert cli.run(cli.parse_config(text), out_dir=tmp_path / "b") == 0
+        assert ((tmp_path / "a" / "lv.json").read_bytes()
+                == (tmp_path / "b" / "lv.json").read_bytes())
 
 
 class TestPinchedMetric:
