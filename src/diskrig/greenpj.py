@@ -31,19 +31,33 @@ class GreenPJError(DiskrigError, ValueError):
 
 def green(R: float, z: complex, w) -> float:
     """Green's function of the disk |z| < R; symmetric, positive,
-    vanishing as w tends to the rim.  Vectorized over w."""
+    vanishing as w tends to the rim.  Vectorized over w.
+
+    Computes -log(R |z - w| / |R^2 - conj(w) z|) in one complex and one
+    real work array besides the result, and never writes into w.
+    """
     if abs(z) >= R:
-        raise GreenPJError("first argument must lie inside the disk")
+        raise GreenPJError(f"first argument must lie inside the disk; z = {z}")
     w = np.asarray(w)
-    if np.any(np.abs(w) >= R):
-        raise GreenPJError("second argument must lie inside the disk")
-    dist = np.abs(z - w)
-    if np.any(dist < POINT_COINCIDENCE_TOL):
-        raise GreenPJError("Green's function has a logarithmic pole at w = z")
-    # the denominator first: its complex temporaries are freed before
-    # R * dist exists, which lowers the peak on large grids
-    den = np.abs(R**2 - np.conj(w) * z)
-    return -np.log(R * dist / den)
+    dist = np.empty(w.shape)            # |w|, then |z - w|, then the result
+    outside = np.abs(w, out=dist) >= R
+    if np.any(outside):
+        raise GreenPJError(f"second argument must lie inside the disk; "
+                           f"w = {complex(w.flat[np.argmax(outside)])}")
+    work = np.empty(w.shape, dtype=complex)
+    pole = np.abs(np.subtract(z, w, out=work), out=dist) < POINT_COINCIDENCE_TOL
+    if np.any(pole):
+        raise GreenPJError(f"Green's function has a logarithmic pole at w = z; "
+                           f"w = {complex(w.flat[np.argmax(pole)])}")
+    np.conjugate(w, out=work)
+    np.multiply(work, z, out=work)
+    np.subtract(R**2, work, out=work)
+    den = np.abs(work, out=np.empty(w.shape))
+    del work                    # freed before the real passes below
+    np.multiply(R, dist, out=dist)
+    np.divide(dist, den, out=dist)
+    np.log(dist, out=dist)
+    return np.negative(dist, out=dist)[()]
 
 
 def green_mean(R: float, z: complex, grid: PolarGrid | None = None) -> float:

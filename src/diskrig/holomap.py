@@ -4,7 +4,10 @@ Maps are immutable expression trees over identity, constants, monomials,
 polynomials, disk automorphisms, finite Blaschke products, compositions,
 sums, and scalar multiples.  Evaluation and differentiation are exact
 closed-form tree operations (no numerical differentiation), which is what
-lets boundary quantities be divided by (1-|z|)^2 without noise.
+lets boundary quantities be divided by (1-|z|)^2 without noise.  Each node
+evaluates by ``eval`` and by ``jet``, which returns the value and the
+derivative from one walk of the tree; the value it returns equals
+``eval``'s bit for bit.
 
 A text serialization in prefix notation is provided so maps can be named
 in flat config files.  Grammar (tokens are whitespace separated, complex
@@ -43,7 +46,7 @@ class HoloMapError(DiskrigError, ValueError):
 
 
 class HoloMap:
-    """Base class; nodes implement eval and deriv (elementwise) and rational."""
+    """Base class; nodes implement eval and jet (elementwise) and rational."""
 
     def __call__(self, z):
         return self.eval(z)
@@ -51,8 +54,12 @@ class HoloMap:
     def eval(self, z):
         raise NotImplementedError
 
-    def deriv(self, z):
+    def jet(self, z):
+        """(f(z), f'(z)); the value is bitwise equal to eval(z)."""
         raise NotImplementedError
+
+    def deriv(self, z):
+        return self.jet(z)[1]
 
     def rational(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (P, Q) ascending coefficient arrays with self = P/Q."""
@@ -77,8 +84,8 @@ class Identity(HoloMap):
     def eval(self, z):
         return z
 
-    def deriv(self, z):
-        return np.ones(np.shape(z), dtype=complex)[()]
+    def jet(self, z):
+        return z, np.ones(np.shape(z), dtype=complex)[()]
 
     def rational(self):
         return np.array([0, 1], dtype=complex), np.array([1], dtype=complex)
@@ -94,8 +101,8 @@ class Const(HoloMap):
     def eval(self, z):
         return np.full(np.shape(z), self.value)[()]
 
-    def deriv(self, z):
-        return np.zeros(np.shape(z), dtype=complex)[()]
+    def jet(self, z):
+        return self.eval(z), np.zeros(np.shape(z), dtype=complex)[()]
 
     def rational(self):
         return np.array([self.value], dtype=complex), np.array([1], dtype=complex)
@@ -115,9 +122,9 @@ class Monomial(HoloMap):
     def eval(self, z):
         return np.asarray(z) ** self.power
 
-    def deriv(self, z):
+    def jet(self, z):
         # k z^(k-1), with z^0 standing in for z^-1 when k = 0
-        return self.power * np.asarray(z) ** max(self.power - 1, 0)
+        return self.eval(z), self.power * np.asarray(z) ** max(self.power - 1, 0)
 
     def rational(self):
         p = np.zeros(self.power + 1, dtype=complex)
@@ -140,8 +147,8 @@ class Poly(HoloMap):
     def eval(self, z):
         return npoly.polyval(z, np.array(self.coeffs))
 
-    def deriv(self, z):
-        return npoly.polyval(z, npoly.polyder(np.array(self.coeffs)))
+    def jet(self, z):
+        return self.eval(z), npoly.polyval(z, npoly.polyder(np.array(self.coeffs)))
 
     def rational(self):
         return np.array(self.coeffs, dtype=complex), np.array([1], dtype=complex)
@@ -151,18 +158,34 @@ class Poly(HoloMap):
         return f"poly {len(self.coeffs)} {body}"
 
 
+def _moebius_den(a: complex, z: np.ndarray):
+    """1 - conj(a) z, the denominator of the factor (a - z)/(1 - conj(a) z),
+    refused where it vanishes."""
+    den = 1.0 - np.conj(a) * z
+    if np.any(np.abs(den) < POLE_TOL):
+        raise HoloMapError(f"pole of automorphism factor (a={a}) hit")
+    return den
+
+
 def _moebius_factor_eval(a: complex, z):
-    den = 1.0 - np.conj(a) * np.asarray(z)
-    if np.any(np.abs(den) < POLE_TOL):
-        raise HoloMapError(f"pole of automorphism factor (a={a}) hit")
-    return (a - np.asarray(z)) / den
+    z = np.asarray(z)
+    return (a - z) / _moebius_den(a, z)
 
 
-def _moebius_factor_deriv(a: complex, z):
-    den = 1.0 - np.conj(a) * np.asarray(z)
-    if np.any(np.abs(den) < POLE_TOL):
-        raise HoloMapError(f"pole of automorphism factor (a={a}) hit")
-    return (abs(a) ** 2 - 1.0) / den**2
+def _moebius_factor_jet(a: complex, z):
+    z = np.asarray(z)
+    den = _moebius_den(a, z)
+    return (a - z) / den, (abs(a) ** 2 - 1.0) / den**2
+
+
+def _times_each(c: complex, parts: list) -> tuple:
+    """c * part for each part, consuming the list.
+
+    Popped, a part no other name holds is a temporary to numpy, which on
+    large arrays then multiplies in place with the operands swapped; the
+    complex product is not commutative in its last bit, so a node's jet
+    must hand the same temporaries to ``*`` as its eval does."""
+    return tuple(c * parts.pop(0) for _ in range(len(parts)))
 
 
 @dataclass(frozen=True)
@@ -179,8 +202,9 @@ class Automorphism(HoloMap):
     def eval(self, z):
         return cmath.exp(1j * self.theta) * _moebius_factor_eval(self.a, z)
 
-    def deriv(self, z):
-        return cmath.exp(1j * self.theta) * _moebius_factor_deriv(self.a, z)
+    def jet(self, z):
+        return _times_each(cmath.exp(1j * self.theta),
+                           list(_moebius_factor_jet(self.a, z)))
 
     def rational(self):
         ph = cmath.exp(1j * self.theta)
@@ -211,18 +235,24 @@ class Blaschke(HoloMap):
             out = out * _moebius_factor_eval(a, z)
         return out
 
-    def deriv(self, z):
+    def jet(self, z):
+        jets = [_moebius_factor_jet(a, z) for a in self.zeros]
+        factors = [f for f, _ in jets]
+        dfactors = [df for _, df in jets]
+        del jets                # the lists now hold the only references
         # product rule accumulation keeps zeros of individual factors safe
-        factors = [_moebius_factor_eval(a, z) for a in self.zeros]
-        dfactors = [_moebius_factor_deriv(a, z) for a in self.zeros]
         total = np.zeros(np.shape(z), dtype=complex)
-        for j in range(len(self.zeros)):
-            term = dfactors[j]
-            for k in range(len(self.zeros)):
+        for j, term in enumerate(dfactors):
+            for k in range(len(factors)):
                 if k != j:
                     term = term * factors[k]
             total = total + term
-        return cmath.exp(1j * self.theta) * total
+        # the value last, popping the factors: see _times_each
+        ph = cmath.exp(1j * self.theta)
+        value = ph * np.ones(np.shape(z), dtype=complex)
+        while factors:
+            value = value * factors.pop(0)
+        return value, ph * total
 
     def rational(self):
         num = np.array([cmath.exp(1j * self.theta)], dtype=complex)
@@ -247,9 +277,10 @@ class Compose(HoloMap):
     def eval(self, z):
         return self.outer.eval(self.inner.eval(z))
 
-    def deriv(self, z):
-        w = self.inner.eval(z)
-        return self.outer.deriv(w) * self.inner.deriv(z)
+    def jet(self, z):
+        w, dw = self.inner.jet(z)
+        value, d = self.outer.jet(w)
+        return value, d * dw
 
     def rational(self):
         p, q = self.outer.rational()
@@ -268,8 +299,10 @@ class Sum(HoloMap):
     def eval(self, z):
         return self.left.eval(z) + self.right.eval(z)
 
-    def deriv(self, z):
-        return self.left.deriv(z) + self.right.deriv(z)
+    def jet(self, z):
+        lv, ld = self.left.jet(z)
+        rv, rd = self.right.jet(z)
+        return lv + rv, ld + rd
 
     def rational(self):
         p, q = self.left.rational()
@@ -289,8 +322,8 @@ class Scaled(HoloMap):
     def eval(self, z):
         return self.factor * self.inner.eval(z)
 
-    def deriv(self, z):
-        return self.factor * self.inner.deriv(z)
+    def jet(self, z):
+        return _times_each(self.factor, list(self.inner.jet(z)))
 
     def rational(self):
         p, q = self.inner.rational()
@@ -419,13 +452,14 @@ def hyperbolic_derivative(f: HoloMap, z):
     if np.any(outside):
         raise HoloMapError(f"hyperbolic derivative needs |z| < 1; "
                            f"z = {complex(z.flat[np.argmax(outside)])}")
-    w_mod = np.abs(f.eval(z))
+    w, dw = f.jet(z)
+    w_mod = np.abs(w)
     escaped = w_mod >= 1.0
     if np.any(escaped):
         i = np.argmax(escaped)
         raise HoloMapError(f"|f(z)| = {np.ravel(w_mod)[i]} >= 1 at interior point "
                            f"z = {complex(z.flat[i])}: not a self-map")
-    return (1.0 - np.abs(z) ** 2) * np.abs(f.deriv(z)) / (1.0 - w_mod**2)
+    return (1.0 - np.abs(z) ** 2) * np.abs(dw) / (1.0 - w_mod**2)
 
 
 # ---------------------------------------------------------------------------

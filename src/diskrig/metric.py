@@ -128,7 +128,8 @@ def pullback(f: HoloMap, mu: Pseudometric) -> Pseudometric:
         raise MetricError("pullback requires a base metric on the full disk")
 
     def density(z):
-        return mu.density(f.eval(z)) * np.abs(f.deriv(z))
+        w, dw = f.jet(z)
+        return mu.density(w) * np.abs(dw)
 
     contributions: dict[complex, float] = {}
 

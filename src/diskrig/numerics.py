@@ -77,23 +77,26 @@ class PolarGrid:
         """Return (points, weights).
 
         If ``avoid`` is given, any node within COINCIDENCE_TOL of it is
-        pushed out by half a radial cell so integrable singularities at
-        that point never get sampled exactly.
+        moved along its ring by half an angular cell, so integrable
+        singularities at that point never get sampled exactly and the
+        node keeps its radius (it stays inside the disk).
         """
-        pts, w = _grid_nodes(complex(self.center), float(self.radius),
-                             self.n_r, self.n_t)
-        if avoid is not None:
-            hit = np.abs(pts - avoid) < COINCIDENCE_TOL
-            if np.any(hit):
-                half_cell = 0.5 * self.radius / self.n_r
-                pts = pts.copy()
-                shifted = pts[hit] - self.center
-                # push radially outward; at the exact center pick +x
-                direction = np.where(np.abs(shifted) > 0,
-                                     shifted / np.where(np.abs(shifted) > 0,
-                                                        np.abs(shifted), 1.0),
-                                     1.0 + 0j)
-                pts[hit] = self.center + shifted + half_cell * direction
+        pts, w, r = _grid_nodes(complex(self.center), float(self.radius),
+                                self.n_r, self.n_t)
+        if avoid is None:
+            return pts, w
+        # a node within COINCIDENCE_TOL of avoid lies on a ring whose radius
+        # is within COINCIDENCE_TOL of |avoid - center| (triangle
+        # inequality); the slack also covers the rounding of both moduli
+        rho = abs(avoid - self.center)
+        slack = 4.0 * COINCIDENCE_TOL + 1e-14 * (abs(self.center) + self.radius)
+        first = int(np.searchsorted(r, rho - slack, side="left")) * self.n_t
+        stop = int(np.searchsorted(r, rho + slack, side="right")) * self.n_t
+        hit = np.flatnonzero(np.abs(pts[first:stop] - avoid) < COINCIDENCE_TOL) + first
+        if hit.size:
+            pts = pts.copy()
+            pts[hit] = (self.center
+                        + (pts[hit] - self.center) * np.exp(1j * np.pi / self.n_t))
         return pts, w
 
 
@@ -114,7 +117,7 @@ def _grid_nodes(center: complex, radius: float, n_r: int, n_t: int):
     r = np.sqrt(u)
     pts = center + np.outer(r, np.exp(1j * theta)).ravel()
     weights = 0.5 * wt * np.repeat(wu, n_t)
-    return pts, weights
+    return pts, weights, r
 
 
 def quadrature_disk(grid: PolarGrid, f: Callable, avoid: complex | None = None) -> float:

@@ -57,6 +57,31 @@ class TestGreen:
         expected = -np.log(R * np.abs(z - w) / np.abs(R**2 - np.conj(w) * z))
         assert np.array_equal(gp.green(R, z, w), expected)
 
+    @pytest.mark.parametrize("n_r, n_t", [(8, 16), (220, 440)])
+    def test_bitwise_equal_to_one_expression_on_a_grid(self, n_r, n_t):
+        # in-place passes on the work arrays, one expression here; the
+        # larger grid is past the size where numpy reuses temporaries
+        R, z = 0.9, 0.4 - 0.1j
+        w, _ = PolarGrid(0j, R, n_r, n_t).nodes(avoid=z)
+        before = w.copy()
+        expected = -np.log(R * np.abs(z - w) / np.abs(R**2 - np.conj(w) * z))
+        assert np.array_equal(gp.green(R, z, w), expected)
+        assert np.array_equal(w, before)
+
+    def test_scalar_gives_a_numpy_scalar(self):
+        val = gp.green(0.9, 0.4 + 0j, 0.1j)
+        assert isinstance(val, np.float64)
+        assert val == gp.green(0.9, 0.4 + 0j, np.array([0.1j]))[0]
+
+    def test_refusals_name_the_point(self):
+        w = np.array([0.1, 0.2j, 0.95 + 0j, 1.5])
+        with pytest.raises(gp.GreenPJError, match=r"w = \(0\.95\+0j\)"):
+            gp.green(0.9, 0.4 + 0j, w)
+        with pytest.raises(gp.GreenPJError, match=r"pole.*w = \(0\.4-0\.1j\)"):
+            gp.green(0.9, 0.4 - 0.1j, np.array([0.1, 0.4 - 0.1j, 0.5j]))
+        with pytest.raises(gp.GreenPJError, match=r"z = \(0\.9\+0j\)"):
+            gp.green(0.9, 0.9 + 0j, 0.1)
+
 
 class TestGreenMean:
     @pytest.mark.parametrize("R,z", [(1.0, 0j), (1.0, 0.6 + 0j), (0.5, 0j),
@@ -64,6 +89,17 @@ class TestGreenMean:
     def test_matches_closed_form(self, R, z):
         val = gp.green_mean(R, z)
         assert val == pytest.approx((R**2 - abs(z) ** 2) / 4.0, abs=1e-5)
+
+    def test_node_on_the_outermost_ring(self):
+        # the node there is moved along its ring, not out of the disk; the
+        # error is no worse than at a node of the middle ring
+        R, grid = 0.8, PolarGrid(0j, 0.8, 20, 40)
+        pts, _ = grid.nodes()
+
+        def error(z):
+            return abs(gp.green_mean(R, z, grid) - (R**2 - abs(z) ** 2) / 4.0)
+
+        assert error(complex(pts[19 * 40 + 3])) <= error(complex(pts[10 * 40 + 3]))
 
 
 class TestMajorant:

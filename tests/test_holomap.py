@@ -334,9 +334,64 @@ class TestArrayEvaluation:
         zs = np.array([0.1, 0.5j, 1.0 + 0j, 0.2, 2.0])
         with pytest.raises(hm.HoloMapError, match=r"\|z\| < 1; z = \(1\+0j\)"):
             hm.hyperbolic_derivative(hm.Monomial(2), zs)
+        # the point outside is named before the map is evaluated, even
+        # where the map has its pole there
+        with pytest.raises(hm.HoloMapError, match=r"\|z\| < 1; z = \(2\+0j\)"):
+            hm.hyperbolic_derivative(hm.Automorphism(0.5), np.array([0.1, 2.0]))
 
     def test_refusal_names_the_point_that_escapes(self):
         f = hm.Scaled(3.0, hm.Identity())
         with pytest.raises(hm.HoloMapError,
                            match=r"z = 0.5j: not a self-map"):
             hm.hyperbolic_derivative(f, np.array([[0.1, 0.2j], [0.5j, 0.9]]))
+
+
+# -- value and derivative from one walk of the tree --------------------------
+
+def rational_derivative(f, z):
+    p, q = f.rational()
+    dp, dq = np.polynomial.polynomial.polyder(p), np.polynomial.polynomial.polyder(q)
+    pv = np.polynomial.polynomial.polyval
+    return (pv(z, dp) * pv(z, q) - pv(z, p) * pv(z, dq)) / pv(z, q) ** 2
+
+
+def disk_sample(n, seed=7, radius=0.85):
+    rng = np.random.default_rng(seed)
+    return radius * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+def assert_jet(f, z):
+    value, d = f.jet(z)
+    np.testing.assert_array_equal(value, f.eval(z))
+    assert np.shape(value) == np.shape(d) == np.shape(z)
+    np.testing.assert_allclose(d, rational_derivative(f, z), rtol=1e-12, atol=1e-12)
+
+
+class TestJet:
+    NODES = TestSerialization.CASES + [hm.Monomial(0), hm.Blaschke((), 0.4),
+                                       hm.Scaled(0.6 - 0.1j, hm.Automorphism(0.2, 1.0))]
+    # past the size where numpy computes `a * <temporary>` in place
+    LARGE = disk_sample(20_000)
+
+    @pytest.mark.parametrize("f", NODES, ids=lambda f: f.to_text().split()[0])
+    @pytest.mark.parametrize("z", [0.3 - 0.2j, POINTS, LARGE],
+                             ids=["scalar", "points", "large"])
+    def test_value_is_eval_and_derivative_is_exact(self, f, z):
+        assert_jet(f, z)
+
+    @given(tree_maps(), inner_points)
+    @settings(max_examples=60, deadline=None)
+    def test_trees(self, f, z):
+        try:
+            f.eval(z)
+        except hm.HoloMapError:
+            return
+        assert_jet(f, z)
+        assert_jet(f, z * np.array([1.0, 0.5j, -0.25]))
+
+    def test_deriv_is_defined_once(self):
+        nodes = {type(f) for f in self.NODES}
+        assert all("jet" in vars(cls) and "eval" in vars(cls) for cls in nodes)
+        assert not any("deriv" in vars(cls) for cls in nodes)
+        f = self.NODES[5]
+        np.testing.assert_array_equal(f.deriv(self.LARGE), f.jet(self.LARGE)[1])

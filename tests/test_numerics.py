@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskrig.numerics import (NumericsError, PolarGrid, Verdict, dyadic_ts,
-                              fit_boundary_rate, laplacian_fd, quadrature_disk)
+from diskrig.numerics import (COINCIDENCE_TOL, NumericsError, PolarGrid, Verdict,
+                              dyadic_ts, fit_boundary_rate, laplacian_fd,
+                              quadrature_disk)
 
 
 class TestPolarGrid:
@@ -34,6 +35,48 @@ class TestPolarGrid:
         target = complex(pts[37])
         moved, _ = grid.nodes(avoid=target)
         assert np.min(np.abs(moved - target)) > 1e-12
+
+    @staticmethod
+    def avoid_cases(grid):
+        """A node on each ring, a point 1e-13 off a node, the center and
+        a point off the grid."""
+        pts, _ = grid.nodes()
+        on_rings = [complex(pts[i * grid.n_t + (3 * i) % grid.n_t])
+                    for i in range(grid.n_r)]
+        return on_rings + [complex(pts[5]) + 1e-13j, grid.center,
+                           grid.center + 0.37 * grid.radius * np.exp(0.2j)]
+
+    @pytest.mark.parametrize("grid", [PolarGrid(0j, 1.0, 8, 16),
+                                      PolarGrid(0.2 + 0.1j, 0.7, 12, 24),
+                                      PolarGrid(-3.0 + 4.0j, 2.5, 10, 20)],
+                             ids=["unit", "shifted", "far-center"])
+    def test_moved_nodes_are_the_full_scan_hits(self, grid):
+        # the test only scans rings near |avoid - center|; the nodes it
+        # moves must be exactly those a scan of every node finds
+        pts, _ = grid.nodes()
+        for target in self.avoid_cases(grid):
+            full_scan = np.flatnonzero(np.abs(pts - target) < COINCIDENCE_TOL)
+            moved, _ = grid.nodes(avoid=target)
+            assert np.array_equal(np.flatnonzero(moved != pts), full_scan)
+
+    @pytest.mark.parametrize("ring", ["first", "middle", "last"])
+    def test_moved_node_keeps_its_ring(self, ring):
+        grid = PolarGrid(0.1 - 0.2j, 0.8, 20, 40)
+        i = {"first": 0, "middle": 10, "last": 19}[ring] * grid.n_t + 7
+        pts, _ = grid.nodes()
+        moved, _ = grid.nodes(avoid=complex(pts[i]))
+        radius = abs(moved[i] - grid.center)
+        assert radius < grid.radius
+        assert radius == pytest.approx(abs(pts[i] - grid.center), rel=1e-15)
+        # half an angular cell from the node, so midway between two nodes
+        step = np.angle((moved[i] - grid.center) / (pts[i] - grid.center))
+        assert step == pytest.approx(np.pi / grid.n_t, rel=1e-12)
+
+    def test_cached_nodes_not_written(self):
+        grid = PolarGrid(0j, 1.0, 8, 16)
+        before = grid.nodes()[0].copy()
+        grid.nodes(avoid=complex(before[20]))
+        assert np.array_equal(grid.nodes()[0], before)
 
 
 class TestQuadrature:
