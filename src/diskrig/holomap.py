@@ -7,7 +7,9 @@ closed-form tree operations (no numerical differentiation), which is what
 lets boundary quantities be divided by (1-|z|)^2 without noise.  Each node
 evaluates by ``eval`` and by ``jet``, which returns the value and the
 derivative from one walk of the tree; the value it returns equals
-``eval``'s bit for bit.
+``eval``'s bit for bit.  A point's value does not depend on the array it
+is in: every product of a node constant and an array is taken as array
+times constant, whatever the array's size.
 
 A text serialization in prefix notation is provided so maps can be named
 in flat config files.  Grammar (tokens are whitespace separated, complex
@@ -73,10 +75,17 @@ class HoloMap:
 
 
 def _fmt_complex(c: complex) -> str:
-    c = complex(c)
     if c.imag == 0.0:
         return repr(c.real)
     return repr(c).strip("()")
+
+
+def _finite(node: str, name: str, value, cast):
+    """``value`` as a plain ``cast`` number, refused unless finite."""
+    value = cast(value)
+    if not cmath.isfinite(value):
+        raise HoloMapError(f"{node} parameter {name} = {value} is not finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,9 @@ class Identity(HoloMap):
 @dataclass(frozen=True)
 class Const(HoloMap):
     value: complex
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", _finite("const", "value", self.value, complex))
 
     def eval(self, z):
         return np.full(np.shape(z), self.value)[()]
@@ -124,7 +136,7 @@ class Monomial(HoloMap):
 
     def jet(self, z):
         # k z^(k-1), with z^0 standing in for z^-1 when k = 0
-        return self.eval(z), self.power * np.asarray(z) ** max(self.power - 1, 0)
+        return self.eval(z), np.asarray(z) ** max(self.power - 1, 0) * self.power
 
     def rational(self):
         p = np.zeros(self.power + 1, dtype=complex)
@@ -142,7 +154,8 @@ class Poly(HoloMap):
     def __post_init__(self):
         if not self.coeffs:
             raise HoloMapError("polynomial needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(_finite("poly", "coefficient", c, complex)
+                                                for c in self.coeffs))
 
     def eval(self, z):
         return npoly.polyval(z, np.array(self.coeffs))
@@ -158,34 +171,14 @@ class Poly(HoloMap):
         return f"poly {len(self.coeffs)} {body}"
 
 
-def _moebius_den(a: complex, z: np.ndarray):
-    """1 - conj(a) z, the denominator of the factor (a - z)/(1 - conj(a) z),
-    refused where it vanishes."""
+def _moebius_factor(a: complex, z):
+    """(a - z)/(1 - conj(a) z) and its denominator, refused where that
+    vanishes."""
+    z = np.asarray(z)
     den = 1.0 - np.conj(a) * z
     if np.any(np.abs(den) < POLE_TOL):
         raise HoloMapError(f"pole of automorphism factor (a={a}) hit")
-    return den
-
-
-def _moebius_factor_eval(a: complex, z):
-    z = np.asarray(z)
-    return (a - z) / _moebius_den(a, z)
-
-
-def _moebius_factor_jet(a: complex, z):
-    z = np.asarray(z)
-    den = _moebius_den(a, z)
-    return (a - z) / den, (abs(a) ** 2 - 1.0) / den**2
-
-
-def _times_each(c: complex, parts: list) -> tuple:
-    """c * part for each part, consuming the list.
-
-    Popped, a part no other name holds is a temporary to numpy, which on
-    large arrays then multiplies in place with the operands swapped; the
-    complex product is not commutative in its last bit, so a node's jet
-    must hand the same temporaries to ``*`` as its eval does."""
-    return tuple(c * parts.pop(0) for _ in range(len(parts)))
+    return (a - z) / den, den
 
 
 @dataclass(frozen=True)
@@ -196,15 +189,21 @@ class Automorphism(HoloMap):
     theta: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "a", _finite("auto", "a", self.a, complex))
+        object.__setattr__(self, "theta", _finite("auto", "theta", self.theta, float))
         if abs(self.a) >= 1.0:
             raise HoloMapError("automorphism parameter must satisfy |a| < 1")
 
     def eval(self, z):
-        return cmath.exp(1j * self.theta) * _moebius_factor_eval(self.a, z)
+        f, _ = _moebius_factor(self.a, z)
+        f *= cmath.exp(1j * self.theta)
+        return f
 
     def jet(self, z):
-        return _times_each(cmath.exp(1j * self.theta),
-                           list(_moebius_factor_jet(self.a, z)))
+        f, den = _moebius_factor(self.a, z)
+        phase = cmath.exp(1j * self.theta)
+        f *= phase
+        return f, (abs(self.a) ** 2 - 1.0) / den**2 * phase
 
     def rational(self):
         ph = cmath.exp(1j * self.theta)
@@ -224,35 +223,32 @@ class Blaschke(HoloMap):
     theta: float = 0.0
 
     def __post_init__(self):
-        zs = tuple(complex(a) for a in self.zeros)
+        zs = tuple(_finite("blaschke", "zero", a, complex) for a in self.zeros)
         if any(abs(a) >= 1.0 for a in zs):
             raise HoloMapError("Blaschke zeros must have modulus < 1")
         object.__setattr__(self, "zeros", zs)
+        object.__setattr__(self, "theta", _finite("blaschke", "theta", self.theta, float))
 
     def eval(self, z):
-        out = cmath.exp(1j * self.theta) * np.ones(np.shape(z), dtype=complex)
+        value = np.full(np.shape(z), cmath.exp(1j * self.theta))
         for a in self.zeros:
-            out = out * _moebius_factor_eval(a, z)
-        return out
+            value *= _moebius_factor(a, z)[0]
+        return value[()]
 
     def jet(self, z):
-        jets = [_moebius_factor_jet(a, z) for a in self.zeros]
-        factors = [f for f, _ in jets]
-        dfactors = [df for _, df in jets]
-        del jets                # the lists now hold the only references
-        # product rule accumulation keeps zeros of individual factors safe
-        total = np.zeros(np.shape(z), dtype=complex)
-        for j, term in enumerate(dfactors):
-            for k in range(len(factors)):
-                if k != j:
-                    term = term * factors[k]
-            total = total + term
-        # the value last, popping the factors: see _times_each
-        ph = cmath.exp(1j * self.theta)
-        value = ph * np.ones(np.shape(z), dtype=complex)
-        while factors:
-            value = value * factors.pop(0)
-        return value, ph * total
+        # the product rule, d = d f + df value, one factor at a time: no
+        # division, so a zero of one factor stays safe
+        value = np.full(np.shape(z), cmath.exp(1j * self.theta))
+        d = np.zeros(np.shape(z), dtype=complex)
+        for k, a in enumerate(self.zeros):
+            f, den = _moebius_factor(a, z)
+            df = (abs(a) ** 2 - 1.0) / den**2 * value
+            if k:
+                d *= f
+                df += d
+            d = df
+            value *= f
+        return value[()], d[()]
 
     def rational(self):
         num = np.array([cmath.exp(1j * self.theta)], dtype=complex)
@@ -319,11 +315,15 @@ class Scaled(HoloMap):
     factor: complex
     inner: HoloMap
 
+    def __post_init__(self):
+        object.__setattr__(self, "factor", _finite("scale", "factor", self.factor, complex))
+
     def eval(self, z):
-        return self.factor * self.inner.eval(z)
+        return self.inner.eval(z) * self.factor
 
     def jet(self, z):
-        return _times_each(self.factor, list(self.inner.jet(z)))
+        value, d = self.inner.jet(z)
+        return value * self.factor, d * self.factor
 
     def rational(self):
         p, q = self.inner.rational()
@@ -364,11 +364,15 @@ def _trim(c: np.ndarray) -> np.ndarray:
     return c[: last + 1]
 
 
+def _derivative_numerator(f: HoloMap) -> np.ndarray:
+    """p'q - pq', trimmed, for f = p/q with p and q trimmed."""
+    p, q = map(_trim, f.rational())
+    return _trim(npoly.polysub(npoly.polymul(npoly.polyder(p), q),
+                               npoly.polymul(p, npoly.polyder(q))))
+
+
 def is_constant(f: HoloMap) -> bool:
-    p, q = f.rational()
-    num, den = _trim(p), _trim(q)
-    dnum = _trim(npoly.polysub(npoly.polymul(npoly.polyder(num), den),
-                               npoly.polymul(num, npoly.polyder(den))))
+    dnum = _derivative_numerator(f)
     return len(dnum) == 1 and abs(dnum[0]) < 1e-13
 
 
@@ -387,9 +391,7 @@ def cluster_roots(roots: np.ndarray, tol: float = ROOT_CLUSTER_TOL) -> list[tupl
 
 def critical_points(f: HoloMap) -> list[tuple[complex, int]]:
     """Zeros of f' strictly inside the unit disk, with multiplicities."""
-    p, q = map(_trim, f.rational())
-    dnum = _trim(npoly.polysub(npoly.polymul(npoly.polyder(p), q),
-                               npoly.polymul(p, npoly.polyder(q))))
+    dnum = _derivative_numerator(f)
     if len(dnum) == 1:
         return []
     roots = npoly.polyroots(dnum)
@@ -513,14 +515,10 @@ def _parse_tokens(tokens: list[str]) -> tuple[HoloMap, list[str]]:
         zeros, rest = _take(rest, complex, n)
         (theta,), rest = _take(rest, float)
         return Blaschke(tuple(zeros), theta), rest
-    if head == "compose":
-        outer, rest = _parse_tokens(rest)
-        inner, rest = _parse_tokens(rest)
-        return Compose(outer, inner), rest
-    if head == "sum":
-        left, rest = _parse_tokens(rest)
-        right, rest = _parse_tokens(rest)
-        return Sum(left, right), rest
+    if head in ("compose", "sum"):
+        first, rest = _parse_tokens(rest)
+        second, rest = _parse_tokens(rest)
+        return (Compose if head == "compose" else Sum)(first, second), rest
     if head == "scale":
         (c,), rest = _take(rest)
         inner, rest = _parse_tokens(rest)

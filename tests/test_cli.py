@@ -103,6 +103,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_non_finite_map_parameter_is_named(self, tmp_path, capsys):
+        text = "command = rigidity-scan\nlam = pullback(auto 0.3 nan)\n"
+        assert run_text(text, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "auto parameter theta = nan is not finite" in err
+
     @pytest.mark.parametrize("what", ["automorphisms", "slices"])
     def test_vacuous_ball_check_is_two(self, what, tmp_path, capsys):
         # count = 0 would check nothing and pass

@@ -285,3 +285,21 @@ class TestBurnsKrantz:
     def test_non_selfmap_rejected(self):
         with pytest.raises(hk.HarnackError):
             hk.burns_krantz_check(hm.Scaled(1.5, hm.Identity()))
+
+    def test_seeded_automorphisms_fixing_one(self):
+        # e^{i theta} (a - z)/(1 - conj(a) z) fixes 1 when
+        # e^{i theta} = (1 - conj(a))/(a - 1); its invariant derivative is
+        # identically 1, so the second rate vanishes whatever the first does
+        rng = np.random.default_rng(6)
+        n = 300
+        zeros = 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+        wrong = []
+        for a in zeros:
+            f = hm.Automorphism(a, np.angle((1.0 - np.conj(a)) / (a - 1.0)))
+            assert abs(f.eval(1.0 + 0j) - 1.0) < 1e-12
+            disp, inv = hk.burns_krantz_check(f)
+            implied = disp.verdict is not Verdict.VANISHES or \
+                inv.verdict is Verdict.VANISHES
+            if inv.verdict is not Verdict.VANISHES or not implied:
+                wrong.append((f, disp.verdict, inv.verdict))
+        assert wrong == []

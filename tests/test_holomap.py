@@ -395,3 +395,82 @@ class TestJet:
         assert not any("deriv" in vars(cls) for cls in nodes)
         f = self.NODES[5]
         np.testing.assert_array_equal(f.deriv(self.LARGE), f.jet(self.LARGE)[1])
+
+
+# -- a point's value does not depend on the array it is in -------------------
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestBatchIndependence:
+    """numpy computes ``c * <temporary>`` in place as ``<temporary> * c``
+    once the array holds 16,384 complex points or more, and the complex
+    product is not commutative in its last bit; every node fixes the order
+    of each product of a constant and an array, so these agree bitwise."""
+    K = 1_000
+    LARGE = disk_sample(20_000)
+
+    def assert_batch_free(self, f, z):
+        value, d = f.jet(z)
+        assert_bitwise(value, f.eval(z))
+        for part in (slice(0, self.K), slice(self.K + 3, 2 * self.K + 3)):
+            assert_bitwise(f.eval(z)[part], f.eval(z[part]))
+            small_value, small_d = f.jet(z[part])
+            assert_bitwise(value[part], small_value)
+            assert_bitwise(d[part], small_d)
+
+    @pytest.mark.parametrize("f", TestJet.NODES + [
+        hm.Scaled(0.6 + 0.2j, hm.Blaschke((0.3,))),
+        hm.Blaschke((0.3 - 0.2j, 0.1j, -0.5), 2.0)],
+        ids=lambda f: f.to_text().split()[0])
+    def test_node(self, f):
+        self.assert_batch_free(f, self.LARGE)
+
+    @given(tree_maps())
+    @settings(max_examples=40, deadline=None)
+    def test_trees(self, f):
+        try:
+            f.eval(self.LARGE)
+        except hm.HoloMapError:
+            return
+        self.assert_batch_free(f, self.LARGE)
+
+    def test_inputs_are_not_written(self):
+        z = self.LARGE.copy()
+        for f in TestJet.NODES:
+            f.eval(z)
+            f.jet(z)
+        assert_bitwise(z, self.LARGE)
+
+
+# -- node parameters are plain, finite numbers -------------------------------
+
+class TestParameters:
+    @pytest.mark.parametrize("f, text", [
+        (hm.Automorphism(np.float64(0.3), np.float64(0.5)), "auto 0.3 0.5"),
+        (hm.Blaschke((np.complex128(0.2j),), np.float64(0.5)), "blaschke 1 0.2j 0.5"),
+        (hm.Scaled(np.float64(0.5), hm.Identity()), "scale 0.5 id"),
+        (hm.Const(np.float32(0.25)), "const 0.25"),
+    ], ids=["auto", "blaschke", "scale", "const"])
+    def test_numpy_numbers_serialize_plainly(self, f, text):
+        assert f.to_text() == text
+        assert hm.parse_map(text) == f
+
+    @pytest.mark.parametrize("make, named", [
+        (lambda: hm.Automorphism(0.3, float("nan")), "auto parameter theta"),
+        (lambda: hm.Automorphism(complex("nan+0j")), "auto parameter a"),
+        (lambda: hm.Automorphism(0.3, np.inf), "auto parameter theta"),
+        (lambda: hm.Blaschke((0.1, complex(0, np.inf))), "blaschke parameter zero"),
+        (lambda: hm.Blaschke((0.1,), np.nan), "blaschke parameter theta"),
+        (lambda: hm.Poly((0.1, np.nan)), "poly parameter coefficient"),
+        (lambda: hm.Const(np.inf), "const parameter value"),
+        (lambda: hm.Scaled(np.nan, hm.Identity()), "scale parameter factor"),
+        (lambda: hm.parse_map("auto 0.3 nan"), "auto parameter theta"),
+    ], ids=["auto-theta-nan", "auto-a-nan", "auto-theta-inf", "blaschke-zero",
+            "blaschke-theta", "poly", "const", "scale", "parsed"])
+    def test_non_finite_refused_naming_the_node(self, make, named):
+        with pytest.raises(hm.HoloMapError, match=f"{named} = .* is not finite"):
+            make()
