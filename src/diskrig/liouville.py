@@ -6,9 +6,13 @@ disk.  One rule gives the rows: the compact nine-point stencil where all
 eight neighbors lie inside, else per axis the u'' weights on the offsets
 at hand, legs that cross the circle ending exactly on it
 (Shortley-Weller).  The discrete Laplacian is factored once per grid
-(R, n), for every solve on it; the factor gives the harmonic start and
-preconditions GMRES on every Newton system (Newton-Krylov).  A factored
-variant Lap log v = -kappa |z - xi|^(2 alpha) v^2 handles one prescribed zero.
+(R, n), for every solve on it, by SuperLU in nested-dissection order
+(George 1973; blocks of at most 32 unknowns keep their natural order).
+``splu`` takes no caller's column order, so A is permuted beforehand and
+factored with the NATURAL order, partial pivoting kept.  The factor gives
+the harmonic start and preconditions GMRES on every Newton system
+(Newton-Krylov).  A factored variant Lap log v = -kappa |z - xi|^(2 alpha)
+v^2 handles one prescribed zero.
 
 The solver doubles as a factory for variable-curvature test metrics:
 ``make_pinched_metric`` wraps a solution in a Pseudometric whose pinch
@@ -199,24 +203,69 @@ def _second_derivative_weights(offsets: list[float]) -> np.ndarray:
 
 
 #: the problem-independent system of one (R, n) grid; b_rows, b_weights and
-#: b_angles: row, weight and angle of each circle point a boundary row reads
+#: b_angles: row, weight and angle of each circle point a boundary row reads;
+#: a_inverse: the LinearOperator y -> A^-1 y
 _Grid = collections.namedtuple("_Grid", "xs ys inside pts A L5 source_op row_scale "
-                               "b_rows b_weights b_angles lu precond")
+                               "b_rows b_weights b_angles a_inverse")
 _grid_lock = threading.Lock()
 _grid_slot: dict[tuple[float, int], _Grid] = {}
+#: largest block of unknowns that nested dissection leaves in natural order
+ND_LEAF = 32
+
+
+def _nested_dissection(inside: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of the unknowns of a grid mask (George, SIAM
+    J. Numer. Anal. 10, 1973): p[k] is the unknown placed k-th.
+
+    The index box is split at the middle line of its longer side, the two
+    halves are ordered first, recursively, and the separator line last.  A
+    block of at most ``ND_LEAF`` unknowns keeps the natural (row-major)
+    order of ``inside``.
+    """
+    number = np.full(inside.shape, -1)
+    number[inside] = np.arange(np.count_nonzero(inside))
+    order = []
+
+    def dissect(block):
+        if np.count_nonzero(block >= 0) <= ND_LEAF:
+            order.append(np.sort(block[block >= 0]))
+            return
+        if block.shape[0] < block.shape[1]:
+            block = block.T     # split the longer side; numbers are unchanged
+        mid = block.shape[0] // 2
+        dissect(block[:mid])
+        dissect(block[mid + 1:])
+        order.append(block[mid][block[mid] >= 0])
+
+    dissect(number)
+    return np.concatenate(order)
 
 
 def _grid(R: float, n: int) -> _Grid:
     """The read-only system of (R, n), built once.  One slot, emptied before
-    another grid is built: at most one factor is alive at a time."""
+    another grid is built: at most one factor is alive at a time.
+
+    A is factored once, by SuperLU with partial pivoting, in the
+    nested-dissection order of its unknowns.  ``splu`` takes no column
+    permutation of the caller's, so the rows and columns of A are permuted
+    beforehand and factored with ``permc_spec="NATURAL"``; ``a_inverse``
+    permutes a right-hand side in and the solution back out.
+    """
     key = (float(R), int(n))
     with _grid_lock:
         if key not in _grid_slot:
             _grid_slot.clear()
             grid = _assemble(*key)      # factored once its temporaries are freed
-            lu = spla.splu(grid.A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            _grid_slot[key] = grid._replace(lu=lu, precond=spla.LinearOperator(
-                grid.A.shape, matvec=lu.solve, dtype=float))
+            p = _nested_dissection(grid.inside)
+            lu = spla.splu(grid.A[p][:, p].tocsc(), permc_spec="NATURAL")
+
+            def solve_a(rhs):
+                out = np.empty_like(rhs)
+                out[p] = lu.solve(rhs[p])
+                return out
+
+            _grid_slot[key] = grid._replace(a_inverse=spla.LinearOperator(
+                grid.A.shape, matvec=solve_a, dtype=float))
         return _grid_slot[key]
 
 
@@ -304,7 +353,7 @@ def _assemble(R: float, n: int) -> _Grid:
     row_scale = np.maximum(np.asarray(np.abs(A).sum(axis=1)).ravel(), 1.0)
     grid = _Grid(xs, ys, inside, pts, A, L5, source_op, row_scale,
                  np.asarray(b_rows), np.asarray(b_weights), np.asarray(b_angles),
-                 lu=None, precond=None)
+                 a_inverse=None)
     sparse = [a for m in (A, L5, source_op) for a in (m.data, m.indices, m.indptr)]
     for a in (xs, ys, inside, pts, row_scale, grid.b_rows, grid.b_weights,
               grid.b_angles, *sparse):
@@ -330,23 +379,25 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N, max_iter: int = 40,
           tol: float = 1e-10) -> LiouvilleSolution:
     """Damped Newton-Krylov iteration on the finite-difference curvature system.
 
-    ``A`` is factored once per grid (``_grid``).  The factor gives the
-    initial iterate, the harmonic extension of the boundary data, and
-    right-preconditions GMRES on every Newton system J = A + (I + h^2/12
-    L5) diag(2 kappa e^(2u)), which differs from A only by that scaling
-    (Newton-Krylov: Knoll & Keyes, J. Comput. Phys. 193, 2004).  Each
-    Newton step is solved to ``GMRES_RTOL`` relative residual in the
-    2-norm, with OpenBLAS held to one thread.  Steps are halved until the
-    residual decreases, and iterates are clamped below the
-    extremal-density ceiling (log hyperbolic density plus a margin) to
-    keep the exponential term controlled.
+    ``A`` is factored once per grid (``_grid``), in nested-dissection
+    order with leaves of at most 32 unknowns: permuted beforehand, since
+    ``splu`` takes no caller's order, and factored with NATURAL.  The
+    factor gives the initial iterate, the harmonic extension of the
+    boundary data, and right-preconditions GMRES on every Newton system
+    J = A + (I + h^2/12 L5) diag(2 kappa e^(2u)), which differs from A
+    only by that scaling (Newton-Krylov: Knoll & Keyes, J. Comput. Phys.
+    193, 2004).  Each Newton step is solved to ``GMRES_RTOL`` relative
+    residual in the 2-norm, with OpenBLAS held to one thread.  Steps are
+    halved until the residual decreases, and iterates are clamped below
+    the extremal-density ceiling (log hyperbolic density plus a margin)
+    to keep the exponential term controlled.
     """
     if n < 64:
         raise MetricError("grid resolution must be at least 64 per side")
     grid = _grid(problem.R, n)
-    A, source_op, lu, precond = grid.A, grid.source_op, grid.lu, grid.precond
+    A, source_op, a_inverse = grid.A, grid.source_op, grid.a_inverse
     b, kv, cap = _load(grid, problem)
-    u = np.minimum(lu.solve(-b), cap)
+    u = np.minimum(a_inverse @ -b, cap)
 
     def residual(uv):
         return A @ uv + b + source_op @ (kv * np.exp(2.0 * uv))
@@ -370,10 +421,10 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N, max_iter: int = 40,
         # residual of the Newton system itself at delta = A^-1 y
         inner: list[float] = []
         with _single_threaded_blas():
-            y, info = spla.gmres(jac @ precond, -res, rtol=GMRES_RTOL, atol=0.0,
+            y, info = spla.gmres(jac @ a_inverse, -res, rtol=GMRES_RTOL, atol=0.0,
                                  restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
                                  callback=inner.append, callback_type="pr_norm")
-        delta = lu.solve(y)
+        delta = a_inverse @ y
         if info != 0:
             lin_res = np.linalg.norm(jac @ delta + res) / np.linalg.norm(res)
             raise LiouvilleError(

@@ -331,6 +331,39 @@ class TestGridCache:
                 == (tmp_path / "b" / "lv.json").read_bytes())
 
 
+class TestNestedDissection:
+    @pytest.mark.parametrize("n", [64, 65, 97, 129])
+    @pytest.mark.parametrize("R", [0.5, 0.9])
+    def test_each_unknown_once(self, R, n):
+        xs = np.linspace(-R, R, n)
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        inside = X**2 + Y**2 < R**2 * (1.0 - 1e-14)
+        p = lv._nested_dissection(inside)
+        assert np.array_equal(np.sort(p), np.arange(np.count_nonzero(inside)))
+
+    def test_grid_solve_inverts_A_in_original_order(self):
+        lv._grid_slot.clear()
+        grid = lv._grid(0.9, 97)
+        r = np.random.default_rng(7).standard_normal(grid.A.shape[0])
+        back = grid.A @ (grid.a_inverse @ r)
+        assert np.linalg.norm(back - r) <= 1e-10 * np.linalg.norm(r)
+
+    def test_less_fill_than_minimum_degree(self, monkeypatch):
+        splu, factors = spla.splu, []
+
+        def kept(*args, **kwargs):
+            factors.append(splu(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(lv.spla, "splu", kept)
+        lv._grid_slot.clear()
+        grid = lv._grid(0.9, 257)
+        lv._grid_slot.clear()
+        mmd = splu(grid.A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        (nd,) = factors
+        assert nd.L.nnz + nd.U.nnz < mmd.L.nnz + mmd.U.nnz
+
+
 class TestPinchedMetric:
     def test_flat_curvature_reproduces_hyperbolic(self):
         m = lv.make_pinched_metric(
