@@ -110,13 +110,12 @@ def boundary_distance(z):
     return 1.0 - norm(z)
 
 
-def distance_band(z, p0=None):
-    """K(p0, z) + (1/2) log delta(z) over points of shape (..., N);
+def distance_band(z):
+    """K(0, z) + (1/2) log delta(z) over points of shape (..., N);
     bounded as z approaches the sphere."""
     (z,) = _as_points(z)
-    if p0 is None:
-        p0 = np.zeros(z.shape, dtype=complex)
-    return kobayashi_distance(p0, z) + 0.5 * np.log(boundary_distance(z))
+    return (kobayashi_distance(np.zeros(z.shape, dtype=complex), z)
+            + 0.5 * np.log(boundary_distance(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +442,15 @@ class GeodesicCheckReport:
     projection_bounded: bool
 
 
-def geodesic_boundary_check(f, k_min: int = 3, k_max: int = 14,
-                            tol_iso: float = 1e-6) -> GeodesicCheckReport:
+def geodesic_boundary_check(f) -> GeodesicCheckReport:
     """Boundary infinitesimal characterization of complex geodesics.
 
-    Along r = 1 - 2^-k the quantity k(f(r); f'(r)) - 1/(1-r^2) must be
-    o(1-r), the projected derivative must stay bounded, and the isometry
-    normalization k(f(0); f'(0)) = 1 must hold.
+    Along r = 1 - 2^-k, k = 3, ..., 14, the quantity
+    k(f(r); f'(r)) - 1/(1-r^2) must be o(1-r), the projected derivative
+    must stay bounded, and the isometry normalization k(f(0); f'(0)) = 1
+    must hold to 1e-6.
     """
-    rs = dyadic_ts(k_min, k_max)
+    rs = dyadic_ts(3, 14)
     z = f.eval(rs + 0j)
     nz = norm(z)
     if np.any(nz >= 1.0):
@@ -465,7 +464,7 @@ def geodesic_boundary_check(f, k_min: int = 3, k_max: int = 14,
     bounded = bool(proj_norms.size == 0
                    or proj_norms.max() <= 10.0 * (1.0 + proj_norms.min()))
     is_geo = (rate.verdict is Verdict.VANISHES
-              and abs(iso0 - 1.0) <= tol_iso and bounded)
+              and abs(iso0 - 1.0) <= 1e-6 and bounded)
     return GeodesicCheckReport(verdict="GEODESIC" if is_geo else "NOT_GEODESIC",
                                rate=rate, isometry_at_zero=float(iso0),
                                projection_bounded=bounded)
@@ -489,30 +488,32 @@ class RigidityConditionsReport:
                 and self.metric_rate.verdict is Verdict.VANISHES)
 
 
-def tangential_directions(n: int, count: int = 16, seed: int = 3) -> np.ndarray:
-    """Unit vectors in the complex tangent space at e_1, shape (count, n)."""
+def tangential_directions(n: int) -> np.ndarray:
+    """16 unit vectors in the complex tangent space at e_1, shape (16, n):
+    equispaced phases for n = 2, normal draws of seed 3 for n > 2, and
+    none for n = 1."""
     if n < 2:
         return np.empty((0, n), dtype=complex)
     if n == 2:
-        w = np.exp(2j * np.pi * np.arange(count) / count)[:, None]
+        w = np.exp(2j * np.pi * np.arange(16) / 16)[:, None]
     else:
-        draws = np.random.default_rng(seed).normal(size=(count, 2, n - 1))
+        draws = np.random.default_rng(3).normal(size=(16, 2, n - 1))
         w = draws[:, 0] + 1j * draws[:, 1]
         w /= norm(w)[:, None]
-    return np.concatenate([np.zeros((count, 1), dtype=complex), w], axis=1)
+    return np.concatenate([np.zeros((16, 1), dtype=complex), w], axis=1)
 
 
-def ball_rigidity_check(F: BallMap, v, k_min: int = 3, k_max: int = 16,
-                        n_directions: int = 16) -> RigidityConditionsReport:
+def ball_rigidity_check(F: BallMap, v) -> RigidityConditionsReport:
     """Boundary rigidity signature of a self-map at e_1.
 
     Checks, along the slice geodesic through e_1 in direction v (which
-    must have nonzero first component):
+    must have nonzero first component), at zeta = 1 - 2^-k, k = 3, ..., 16:
       - metric preservation k(F(z); dF(v)) = k(z; v) + o(delta(z)),
       - boundedness of the tangential projection of dF(v) at the image
         boundary point when |F| tends to 1,
-      - for tangential approach sequences in 16 directions, clustering
-        of the image at the sphere.
+      - for tangential approach sequences in the 16 directions of
+        ``tangential_directions`` (none for N = 1), clustering of the
+        image at the sphere.
     """
     n = F.n_vars
     v = _as_vec(v)
@@ -523,7 +524,7 @@ def ball_rigidity_check(F: BallMap, v, k_min: int = 3, k_max: int = 16,
     v = v / norm(v)
     phi = geodesic_slice(e1, v)
 
-    z = phi(dyadic_ts(k_min, k_max) + 0j)
+    z = phi(dyadic_ts(3, 16) + 0j)
     w = F.eval(z)
     dv = F.differential(z, v)
     diff = kobayashi_metric(w, dv) - kobayashi_metric(z, v)
@@ -536,7 +537,7 @@ def ball_rigidity_check(F: BallMap, v, k_min: int = 3, k_max: int = 16,
     bounded = proj_sup <= max(5.0, 3.0 * float(np.median(head)) + 5.0)
 
     # z = (1 - s^1.5) e1 + s tau has |z|^2 = 1 - 2 s^1.5 + s^2 + s^3 < 1
-    taus = tangential_directions(n, n_directions)
+    taus = tangential_directions(n)
     ss = 2.0 ** (-np.arange(2, 13, dtype=float))[:, None]
     gaps = 1.0 - norm(F.eval((1.0 - ss**1.5) * e1 + ss * taus[:, None, :]))
     oks = (gaps[:, -1] <= 0.05) & (gaps[:, -1] <= 0.5 * gaps[:, 0] + 1e-15)

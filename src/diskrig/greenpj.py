@@ -74,13 +74,13 @@ def green_mean(R: float, z: complex, grid: PolarGrid | None = None) -> float:
     return total / (2.0 * math.pi)
 
 
-def harmonic_majorant(lam: Pseudometric, R: float, z: complex,
-                      n_boundary: int = 512) -> float:
+def harmonic_majorant(lam: Pseudometric, R: float, z: complex) -> float:
     """Least harmonic majorant of log density on |z| < R.
 
     Computed as the Poisson integral of the boundary values on |xi| = R,
-    which is valid because catalog densities are continuous and positive
-    there.  The value never exceeds log(1/(1-R^2)) for curvature <= -4
+    by the trapezoid rule on 512 equispaced points, which is valid
+    because catalog densities are continuous and positive there.  The
+    value never exceeds log(1/(1-R^2)) for curvature <= -4
     densities; that ceiling is asserted.
     """
     if abs(z) >= R:
@@ -90,7 +90,7 @@ def harmonic_majorant(lam: Pseudometric, R: float, z: complex,
             raise GreenPJError(
                 f"zero at {rec.location} sits on the circle |xi| = {R}; "
                 "perturb the radius")
-    theta = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
+    theta = 2.0 * np.pi * np.arange(512) / 512
     ring = R * np.exp(1j * theta)
     vals = np.log(np.asarray(lam.density(ring), dtype=float))
     pk = (R**2 - abs(z) ** 2) / np.abs(ring - z) ** 2
@@ -187,15 +187,15 @@ class QuotientBoundReport:
 
 
 def zero_quotient_bound(lam: Pseudometric, mu: Pseudometric, r: float,
-                        xi: complex, z: complex, c_r: float | None = None,
-                        tol: float = 1e-9) -> QuotientBoundReport:
+                        xi: complex, z: complex,
+                        c_r: float | None = None) -> QuotientBoundReport:
     """Green-potential bound on the log quotient of a dominated pair:
 
         log(lam/mu)(z) <= -(alpha - beta) g_r(z, xi) + r^2 c_r / (4 (1-r^2)^2)
 
     with alpha, beta the declared orders at xi and c_r the curvature
     floor magnitude on |z| <= r (taken from the pinch data when not
-    supplied).
+    supplied).  The bound passes with a slack of 1e-9.
     """
     require_structural_domination(lam, mu)
     if abs(xi) >= r or abs(z) >= r:
@@ -211,6 +211,6 @@ def zero_quotient_bound(lam: Pseudometric, mu: Pseudometric, r: float,
     q = quotient(lam, mu, z)
     lhs = math.log(q) if q > 0 else -math.inf
     rhs = -(alpha - beta) * green(r, z, xi) + r**2 * c_r / (4.0 * (1.0 - r**2) ** 2)
-    return QuotientBoundReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs + tol,
+    return QuotientBoundReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs + 1e-9,
                                details={"alpha": alpha, "beta": beta,
                                         "c_r": c_r})

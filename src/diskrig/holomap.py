@@ -70,9 +70,6 @@ class HoloMap:
     def to_text(self) -> str:
         raise NotImplementedError
 
-    def compose(self, inner: "HoloMap") -> "HoloMap":
-        return Compose(self, inner)
-
 
 def _fmt_complex(c: complex) -> str:
     if c.imag == 0.0:
@@ -376,12 +373,14 @@ def is_constant(f: HoloMap) -> bool:
     return len(dnum) == 1 and abs(dnum[0]) < 1e-13
 
 
-def cluster_roots(roots: np.ndarray, tol: float = ROOT_CLUSTER_TOL) -> list[tuple[complex, int]]:
-    """Group nearly equal roots into (location, multiplicity) pairs."""
+def cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
+    """Group nearly equal roots into (location, multiplicity) pairs: a root
+    joins a cluster within ROOT_CLUSTER_TOL * max(1, |first root|) of its
+    first root."""
     clusters: list[list[complex]] = []
     for r in roots:
         for group in clusters:
-            if abs(r - group[0]) < tol * max(1.0, abs(group[0])):
+            if abs(r - group[0]) < ROOT_CLUSTER_TOL * max(1.0, abs(group[0])):
                 group.append(r)
                 break
         else:
@@ -412,10 +411,6 @@ def preimages(f: HoloMap, w: complex) -> list[tuple[complex, int]]:
 
 # ---------------------------------------------------------------------------
 # convenience constructors
-
-
-def identity() -> HoloMap:
-    return Identity()
 
 
 def zpow(k: int) -> HoloMap:

@@ -41,6 +41,9 @@ from .metric import MetricError, Pseudometric
 from .numerics import DiskrigError
 
 DEFAULT_N = 129
+#: Newton tolerance on the row-scaled max-norm residual; ``solve`` also
+#: accepts a stalled iteration at the rounding floor 1e-9 above it
+NEWTON_TOL = 1e-10
 AHLFORS_MARGIN = 0.5
 # GMRES on each Newton system: relative 2-norm residual, Krylov basis size
 # and restart cycles.  A step of the bundled problems takes 5 to 11
@@ -147,7 +150,6 @@ class LiouvilleSolution:
     mask: np.ndarray
     residual_history: list[float]
     iterations: int
-    converged: bool
     step_sizes: list[float]         # accepted damping of each Newton step
     krylov_iterations: list[int]    # GMRES iterations of each Newton step
 
@@ -376,7 +378,7 @@ def _load(grid: _Grid, problem: DirichletProblem):
 
 
 def solve(problem: DirichletProblem, n: int = DEFAULT_N, max_iter: int = 40,
-          tol: float = 1e-10) -> LiouvilleSolution:
+          tol: float = NEWTON_TOL) -> LiouvilleSolution:
     """Damped Newton-Krylov iteration on the finite-difference curvature system.
 
     ``A`` is factored once per grid (``_grid``), in nested-dissection
@@ -458,7 +460,7 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N, max_iter: int = 40,
     return LiouvilleSolution(problem=problem, xs=grid.xs.copy(),
                              ys=grid.ys.copy(), u=U, mask=grid.inside.copy(),
                              residual_history=history, iterations=it,
-                             converged=True, step_sizes=step_sizes,
+                             step_sizes=step_sizes,
                              krylov_iterations=krylov_iterations)
 
 
@@ -480,11 +482,12 @@ def solution_interpolator(sol: LiouvilleSolution):
 
 def make_pinched_metric(kappa: Callable | None = None,
                         pinch: tuple[float, float] = (-5.0, -4.0),
-                        R_construct: float = 0.9, n: int = DEFAULT_N,
-                        boundary: Callable | None = None) -> Pseudometric:
+                        R_construct: float = 0.9,
+                        n: int = DEFAULT_N) -> Pseudometric:
     """Wrap a solved variable-curvature density as a Pseudometric.
 
-    Defaults to the -4 - |z|^2 profile with hyperbolic boundary data.
+    Defaults to the -4 - |z|^2 profile; the boundary data is hyperbolic,
+    -log(1 - R_construct^2) on the whole circle.
     The density is a bicubic interpolant valid on |z| <= 0.95 R; its
     curvature provider is the target curvature function itself, which
     the solve enforces up to the Newton tolerance (finite-difference
@@ -492,11 +495,9 @@ def make_pinched_metric(kappa: Callable | None = None,
     """
     if kappa is None:
         kappa = radial_pinched_kappa
-    if boundary is None:
-        boundary = (lambda theta:
-                    np.full(np.shape(theta), -np.log(1.0 - R_construct**2)))
-    problem = DirichletProblem(R=R_construct, kappa=kappa, pinch=pinch,
-                               boundary=boundary)
+    problem = DirichletProblem(
+        R=R_construct, kappa=kappa, pinch=pinch,
+        boundary=lambda theta: np.full(np.shape(theta), -np.log(1.0 - R_construct**2)))
     sol = solve(problem, n=n)
     spline = solution_interpolator(sol)
     r_valid = 0.95 * R_construct

@@ -351,11 +351,12 @@ class DominationReport:
     n_checked: int
 
 
-def default_disk_grid(n_r: int = 9, n_t: int = 16, r_max: float = 0.9,
-                      avoid: Sequence[complex] = (), margin: float = 0.02) -> np.ndarray:
-    """Sample points in the disk avoiding given locations by a margin."""
-    radii = np.linspace(0.08, r_max, n_r)
-    angles = np.exp(2j * np.pi * (np.arange(n_t) + 0.31) / n_t)
+def default_disk_grid(r_max: float = 0.9, avoid: Sequence[complex] = (),
+                      margin: float = 0.02) -> np.ndarray:
+    """Sample points in the disk, 9 radii from 0.08 to r_max times 16
+    angles, avoiding given locations by a margin."""
+    radii = np.linspace(0.08, r_max, 9)
+    angles = np.exp(2j * np.pi * (np.arange(16) + 0.31) / 16)
     pts = np.outer(radii, angles).ravel()
     keep = np.ones(pts.shape, dtype=bool)
     for a in avoid:
@@ -363,22 +364,19 @@ def default_disk_grid(n_r: int = 9, n_t: int = 16, r_max: float = 0.9,
     return pts[keep]
 
 
-def check_domination(lam: Pseudometric, mu: Pseudometric,
-                     grid: np.ndarray | None = None,
-                     tol_quotient: float = 1e-7,
-                     tol_curvature: float = 1e-3) -> DominationReport:
+def check_domination(lam: Pseudometric, mu: Pseudometric) -> DominationReport:
     """Sampled verification of lam <= mu in the domination order:
-    kappa_lam <= kappa_mu + tol and 0 <= lam/mu <= 1 + tol on the grid."""
+    kappa_lam <= kappa_mu + 1e-3 (1e-10 when both curvatures are exact)
+    and 0 <= lam/mu <= 1 + 1e-7 on the default disk grid, capped at 0.93
+    of either metric's domain radius and clear of both metrics' zeros."""
     require_structural_domination(lam, mu)
-    if grid is None:
-        avoid = [r.location for r in lam.zeros] + [r.location for r in mu.zeros]
-        r_cap = min(0.9, lam.domain_radius * 0.93, mu.domain_radius * 0.93)
-        grid = default_disk_grid(r_max=r_cap, avoid=avoid)
-    grid = np.asarray(grid)
+    avoid = [r.location for r in lam.zeros] + [r.location for r in mu.zeros]
+    r_cap = min(0.9, lam.domain_radius * 0.93, mu.domain_radius * 0.93)
+    grid = default_disk_grid(r_max=r_cap, avoid=avoid)
 
     qv = []
     q = quotient(lam, mu, grid)
-    bad_q = (q < -tol_quotient) | (q > 1.0 + tol_quotient)
+    bad_q = (q < -1e-7) | (q > 1.0 + 1e-7)
     for z, val in zip(grid[bad_q], q[bad_q]):
         qv.append((complex(z), float(val)))
 
@@ -387,7 +385,7 @@ def check_domination(lam: Pseudometric, mu: Pseudometric,
     k_mu = curvature_grid(mu, grid)
     # exact-vs-exact comparisons need no finite-difference slack
     tol_c = 1e-10 if (lam.has_exact_curvature and mu.has_exact_curvature) \
-        else tol_curvature
+        else 1e-3
     bad_c = k_lam > k_mu + tol_c
     for z, a, b in zip(grid[bad_c], k_lam[bad_c], k_mu[bad_c]):
         cv.append((complex(z), float(a), float(b)))
@@ -402,20 +400,19 @@ def check_domination(lam: Pseudometric, mu: Pseudometric,
 # zero orders
 
 
-def zero_order(mu: Pseudometric, xi: complex, n_angles: int = 16,
-               spread_tol: float = 0.05) -> float:
+def zero_order(mu: Pseudometric, xi: complex) -> float:
     """Estimate the order of a zero at xi from the growth of the density.
 
-    Least-squares slope of mean log density against log radius over the
-    radii 10^-2 .. 10^-5.  Returns 0 for points where the density does
-    not vanish.  Raises if the per-decade slopes disagree by more than
-    ``spread_tol`` (no clean power behavior).
+    Least-squares slope of mean log density, over 16 angles, against log
+    radius over the radii 10^-2 .. 10^-5.  Returns 0 for points where the
+    density does not vanish.  Raises if the per-decade slopes disagree by
+    more than 0.05 (no clean power behavior).
     """
     xi = complex(xi)
     if float(mu.density(xi)) > 1e-8:
         return 0.0
     radii = 10.0 ** (-np.arange(2, 6, dtype=float))
-    angles = np.exp(2j * np.pi * (np.arange(n_angles) + 0.17) / n_angles)
+    angles = np.exp(2j * np.pi * (np.arange(16) + 0.17) / 16)
     mean_logs = []
     for r in radii:
         ring = xi + r * angles
@@ -426,7 +423,7 @@ def zero_order(mu: Pseudometric, xi: complex, n_angles: int = 16,
     logs = np.array(mean_logs)
     logr = np.log(radii)
     per_decade = np.diff(logs) / np.diff(logr)
-    if np.max(per_decade) - np.min(per_decade) > spread_tol:
+    if np.max(per_decade) - np.min(per_decade) > 0.05:
         raise MetricError(
             f"zero order estimate did not converge (slope spread "
             f"{np.max(per_decade) - np.min(per_decade):.3g})")

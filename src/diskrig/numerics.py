@@ -219,16 +219,16 @@ def _trimmed_linear_fit(eps_t: np.ndarray, g_t: np.ndarray) -> tuple[float, floa
     return float(coef[0]), float(coef[1])
 
 
-def fit_boundary_rate(samples: Sequence[tuple[float, float]], exponent: float,
-                      tol_vanish: float = TOL_VANISH) -> RateReport:
+def fit_boundary_rate(samples: Sequence[tuple[float, float]],
+                      exponent: float) -> RateReport:
     """Decide how value(t) behaves relative to (1-t)**exponent as t -> 1.
 
     The scaled quantity g = value / (1-t)**exponent is fitted linearly
     against (1-t) on the boundary-nearest half of the samples, after
     dropping any trailing stretch where rounding noise has taken over
     (see _noise_onset).  The extrapolated limit at t = 1 yields the
-    verdict: VANISHES below ``tol_vanish``, DIVERGES when |g| grows
-    beyond 1/tol_vanish on that same cut tail, BOUNDED_NONZERO otherwise.
+    verdict: VANISHES below TOL_VANISH = 1e-3, DIVERGES when |g| grows
+    beyond 1/TOL_VANISH on that same cut tail, BOUNDED_NONZERO otherwise.
     """
     samples = [(float(t), float(v)) for t, v in samples]
     if len(samples) < 5:
@@ -252,9 +252,9 @@ def fit_boundary_rate(samples: Sequence[tuple[float, float]], exponent: float,
 
     abs_tail = np.abs(g_t)
     growing = np.all(np.diff(abs_tail) > 0)
-    if abs(limit) > 1.0 / tol_vanish or (growing and abs_tail[-1] > 1.0 / tol_vanish):
+    if abs(limit) > 1.0 / TOL_VANISH or (growing and abs_tail[-1] > 1.0 / TOL_VANISH):
         verdict = Verdict.DIVERGES
-    elif abs(limit) <= tol_vanish:
+    elif abs(limit) <= TOL_VANISH:
         verdict = Verdict.VANISHES
     else:
         verdict = Verdict.BOUNDED_NONZERO

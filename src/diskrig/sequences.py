@@ -134,36 +134,29 @@ class DichotomyReport:
     notes: str = ""
 
 
-def _compact_grid(radius: float = COMPACT_GRID_RADIUS) -> np.ndarray:
-    radii = np.linspace(0.0, radius, 7)
+def _compact_grid() -> np.ndarray:
+    radii = np.linspace(0.0, COMPACT_GRID_RADIUS, 7)
     angles = np.exp(2j * np.pi * (np.arange(12) + 0.41) / 12)
     pts = np.outer(radii[1:], angles).ravel()
     return np.concatenate([[0j], pts])
 
 
 def dichotomy_scan(seq: MetricSequence, mu: Pseudometric, c: float,
-                   sample_points: Sequence[complex] | Callable[[int], complex],
-                   ns: Sequence[int] = (2, 4, 8, 16, 32, 64),
-                   compact_grid: np.ndarray | None = None,
-                   uniform_tol: float = UNIFORM_TOL) -> DichotomyReport:
+                   sample_points: Callable[[int], complex]) -> DichotomyReport:
     """Classify a dominated sequence: quotients to 1 locally uniformly,
     or zeros of fading order accumulating at an interior point.
 
-    The sup deviation is taken over a fixed compact grid (|z| <= 0.8)
-    augmented with the declared zero locations of each member, so the
-    non-uniformity caused by a drifting zero cannot slip between fixed
-    grid points.  The convergence threshold at the largest index is a
-    documented choice (0.05); the verdict always names that index.
+    Members n = 2, 4, ..., 64 are checked, the hypothesis at the point
+    ``sample_points(n)`` of each.  The sup deviation is taken over a
+    fixed compact grid (|z| <= COMPACT_GRID_RADIUS = 0.8) augmented with
+    the declared zero locations of each member, so the non-uniformity
+    caused by a drifting zero cannot slip between fixed grid points.  The
+    convergence threshold at the largest index is a documented choice
+    (UNIFORM_TOL = 0.05); the verdict always names that index.
     """
-    ns = tuple(ns)
-    if compact_grid is None:
-        compact_grid = _compact_grid()
-    if callable(sample_points):
-        samples = [complex(sample_points(n)) for n in ns]
-    else:
-        samples = [complex(p) for p in sample_points]
-        if len(samples) != len(ns):
-            raise SequenceError("need one sample point per ladder index")
+    ns = (2, 4, 8, 16, 32, 64)
+    compact_grid = _compact_grid()
+    samples = [complex(sample_points(n)) for n in ns]
 
     sups = []
     hyp_vals = []
@@ -174,7 +167,7 @@ def dichotomy_scan(seq: MetricSequence, mu: Pseudometric, c: float,
         dom = check_domination(lam, mu)
         if not dom.passed:
             raise DominationError(f"domination fails at index n = {n}")
-        pts = np.asarray(compact_grid)
+        pts = compact_grid
         extra = [r.location for r in lam.zeros
                  if abs(r.location) <= COMPACT_GRID_RADIUS]
         if extra:
@@ -198,7 +191,7 @@ def dichotomy_scan(seq: MetricSequence, mu: Pseudometric, c: float,
     if not hypothesis_ok:
         verdict = "INCONCLUSIVE"
         notes = "hypothesis rate not verified"
-    elif decreasing and sup_arr[-1] <= uniform_tol:
+    elif decreasing and sup_arr[-1] <= UNIFORM_TOL:
         verdict = "UNIFORM_CONVERGENCE"
         notes = ""
     else:
@@ -242,22 +235,19 @@ class SequentialSchwarzPickReport:
 
 
 def sequential_schwarz_pick(maps: Callable[[int], HoloMap],
-                            points: Callable[[int], complex],
-                            ns: Sequence[int] = tuple(2**k for k in range(1, 9)),
-                            compact_grid: np.ndarray | None = None
+                            points: Callable[[int], complex]
                             ) -> SequentialSchwarzPickReport:
     """Check the sequential boundary rigidity signature for self-maps.
 
-    Hypothesis: the invariant derivative at z_n approaches 1 faster than
-    (1-|z_n|)^2.  Conclusion tested: the invariant derivative tends to 1
-    uniformly on a compact grid, and the maps either stay spread out
-    (automorphism-like limit) or degenerate to a unimodular constant
+    Members n = 2, 4, ..., 256 are checked.  Hypothesis: the invariant
+    derivative at z_n approaches 1 faster than (1-|z_n|)^2.  Conclusion
+    tested: the invariant derivative tends to 1 uniformly on the compact
+    grid (|z| <= COMPACT_GRID_RADIUS), and the maps either stay spread
+    out (automorphism-like limit) or degenerate to a unimodular constant
     (modulus to 1 on the grid).
     """
-    ns = tuple(ns)
-    if compact_grid is None:
-        compact_grid = _compact_grid()
-    pts = np.asarray(compact_grid)
+    ns = tuple(2**k for k in range(1, 9))
+    pts = _compact_grid()
 
     hyp_samples = []
     sups = []
@@ -317,12 +307,12 @@ class ZeroTrackReport:
 def zero_rigidity_track(seq: MetricSequence, mu: Pseudometric,
                         points: Callable[[int], complex], xi: complex,
                         ns: Sequence[int] = tuple(2**k for k in range(1, 8)),
-                        tol_order: float = 1e-2,
-                        hypothesis_tol: float = 0.15) -> ZeroTrackReport:
+                        tol_order: float = 1e-2) -> ZeroTrackReport:
     """Track declared zero orders of a dominated sequence near xi.
 
     Requires the quotients at the tracked points to approach 1 (the
-    rigidity hypothesis); raises otherwise.  When xi is a shared zero of
+    rigidity hypothesis: |quotient - 1| at the largest index at most 0.15
+    and at most twice its value at the first); raises otherwise.  When xi is a shared zero of
     every member, the member orders must converge to mu's order there;
     when the members' zeros drift toward xi while staying distinct from
     it, their orders must fade to 0.  Both limits are asserted at the
@@ -348,7 +338,7 @@ def zero_rigidity_track(seq: MetricSequence, mu: Pseudometric,
         orders.append(rec.order)
         locs.append(rec.location)
 
-    if hyp[-1] > hypothesis_tol or hyp[-1] > 2.0 * hyp[0] + 1e-12:
+    if hyp[-1] > 0.15 or hyp[-1] > 2.0 * hyp[0] + 1e-12:
         raise SequenceError(
             f"rigidity hypothesis fails: |quotient - 1| = {hyp[-1]:.3g} "
             f"at n = {ns[-1]}")
@@ -376,16 +366,15 @@ def zero_rigidity_track(seq: MetricSequence, mu: Pseudometric,
 # extremal family witness
 
 
-def extremal_family_witness(a: float, z: complex,
-                            orders: Sequence[float] | None = None
-                            ) -> tuple[np.ndarray, float]:
+def extremal_family_witness(a: float, z: complex) -> tuple[np.ndarray, float]:
     """One-sided witness that densities with curvature <= -4 and value
     at most ``a`` at the origin still reach the hyperbolic density at
     every other point.
 
-    Evaluates the extremal-zero densities of fading order at z (each has
-    value 0 <= a at the origin, so all belong to the constrained family)
-    and returns (running maxima, hyperbolic target).  The cap ``a`` does
+    Evaluates the extremal-zero densities of fading order 2^-k,
+    k = 0, ..., 10, at z (each has value 0 <= a at the origin, so all
+    belong to the constrained family) and returns (running maxima,
+    hyperbolic target).  The cap ``a`` does
     not bound the supremum away from the target.
     """
     if not 0.0 < a <= 1.0:
@@ -393,9 +382,7 @@ def extremal_family_witness(a: float, z: complex,
     z = complex(z)
     if z == 0:
         raise SequenceError("the witness is only claimed away from the origin")
-    if orders is None:
-        orders = [2.0 ** (-k) for k in range(0, 11)]
-    vals = np.array([float(mu_max(b).density(z)) for b in orders])
+    vals = np.array([float(mu_max(2.0 ** -k).density(z)) for k in range(11)])
     running = np.maximum.accumulate(vals)
     target = float(poincare().density(z))
     if np.any(vals > target + 1e-9):

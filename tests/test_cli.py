@@ -300,6 +300,25 @@ class TestSubcommands:
         assert len(rep["krylov_iterations"]) == steps
         assert all(k >= 1 for k in rep["krylov_iterations"])
 
+    def test_liouville_accepted_at_rounding_floor_fails(self, tmp_path,
+                                                         monkeypatch):
+        # solve accepts a stalled iteration up to 1e-9; the report passes
+        # only at the Newton tolerance 1e-10
+        solve = cli.lv.solve
+
+        def solve_at_floor(problem, n):
+            sol = solve(problem, n=n)
+            sol.residual_history[-1] = 5e-10
+            return sol
+
+        monkeypatch.setattr(cli.lv, "solve", solve_at_floor)
+        code = run_text("command = liouville-solve\nkappa = const-4\nn = 65\n"
+                        "out = lv.json\n", tmp_path)
+        assert code == 1
+        rep = json.loads((tmp_path / "lv.json").read_text())
+        assert rep["residual_history"][-1] == 5e-10
+        assert rep["passed"] is False
+
     def test_pj_decompose_with_bound(self, tmp_path):
         code = run_text("command = pj-decompose\nlam = pullback(zpow 2)\n"
                         "mu = poincare\nR = 0.9\nz = 0.4\nn-r = 80\n"

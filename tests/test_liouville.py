@@ -125,7 +125,7 @@ class TestAssembly:
 class TestSolve:
     def test_hyperbolic_recovery_coarse(self):
         sol = lv.solve(lv.poincare_problem(0.9), n=65)
-        assert sol.converged
+        assert sol.residual_history[-1] <= lv.NEWTON_TOL
         assert density_error_vs_hyperbolic(sol) <= 5e-3
 
     def test_grid_refinement_at_least_threefold(self):

@@ -129,6 +129,21 @@ class TestDichotomy:
                                    "INCONCLUSIVE")
         assert reports[0].verdict != reports[1].verdict
 
+    def test_boundary_ladder_constant_sequence_uniform(self):
+        # sample points 1 - 1/n approach the rim: the hypothesis is decided
+        # by the boundary rate fit, which vanishes for the quotient 1
+        seq = sq.MetricSequence(lambda n: P, "hyperbolic")
+        rep = sq.dichotomy_scan(seq, P, 4.0, lambda n: 1.0 - 1.0 / n)
+        assert rep.hypothesis_ok
+        assert rep.verdict == "UNIFORM_CONVERGENCE"
+
+    def test_boundary_ladder_scaled_sequence_inconclusive(self):
+        # the quotient stays 0.9, so its deviation does not vanish at the rim
+        seq = sq.MetricSequence(lambda n: mt.scale(0.9, P), "scaled")
+        rep = sq.dichotomy_scan(seq, P, 4.0, lambda n: 1.0 - 1.0 / n)
+        assert not rep.hypothesis_ok
+        assert rep.verdict == "INCONCLUSIVE"
+
     def test_domination_failure_names_index(self):
         seq = sq.MetricSequence(lambda n: P, "hyperbolic")
         with pytest.raises(mt.DominationError, match="n = 2"):
@@ -155,6 +170,20 @@ class TestSequentialSchwarzPick:
                                          lambda n: 1.0 - 1.0 / n)
         assert not rep.hypothesis_ok
         assert rep.classification == "indeterminate"
+
+    def test_fixed_interior_point_rotations(self):
+        # one interior point for every n: the trend check replaces the fit
+        rep = sq.sequential_schwarz_pick(lambda n: hm.rotation(1.0 / n),
+                                         lambda n: 0.5)
+        assert rep.hypothesis_ok
+        assert rep.hypothesis_limit <= 1e-6
+
+    def test_fixed_interior_point_square_map(self):
+        # z^2 at 0.5: (1 - 1/4) 2 (1/2) / (1 - 1/16) = 0.8
+        rep = sq.sequential_schwarz_pick(lambda n: hm.Monomial(2),
+                                         lambda n: 0.5)
+        assert not rep.hypothesis_ok
+        assert rep.hypothesis_limit == pytest.approx(0.2, abs=1e-12)
 
 
 class TestZeroTracking:
