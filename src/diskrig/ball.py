@@ -110,12 +110,13 @@ def boundary_distance(z):
     return 1.0 - norm(z)
 
 
-def distance_band(z):
-    """K(0, z) + (1/2) log delta(z) over points of shape (..., N);
+def distance_band(z, p0=None):
+    """K(p0, z) + (1/2) log delta(z) over points of shape (..., N);
     bounded as z approaches the sphere."""
     (z,) = _as_points(z)
-    return (kobayashi_distance(np.zeros(z.shape, dtype=complex), z)
-            + 0.5 * np.log(boundary_distance(z)))
+    if p0 is None:
+        p0 = np.zeros(z.shape, dtype=complex)
+    return kobayashi_distance(p0, z) + 0.5 * np.log(boundary_distance(z))
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ def dichotomy_scan(seq: MetricSequence, mu: Pseudometric, c: float,
     # hypothesis: quotient at the sample points tends to 1.  Boundary
     # sequences get the full rate fit; interior ones a trend check.
     ts = np.abs(np.asarray(samples))
-    if np.all(np.diff(ts) > 0) and ts[-1] > 0.9 and len(ts) >= 5:
+    if np.all(np.diff(ts) > 0) and ts[-1] > 0.9:
         rate = fit_boundary_rate(list(zip(ts, [v for v in hyp_vals])), c / 2.0)
         hypothesis_ok = rate.verdict is Verdict.VANISHES
     else:
@@ -263,7 +263,7 @@ def sequential_schwarz_pick(maps: Callable[[int], HoloMap],
         min_mod.append(float(np.min(np.abs(f.eval(pts)))))
 
     ts = [t for t, _ in hyp_samples]
-    if all(b > a for a, b in zip(ts, ts[1:])) and ts[-1] > 0.9 and len(ts) >= 5:
+    if all(b > a for a, b in zip(ts, ts[1:])) and ts[-1] > 0.9:
         rate = fit_boundary_rate(hyp_samples, 2.0)
         hypothesis_ok = rate.verdict is Verdict.VANISHES
         hyp_limit = rate.fitted_limit
@@ -312,10 +312,10 @@ def zero_rigidity_track(seq: MetricSequence, mu: Pseudometric,
 
     Requires the quotients at the tracked points to approach 1 (the
     rigidity hypothesis: |quotient - 1| at the largest index at most 0.15
-    and at most twice its value at the first); raises otherwise.  When xi is a shared zero of
-    every member, the member orders must converge to mu's order there;
-    when the members' zeros drift toward xi while staying distinct from
-    it, their orders must fade to 0.  Both limits are asserted at the
+    and at most twice its value at the first); raises otherwise.  When xi
+    is a shared zero of every member, the member orders must converge to
+    mu's order there; when the members' zeros drift toward xi while
+    staying distinct from it, their orders must fade to 0.  Both limits are asserted at the
     largest index within ``tol_order``.
     """
     ns = tuple(ns)

@@ -388,6 +388,7 @@ class TestArrayEvaluation:
         cases = [
             (bl.kobayashi_distance, (z, w), zip(flat[0], flat[1])),
             (bl.distance_band, (z,), zip(flat[0])),
+            (bl.distance_band, (z, w), zip(flat[0], flat[1])),
             (bl.metric_comparison_ratio, (near, v), zip(flat[3], flat[2])),
         ]
         for fn, args, points in cases:
