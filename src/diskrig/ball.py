@@ -110,13 +110,12 @@ def boundary_distance(z):
     return 1.0 - norm(z)
 
 
-def distance_band(z, p0=None):
-    """K(p0, z) + (1/2) log delta(z) over points of shape (..., N);
+def distance_band(z):
+    """K(0, z) + (1/2) log delta(z) over points of shape (..., N);
     bounded as z approaches the sphere."""
     (z,) = _as_points(z)
-    if p0 is None:
-        p0 = np.zeros(z.shape, dtype=complex)
-    return kobayashi_distance(p0, z) + 0.5 * np.log(boundary_distance(z))
+    return (kobayashi_distance(np.zeros(z.shape, dtype=complex), z)
+            + 0.5 * np.log(boundary_distance(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +333,11 @@ def random_automorphism(n: int, rng: np.random.Generator) -> BallAutomorphism:
     return BallAutomorphism(a, q)
 
 
-def certify_ball_map(F: BallMap, n_samples: int = 2000,
-                     seed: int = 7) -> tuple[bool, float]:
-    """Sample |F| on the sphere; self-maps stay within 1 + 1e-10."""
+def certify_ball_map(F: BallMap, seed: int = 7) -> tuple[bool, float]:
+    """Sample |F| at 2000 random points of the sphere; self-maps stay
+    within 1 + 1e-10."""
     # per sample, N real parts then N imaginary parts of the stream
-    draws = np.random.default_rng(seed).normal(size=(n_samples, 2, F.n_vars))
+    draws = np.random.default_rng(seed).normal(size=(2000, 2, F.n_vars))
     p = draws[:, 0] + 1j * draws[:, 1]
     p /= norm(p)[:, None]
     worst = float(np.max(norm(F.eval(p)), initial=0.0))

@@ -295,7 +295,7 @@ def run_pj_decompose(lam="poincare", mu=None, R=0.9, z=0.3 + 0j, n_r=220,
                      n_t=440, tol=1e-3, bound_r=0.8, bound_xi=0j) -> dict:
     lam = parse_metric(lam)
     dec = gp.pj_decompose(lam, R, z, grid=PolarGrid(0j, R, n_r, n_t))
-    gm = gp.green_mean(R, z, grid=PolarGrid(0j, R, 900, 1800))
+    gm = gp.green_mean(R, z)
     gm_exact = (R**2 - abs(z) ** 2) / 4.0
     report = {
         "R": R, "z": str(z),

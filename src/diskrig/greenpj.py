@@ -187,23 +187,21 @@ class QuotientBoundReport:
 
 
 def zero_quotient_bound(lam: Pseudometric, mu: Pseudometric, r: float,
-                        xi: complex, z: complex,
-                        c_r: float | None = None) -> QuotientBoundReport:
+                        xi: complex, z: complex) -> QuotientBoundReport:
     """Green-potential bound on the log quotient of a dominated pair:
 
         log(lam/mu)(z) <= -(alpha - beta) g_r(z, xi) + r^2 c_r / (4 (1-r^2)^2)
 
-    with alpha, beta the declared orders at xi and c_r the curvature
-    floor magnitude on |z| <= r (taken from the pinch data when not
-    supplied).  The bound passes with a slack of 1e-9.
+    with alpha, beta the declared orders at xi and c_r = -mu.pinch[0] the
+    curvature floor magnitude of mu; mu without pinch bounds is refused.
+    The bound passes with a slack of 1e-9.
     """
     require_structural_domination(lam, mu)
     if abs(xi) >= r or abs(z) >= r:
         raise GreenPJError("xi and z must lie inside the disk of radius r")
-    if c_r is None:
-        if mu.pinch is None:
-            raise GreenPJError("supply c_r or declare pinch bounds on mu")
-        c_r = -mu.pinch[0]
+    if mu.pinch is None:
+        raise GreenPJError("the bound needs pinch bounds declared on mu")
+    c_r = -mu.pinch[0]
     lam_rec = lam.zero_at(xi)
     mu_rec = mu.zero_at(xi)
     alpha = lam_rec.order if lam_rec is not None else 0.0

@@ -138,25 +138,16 @@ def cubic_check(c: float, r: float) -> InequalityReport:
 
 def _worst_violation(viol: np.ndarray, grid: np.ndarray) -> tuple[float, complex]:
     """The largest violation over a grid and the point where it occurs."""
-    if grid.size == 0:
-        raise HarnackError("no point to check: the checker needs a nonempty "
-                           "grid inside its region")
     worst = int(np.argmax(viol))
     return float(viol[worst]), complex(grid[worst])
 
 
-def verify_barrier_pde(r: float, c: float,
-                       grid: np.ndarray | None = None) -> InequalityReport:
-    """Check Lap v_r >= 2c v_r / (1-|z|^2)^2 at annulus grid points, with
-    the Richardson-extrapolated five-point Laplacian at step 1e-4, up to a
-    violation of 1e-5."""
-    if grid is None:
-        radii = np.linspace(r + 0.01, 0.99, 12)
-        angles = np.exp(2j * np.pi * np.arange(8) / 8)
-        grid = np.outer(radii, angles).ravel()
-    grid = np.asarray(grid)
-    if np.any(np.abs(grid) < r):
-        raise HarnackError("barrier inequality only claimed in r <= |z| < 1")
+def verify_barrier_pde(r: float, c: float) -> InequalityReport:
+    """Check Lap v_r >= 2c v_r / (1-|z|^2)^2 at 12 radii from r + 0.01 to
+    0.99 times 8 angles, with the Richardson-extrapolated five-point
+    Laplacian at step 1e-4, up to a violation of 1e-5."""
+    radii = np.linspace(r + 0.01, 0.99, 12)
+    grid = np.outer(radii, np.exp(2j * np.pi * np.arange(8) / 8)).ravel()
     lap = laplacian_fd(lambda w: barrier_v(r, c, w), grid, 1e-4, richardson=True)
     viol = 2.0 * c * barrier_v(r, c, grid) / (1.0 - np.abs(grid) ** 2) ** 2 - lap
     worst, witness = _worst_violation(viol, grid)
@@ -175,14 +166,15 @@ def annulus_grid(r_min: float, r_max: float, n_r: int = 14, n_t: int = 16) -> np
 
 
 def check_harnack(lam: Pseudometric, mu: Pseudometric, c: float, r: float,
-                  grid: np.ndarray | None = None,
                   tol: float = INEQ_TOL) -> HarnackReport:
-    """Verify the boundary Harnack inequality on an annulus grid.
+    """Verify the boundary Harnack inequality on the annulus grid from r to
+    the cap min(0.9995, 0.97 times either domain radius).
 
     Requires mu to carry an exact curvature provider with pinch bounds
-    inside [-c, -4]; domination of lam by mu is checked first and a
-    failure raises before any Harnack sampling happens.  The maximum over
-    |xi| = r is taken over 180 equispaced points.
+    inside [-c, -4], and r below the cap; domination of lam by mu is
+    checked next and a failure raises before any Harnack sampling
+    happens.  The maximum over |xi| = r is taken over 180 equispaced
+    points.
     """
     if not 0.0 < r < 1.0:
         raise HarnackError("r must lie in (0, 1)")
@@ -193,18 +185,16 @@ def check_harnack(lam: Pseudometric, mu: Pseudometric, c: float, r: float,
                            "declared pinch bounds")
     if mu.pinch[0] < -c - 1e-12 or mu.pinch[1] > -4.0 + 1e-12:
         raise HarnackError(f"pinch bounds {mu.pinch} not inside [-{c}, -4]")
+    cap = min(ANNULUS_CAP, 0.97 * lam.domain_radius, 0.97 * mu.domain_radius)
+    if r >= cap:
+        raise HarnackError(f"r = {r} must lie below the annulus cap {cap:.6g}")
     dom = check_domination(lam, mu)
     if not dom.passed:
         raise MetricError(f"domination fails before the Harnack check: "
                           f"{len(dom.quotient_violations)} quotient and "
                           f"{len(dom.curvature_violations)} curvature violations")
 
-    cap = min(ANNULUS_CAP, 0.97 * lam.domain_radius, 0.97 * mu.domain_radius)
-    if grid is None:
-        grid = annulus_grid(r, cap)
-    grid = np.asarray(grid)
-    grid = grid[(np.abs(grid) >= r - 1e-12) & (np.abs(grid) <= cap + 1e-12)]
-
+    grid = annulus_grid(r, cap)
     circle = r * np.exp(2j * np.pi * np.arange(180) / 180)
     inner_max = float(np.max(np.log(quotient(lam, mu, circle))))
     coeff = harnack_constant(r) / (1.0 - r**2) ** (c / 2.0)
@@ -219,8 +209,7 @@ def check_harnack(lam: Pseudometric, mu: Pseudometric, c: float, r: float,
                          n_checked=int(grid.size))
 
 
-def check_golusin(lam: Pseudometric, grid: np.ndarray | None = None,
-                  tol: float = 1e-9) -> InequalityReport:
+def check_golusin(lam: Pseudometric, tol: float = 1e-9) -> InequalityReport:
     """Constant-curvature sharpening of the extremal bound.
 
     For densities with curvature exactly -4 (pullbacks, extremal-zero
@@ -229,8 +218,9 @@ def check_golusin(lam: Pseudometric, grid: np.ndarray | None = None,
         lam(z)/lam_D(z) <= (lam(0) + m(z)) / (1 + lam(0) m(z)),
         m(z) = 2|z| / (1 + |z|^2).
 
-    Raises for metrics without exact curvature -4, where the bound is
-    known to fail in general.
+    It is sampled at 12 radii from 0.05 to 0.95 times 12 angles.  Raises
+    for metrics without exact curvature -4, where the bound is known to
+    fail in general.
     """
     if not lam.has_exact_curvature:
         raise HarnackError("bound requires curvature exactly -4; "
@@ -238,9 +228,7 @@ def check_golusin(lam: Pseudometric, grid: np.ndarray | None = None,
     probe = np.array([0.11 + 0.07j, -0.4 + 0.31j, 0.62j, 0.55 - 0.21j])
     if np.max(np.abs(np.asarray(lam.curvature(probe), dtype=float) + 4.0)) > 1e-10:
         raise HarnackError("bound requires curvature exactly -4")
-    if grid is None:
-        grid = annulus_grid(0.05, 0.95, n_r=12, n_t=12)
-    grid = np.asarray(grid)
+    grid = annulus_grid(0.05, 0.95, n_r=12, n_t=12)
     lam0 = float(lam.density(0j))
     hyp = poincare()
     m = 2.0 * np.abs(grid) / (1.0 + np.abs(grid) ** 2)
@@ -258,9 +246,10 @@ def check_golusin(lam: Pseudometric, grid: np.ndarray | None = None,
 
 
 def rigidity_scan(lam: Pseudometric, mu: Pseudometric, c: float,
-                  angle: float = 0.0, k_min: int = 4, k_max: int = 20,
-                  path: np.ndarray | None = None) -> RateReport:
-    """Fit (lam/mu - 1) / (1-|z|)^(c/2) along a boundary path.
+                  angle: float = 0.0, k_min: int = 4,
+                  k_max: int = 20) -> RateReport:
+    """Fit (lam/mu - 1) / (1-|z|)^(c/2) along the ray at ``angle``, at
+    |z| = 1 - 2^-k for k = k_min, ..., k_max.
 
     Domination lam <= mu is checked first.  A VANISHES verdict certifies
     the rigidity hypothesis numerically (identity of the metrics
@@ -269,30 +258,21 @@ def rigidity_scan(lam: Pseudometric, mu: Pseudometric, c: float,
     """
     if not check_domination(lam, mu).passed:
         raise MetricError("rigidity scan requires domination lam <= mu")
-    if path is None:
-        ts = dyadic_ts(k_min, k_max)
-        path = ts * np.exp(1j * angle)
-    else:
-        path = np.asarray(path)
-        ts = np.abs(path)
-    if np.any(np.abs(path) >= 1.0):
-        raise HarnackError("scan path leaves the open disk")
-    q = np.asarray(quotient(lam, mu, path), dtype=float)
+    ts = dyadic_ts(k_min, k_max)
+    q = np.asarray(quotient(lam, mu, ts * np.exp(1j * angle)), dtype=float)
     samples = list(zip(ts, q - 1.0))
     return fit_boundary_rate(samples, c / 2.0)
 
 
-def identity_spot_check(lam: Pseudometric, mu: Pseudometric,
-                        grid: np.ndarray | None = None) -> InequalityReport:
+def identity_spot_check(lam: Pseudometric, mu: Pseudometric) -> InequalityReport:
     """Spot check of the identity a VANISHES scan predicts.
 
     A numeric rate can certify the hypothesis, not the conclusion; this
-    samples |quotient - 1| on a grid so the predicted coincidence of the
-    metrics is checked rather than asserted.  It passes up to 1e-6.
+    samples |quotient - 1| at 10 radii from 0.05 to 0.9 times 12 angles,
+    so the predicted coincidence of the metrics is checked rather than
+    asserted.  It passes up to 1e-6.
     """
-    if grid is None:
-        grid = annulus_grid(0.05, 0.9, n_r=10, n_t=12)
-    grid = np.asarray(grid)
+    grid = annulus_grid(0.05, 0.9, n_r=10, n_t=12)
     worst, witness = _worst_violation(np.abs(quotient(lam, mu, grid) - 1.0), grid)
     return InequalityReport(passed=worst <= 1e-6, max_violation=worst,
                             witness=witness, n_checked=int(grid.size))

@@ -14,9 +14,9 @@ the harmonic start and preconditions GMRES on every Newton system
 (Newton-Krylov).  A factored variant Lap log v = -kappa |z - xi|^(2 alpha)
 v^2 handles one prescribed zero.
 
-The solver doubles as a factory for variable-curvature test metrics:
-``make_pinched_metric`` wraps a solution in a Pseudometric whose pinch
-bounds come from the requested curvature.
+The solver doubles as a factory for a variable-curvature test metric:
+``make_pinched_metric`` wraps the solution of ``pinched_problem`` in a
+Pseudometric whose pinch bounds are that problem's.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ DEFAULT_N = 129
 #: Newton tolerance on the row-scaled max-norm residual; ``solve`` also
 #: accepts a stalled iteration at the rounding floor 1e-9 above it
 NEWTON_TOL = 1e-10
+#: Newton steps ``solve`` takes before it refuses
+NEWTON_MAX_ITER = 40
 AHLFORS_MARGIN = 0.5
 # GMRES on each Newton system: relative 2-norm residual, Krylov basis size
 # and restart cycles.  A step of the bundled problems takes 5 to 11
@@ -377,8 +379,7 @@ def _load(grid: _Grid, problem: DirichletProblem):
     return b, kv, cap
 
 
-def solve(problem: DirichletProblem, n: int = DEFAULT_N, max_iter: int = 40,
-          tol: float = NEWTON_TOL) -> LiouvilleSolution:
+def solve(problem: DirichletProblem, n: int = DEFAULT_N) -> LiouvilleSolution:
     """Damped Newton-Krylov iteration on the finite-difference curvature system.
 
     ``A`` is factored once per grid (``_grid``), in nested-dissection
@@ -392,7 +393,8 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N, max_iter: int = 40,
     residual in the 2-norm, with OpenBLAS held to one thread.  Steps are
     halved until the residual decreases, and iterates are clamped below
     the extremal-density ceiling (log hyperbolic density plus a margin)
-    to keep the exponential term controlled.
+    to keep the exponential term controlled.  The iteration stops at
+    ``NEWTON_TOL`` and refuses after ``NEWTON_MAX_ITER`` steps.
     """
     if n < 64:
         raise MetricError("grid resolution must be at least 64 per side")
@@ -412,9 +414,9 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N, max_iter: int = 40,
     history = [res_norm]
     step_sizes: list[float] = []
     krylov_iterations: list[int] = []
-    converged = res_norm <= tol
+    converged = res_norm <= NEWTON_TOL
     it = 0
-    while not converged and it < max_iter:
+    while not converged and it < NEWTON_MAX_ITER:
         it += 1
         diag = 2.0 * kv * np.exp(2.0 * u)
         jac = spla.LinearOperator(A.shape, dtype=float,
@@ -449,10 +451,11 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N, max_iter: int = 40,
         u, res, res_norm = trial, trial_res, trial_norm
         history.append(res_norm)
         step_sizes.append(step)
-        converged = res_norm <= tol
+        converged = res_norm <= NEWTON_TOL
     if not converged and res_norm > 1e-9:
         raise LiouvilleError(
-            f"no convergence in {max_iter} iterations; residual history {history}")
+            f"no convergence in {NEWTON_MAX_ITER} iterations; "
+            f"residual history {history}")
 
     U = np.full((n, n), np.nan)
     U[grid.inside] = u
@@ -480,27 +483,19 @@ def solution_interpolator(sol: LiouvilleSolution):
     return RectBivariateSpline(sol.xs, sol.ys, U, kx=3, ky=3, s=0)
 
 
-def make_pinched_metric(kappa: Callable | None = None,
-                        pinch: tuple[float, float] = (-5.0, -4.0),
-                        R_construct: float = 0.9,
-                        n: int = DEFAULT_N) -> Pseudometric:
-    """Wrap a solved variable-curvature density as a Pseudometric.
+def make_pinched_metric(n: int = DEFAULT_N) -> Pseudometric:
+    """Wrap the solved density of ``pinched_problem(0.9)`` as a Pseudometric.
 
-    Defaults to the -4 - |z|^2 profile; the boundary data is hyperbolic,
-    -log(1 - R_construct^2) on the whole circle.
+    The curvature is the -4 - |z|^2 profile, pinched in [-5, -4], and the
+    boundary data is hyperbolic, -log(1 - 0.9^2) on the whole circle.
     The density is a bicubic interpolant valid on |z| <= 0.95 R; its
     curvature provider is the target curvature function itself, which
     the solve enforces up to the Newton tolerance (finite-difference
     self-consistency is exercised separately in the tests).
     """
-    if kappa is None:
-        kappa = radial_pinched_kappa
-    problem = DirichletProblem(
-        R=R_construct, kappa=kappa, pinch=pinch,
-        boundary=lambda theta: np.full(np.shape(theta), -np.log(1.0 - R_construct**2)))
-    sol = solve(problem, n=n)
-    spline = solution_interpolator(sol)
-    r_valid = 0.95 * R_construct
+    problem = pinched_problem(0.9)
+    spline = solution_interpolator(solve(problem, n=n))
+    r_valid = 0.95 * problem.R
 
     def density(z):
         za = np.asarray(z)
@@ -509,6 +504,7 @@ def make_pinched_metric(kappa: Callable | None = None,
                 f"constructed metric only valid on |z| <= {r_valid:.4g}")
         return np.exp(spline.ev(np.real(za), np.imag(za)))
 
-    return Pseudometric(density=density, zeros=(), curvature=kappa,
-                        pinch=pinch, name=f"pinched(c={-pinch[0]:g})",
+    return Pseudometric(density=density, zeros=(), curvature=problem.kappa,
+                        pinch=problem.pinch,
+                        name=f"pinched(c={-problem.pinch[0]:g})",
                         domain_radius=r_valid)

@@ -151,10 +151,8 @@ def pullback(f: HoloMap, mu: Pseudometric) -> Pseudometric:
     zeros = tuple(ZeroRecord(loc, order) for loc, order in contributions.items())
     curvature = None
     if mu.curvature is not None:
-        mu_kappa = mu.curvature
-
-        def curvature(z, _f=f, _k=mu_kappa):  # noqa: F811
-            return _k(_f.eval(z))
+        def curvature(z):  # noqa: F811
+            return mu.curvature(f.eval(z))
 
     return Pseudometric(density=density, zeros=zeros, curvature=curvature,
                         pinch=mu.pinch, name=f"pullback({mu.name})")
@@ -185,8 +183,8 @@ def scale(t: float, mu: Pseudometric) -> Pseudometric:
 
     curvature = None
     if mu.curvature is not None:
-        def curvature(z, _k=mu.curvature):  # noqa: F811
-            return _k(z) / t**2
+        def curvature(z):  # noqa: F811
+            return mu.curvature(z) / t**2
 
     pinch = None
     if mu.pinch is not None:
@@ -232,17 +230,19 @@ def _regular_log_density(mu: Pseudometric, w):
     return v
 
 
-def curvature_grid(mu: Pseudometric, zs, h: float = CURVATURE_H) -> np.ndarray:
-    """Gauss curvature -Lap(log density)/density^2 on an array of points.
+def curvature_grid(mu: Pseudometric, zs) -> np.ndarray:
+    """Gauss curvature -Lap(log density)/density^2 at a point or an array
+    of points.
 
     Uses the exact provider when available, otherwise the
     Richardson-extrapolated five-point Laplacian of the regular part of
-    log density.  A numeric result is accurate to CURVATURE_TOL or the
-    call raises a MetricError naming the first refused point: at
-    |z| > 0.999 (finite differences degrade there), when the stencil
-    comes within 2h of a declared zero, when the roundoff floor, which
-    grows like 1/(h density)^2, exceeds the tolerance, and when halving
-    h moves the value by more than half the tolerance.
+    log density at step h = CURVATURE_H.  A numeric result is accurate to
+    CURVATURE_TOL or the call raises a MetricError naming the first
+    refused point: at |z| > 0.999 (finite differences degrade there),
+    when the stencil comes within 2h of a declared zero, when the
+    roundoff floor, which grows like 1/(h density)^2, exceeds the
+    tolerance, and when halving h moves the value by more than half the
+    tolerance.
     """
     if mu.curvature is not None:
         return np.asarray(mu.curvature(zs), dtype=float)
@@ -257,6 +257,7 @@ def curvature_grid(mu: Pseudometric, zs, h: float = CURVATURE_H) -> np.ndarray:
             raise MetricError(f"numeric curvature at {complex(zs.flat[i])} "
                               + why.format(*(np.ravel(v)[i] for v in per_point)))
 
+    h = CURVATURE_H
     refuse(np.abs(zs) > min(NEAR_BOUNDARY_CUTOFF, mu.domain_radius - 2 * h),
            "is refused: near-boundary finite differences degrade; move the "
            "sample point inward")
@@ -274,11 +275,6 @@ def curvature_grid(mu: Pseudometric, zs, h: float = CURVATURE_H) -> np.ndarray:
     refuse(drift > CURVATURE_TOL / 2.0, "does not settle: halving the step h "
            f"moves it by {{:.1e}} > {CURVATURE_TOL / 2.0:g}", drift)
     return -lap / d**2
-
-
-def curvature(mu: Pseudometric, z: complex, h: float = CURVATURE_H) -> float:
-    """Gauss curvature at one point: the point view of curvature_grid."""
-    return float(curvature_grid(mu, z, h))
 
 
 def curvature_source(mu: Pseudometric, zs) -> np.ndarray:
@@ -351,16 +347,16 @@ class DominationReport:
     n_checked: int
 
 
-def default_disk_grid(r_max: float = 0.9, avoid: Sequence[complex] = (),
-                      margin: float = 0.02) -> np.ndarray:
+def default_disk_grid(r_max: float = 0.9,
+                      avoid: Sequence[complex] = ()) -> np.ndarray:
     """Sample points in the disk, 9 radii from 0.08 to r_max times 16
-    angles, avoiding given locations by a margin."""
+    angles, keeping those more than 0.02 from each given location."""
     radii = np.linspace(0.08, r_max, 9)
     angles = np.exp(2j * np.pi * (np.arange(16) + 0.31) / 16)
     pts = np.outer(radii, angles).ravel()
     keep = np.ones(pts.shape, dtype=bool)
     for a in avoid:
-        keep &= np.abs(pts - a) > margin
+        keep &= np.abs(pts - a) > 0.02
     return pts[keep]
 
 

@@ -171,9 +171,11 @@ def laplacian_fd(u: Callable, z, h: float, richardson: bool = False):
 
 
 def dyadic_ts(k_min: int = 4, k_max: int = 20) -> np.ndarray:
-    """Dyadic approach to the boundary: t_k = 1 - 2^-k."""
-    if k_max < k_min:
-        raise NumericsError("k_max must be >= k_min")
+    """Dyadic approach to the boundary: t_k = 1 - 2^-k, in [0, 1) for
+    0 <= k <= 53 (1 - 2^-54 rounds to 1)."""
+    if not 0 <= k_min <= k_max <= 53:
+        raise NumericsError(f"need 0 <= k_min <= k_max <= 53, got k_min = "
+                            f"{k_min} and k_max = {k_max}")
     return 1.0 - 2.0 ** (-np.arange(k_min, k_max + 1, dtype=float))
 
 

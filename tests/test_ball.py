@@ -225,7 +225,7 @@ class TestSchwarzPick:
                                 bl.MultiPoly(2, {(1, 1): 1.0})]),
                 bl.random_automorphism(2, rng)]
         for F in maps:
-            ok, _ = bl.certify_ball_map(F, n_samples=400)
+            ok, _ = bl.certify_ball_map(F)
             assert ok
             for _ in range(30):
                 z = random_interior(rng, 2, 0.85)
@@ -237,7 +237,7 @@ class TestSchwarzPick:
     def test_non_selfmap_detected(self):
         F = bl.PolyBallMap([bl.MultiPoly(2, {(1, 0): 2.0}),
                             bl.MultiPoly(2, {(0, 1): 0.0})])
-        ok, mx = bl.certify_ball_map(F, n_samples=200)
+        ok, mx = bl.certify_ball_map(F)
         assert not ok and mx > 1.5
 
 
@@ -295,7 +295,7 @@ class TestOneDimensionalAgreement:
             z = np.array([t + 0j])
             v = np.array([1.0 + 0j])
             fz = np.array([complex(f.eval(t + 0j))])
-            dfv = np.array([complex(f.deriv(t + 0j))])
+            dfv = np.array([complex(f.jet(t + 0j)[1])])
             ratio = bl.kobayashi_metric(fz, dfv) / bl.kobayashi_metric(z, v)
             assert ratio == pytest.approx(hm.hyperbolic_derivative(f, t + 0j),
                                           rel=1e-12)
@@ -366,10 +366,10 @@ class TestArrayEvaluation:
         bl.PolyBallMap([bl.MultiPoly(2, {(1, 0): 2.0}), bl.MultiPoly(2, {})])],
         ids=lambda F: type(F).__name__)
     def test_certify_matches_pointwise_loop(self, F):
-        certified, worst = bl.certify_ball_map(F, n_samples=400, seed=5)
+        certified, worst = bl.certify_ball_map(F, seed=5)
         rng = np.random.default_rng(5)
         loop_worst = 0.0
-        for _ in range(400):
+        for _ in range(2000):
             p = rng.normal(size=F.n_vars) + 1j * rng.normal(size=F.n_vars)
             p /= bl.norm(p)
             loop_worst = max(loop_worst, bl.norm(F.eval(p)))
@@ -388,7 +388,6 @@ class TestArrayEvaluation:
         cases = [
             (bl.kobayashi_distance, (z, w), zip(flat[0], flat[1])),
             (bl.distance_band, (z,), zip(flat[0])),
-            (bl.distance_band, (z, w), zip(flat[0], flat[1])),
             (bl.metric_comparison_ratio, (near, v), zip(flat[3], flat[2])),
         ]
         for fn, args, points in cases:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -188,13 +189,13 @@ class TestDecomposition:
 class TestQuotientBound:
     def test_square_pullback_at_shared_zero(self):
         lam = mt.pullback(hm.Monomial(2), P)
-        rep = gp.zero_quotient_bound(lam, P, 0.8, 0j, 0.4 + 0j, c_r=4.0)
+        rep = gp.zero_quotient_bound(lam, P, 0.8, 0j, 0.4 + 0j)
         assert rep.passed
         assert rep.details["alpha"] == pytest.approx(1.0)
         assert rep.details["beta"] == 0.0
 
     def test_equal_metrics_trivial(self):
-        rep = gp.zero_quotient_bound(P, P, 0.8, 0.1 + 0j, 0.3 + 0j, c_r=4.0)
+        rep = gp.zero_quotient_bound(P, P, 0.8, 0.1 + 0j, 0.3 + 0j)
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
         assert rep.rhs > 0.0
         assert rep.passed
@@ -207,5 +208,10 @@ class TestQuotientBound:
 
     def test_domination_required(self):
         with pytest.raises(mt.DominationError):
-            gp.zero_quotient_bound(P, mt.mu_max(1.0), 0.8, 0j, 0.3 + 0j,
-                                   c_r=4.0)
+            gp.zero_quotient_bound(P, mt.mu_max(1.0), 0.8, 0j, 0.3 + 0j)
+
+    def test_mu_without_pinch_refused(self):
+        # c_r is read from mu's pinch bounds, so mu must declare them
+        with pytest.raises(gp.GreenPJError, match="pinch"):
+            gp.zero_quotient_bound(P, dataclasses.replace(P, pinch=None), 0.8,
+                                   0j, 0.3 + 0j)

@@ -7,7 +7,7 @@ import pytest
 from diskrig import harnack as hk
 from diskrig import holomap as hm
 from diskrig import metric as mt
-from diskrig.numerics import Verdict
+from diskrig.numerics import NumericsError, Verdict
 
 P = mt.poincare()
 
@@ -58,14 +58,6 @@ class TestBarrier:
         rep = hk.verify_barrier_pde(0.4, 6.0)
         assert rep.passed
 
-    def test_inner_point_rejected(self):
-        with pytest.raises(hk.HarnackError, match="only claimed"):
-            hk.verify_barrier_pde(0.5, 4.0, grid=np.array([0.2 + 0j]))
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(hk.HarnackError, match="nonempty"):
-            hk.verify_barrier_pde(0.5, 4.0, grid=np.array([], dtype=complex))
-
     def test_barrier_matches_cubic(self):
         # cross-check: (Lap v / v)(1-|z|^2)^2 equals the cubic at |z|^2
         from diskrig.numerics import laplacian_fd
@@ -78,18 +70,13 @@ class TestBarrier:
             assert lhs == pytest.approx(f(abs(z) ** 2), rel=1e-5)
 
 
-class TestEmptyGrid:
-    @pytest.mark.parametrize("check", [
-        lambda: hk.check_harnack(mt.pullback(hm.zpow(2), P), P, 4.0, 0.5,
-                                 grid=np.array([0.1j])),
-        lambda: hk.identity_spot_check(P, P, grid=np.array([], dtype=complex)),
-        lambda: hk.check_golusin(mt.pullback(hm.zpow(2), P),
-                                 grid=np.array([], dtype=complex)),
-    ], ids=["check_harnack", "identity_spot_check", "check_golusin"])
-    def test_refused_with_harnack_error(self, check):
-        # check_harnack's one point lies inside |z| < r and is filtered away
-        with pytest.raises(hk.HarnackError, match="nonempty"):
-            check()
+class TestAnnulusCap:
+    def test_r_at_or_beyond_the_cap_refused(self):
+        # the annulus runs from r to 0.97 times the smaller domain radius,
+        # here 0.485, so r = 0.5 leaves nothing to sample
+        mu = dataclasses.replace(P, domain_radius=0.5)
+        with pytest.raises(hk.HarnackError, match=r"r = 0\.5 .* cap 0\.485"):
+            hk.check_harnack(P, mu, 4.0, 0.5)
 
 
 class TestCubic:
@@ -149,7 +136,7 @@ class TestCheckHarnack:
 
     def test_hopf_dichotomy_sampled(self):
         # strict inequality somewhere forces it everywhere (off the zeros)
-        grid = mt.default_disk_grid(r_max=0.9, avoid=[0j], margin=0.05)
+        grid = mt.default_disk_grid(r_max=0.9, avoid=[0j])
         for lam in (mt.scale(0.9, P), mt.pullback(hm.Monomial(2), P),
                     mt.mu_max(0.5), mt.pullback(hm.f_eps(0.2), P)):
             q = np.asarray(mt.quotient(lam, P, grid), dtype=float)
@@ -230,9 +217,11 @@ class TestRigidityScan:
                 wrong.append((f, verdicts))
         assert wrong == []
 
-    def test_path_must_stay_inside(self):
-        with pytest.raises(hk.HarnackError, match="leaves"):
-            hk.rigidity_scan(P, P, 4.0, path=np.array([0.5, 1.5]))
+    @pytest.mark.parametrize("ladder", [{"k_min": -2}, {"k_max": 54}])
+    def test_ladder_leaving_the_open_disk_refused(self, ladder):
+        # 1 - 2^-k is -3 at k = -2 and rounds to 1 at k = 54
+        with pytest.raises(NumericsError, match="k_max <= 53"):
+            hk.rigidity_scan(P, P, 4.0, **ladder)
 
     def test_vanishing_prediction_spot_checked(self):
         lam = mt.pullback(hm.Automorphism(0.4 - 0.2j), P)

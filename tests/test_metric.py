@@ -21,7 +21,7 @@ class TestPoincare:
 
     def test_exact_curvature(self):
         for z in (0j, 0.3 + 0.2j, -0.7j):
-            assert mt.curvature(P, z) == -4.0
+            assert float(mt.curvature_grid(P, z)) == -4.0
 
 
 class TestPullback:
@@ -82,7 +82,7 @@ class TestMuMax:
 
     def test_numeric_curvature_minus_four(self):
         mm = mt.mu_max(1.0).without_exact_curvature()
-        assert mt.curvature(mm, 0.3 + 0.2j) == pytest.approx(-4.0, abs=1e-5)
+        assert float(mt.curvature_grid(mm, 0.3 + 0.2j)) == pytest.approx(-4.0, abs=1e-5)
 
     def test_invalid_order(self):
         with pytest.raises(mt.MetricError):
@@ -96,7 +96,7 @@ class TestScaleAndWeight:
 
     def test_scaled_curvature(self):
         m = mt.scale(0.5, P)
-        assert mt.curvature(m, 0.2 + 0.1j) == -16.0
+        assert float(mt.curvature_grid(m, 0.2 + 0.1j)) == -16.0
 
     def test_weight_value(self):
         # s(z) = -1 - 1/6 + (|z|^2 + 1/6)^(1/3) evaluated at the origin
@@ -111,29 +111,37 @@ class TestScaleAndWeight:
 
 
 class TestCurvature:
+    @pytest.mark.parametrize("wrap", [lambda m: mt.pullback(hm.zpow(2), m),
+                                      lambda m: mt.scale(0.5, m)],
+                             ids=["pullback", "scale"])
+    def test_curvature_provider_takes_one_point(self, wrap):
+        # a second argument once replaced the map or base curvature
+        with pytest.raises(TypeError):
+            wrap(P).curvature(0.3 + 0j, hm.zpow(3))
+
     def test_pullback_exact_composition(self):
         pb = mt.pullback(hm.f_eps(1.0 / 12.0), P)
-        assert mt.curvature(pb, 0.4 + 0j) == pytest.approx(-4.0, abs=1e-12)
+        assert float(mt.curvature_grid(pb, 0.4 + 0j)) == pytest.approx(-4.0, abs=1e-12)
 
     def test_pullback_numeric(self):
         pb = mt.pullback(hm.f_eps(1.0 / 12.0), P).without_exact_curvature()
-        assert mt.curvature(pb, 0.4 + 0j) == pytest.approx(-4.0, abs=1e-4)
+        assert float(mt.curvature_grid(pb, 0.4 + 0j)) == pytest.approx(-4.0, abs=1e-4)
 
     def test_near_boundary_refused(self):
         with pytest.raises(mt.MetricError, match="near-boundary"):
-            mt.curvature(P.without_exact_curvature(), 0.9995 + 0j)
+            mt.curvature_grid(P.without_exact_curvature(), 0.9995 + 0j)
 
     def test_stencil_near_zero_refused(self):
         mm = mt.mu_max(0.5).without_exact_curvature()
         with pytest.raises(mt.MetricError, match="larger offset"):
-            mt.curvature(mm, 1e-4 + 0j)
+            mt.curvature_grid(mm, 1e-4 + 0j)
 
     def test_regular_part_near_zero(self):
         # differencing log density itself near the zero of order 1/2 gave
         # -21.8 at 0.005 and -4.035 at 0.01
         mm = mt.mu_max(0.5).without_exact_curvature()
         for z in (0.005 + 0j, 0.01 + 0j):
-            assert mt.curvature(mm, z) == pytest.approx(-4.0, abs=1e-4)
+            assert float(mt.curvature_grid(mm, z)) == pytest.approx(-4.0, abs=1e-4)
         # the unguarded grid path gave +12.0 on the square pullback at 0.05
         pb = mt.pullback(hm.Monomial(2), P).without_exact_curvature()
         vals = mt.curvature_grid(pb, np.array([0.05 + 0j, 0.05j, 0.3 - 0.2j]))
@@ -142,7 +150,7 @@ class TestCurvature:
     def test_roundoff_floor_refused(self):
         pb = mt.pullback(hm.Monomial(2), P).without_exact_curvature()
         with pytest.raises(mt.MetricError, match="roundoff floor"):
-            mt.curvature(pb, 0.0025 + 0j)
+            mt.curvature_grid(pb, 0.0025 + 0j)
         # a grid is refused at its first point below the floor; the
         # unguarded grid path returned +1.7e4 and +1.0e7 here
         for z in (0.0156 + 0j, 0.005 + 0.001j):
@@ -152,14 +160,14 @@ class TestCurvature:
         pb = mt.pullback(hm.Blaschke((0.3, -0.2j)), P).without_exact_curvature()
         crit = pb.zeros[0].location
         with pytest.raises(mt.MetricError, match="roundoff floor"):
-            mt.curvature(pb, crit + 0.0025)
+            mt.curvature_grid(pb, crit + 0.0025)
 
     def test_unsettled_value_refused(self):
         # the regular part of mu_max(1/2) contains -log(1 - |z|^3), which
         # is not smooth at its zero
         mm = mt.mu_max(0.5).without_exact_curvature()
         with pytest.raises(mt.MetricError, match="does not settle"):
-            mt.curvature(mm, 0.003 + 0j)
+            mt.curvature_grid(mm, 0.003 + 0j)
 
     @given(st.sampled_from([hm.Monomial(2), hm.Automorphism(0.4j),
                             hm.Blaschke((0.3, -0.2j))]),
@@ -171,7 +179,7 @@ class TestCurvature:
         # curvature of a pullback at z equals the base curvature at f(z)
         pb = mt.pullback(f, P).without_exact_curvature()
         try:
-            val = mt.curvature(pb, z)
+            val = float(mt.curvature_grid(pb, z))
         except mt.MetricError:
             return
         assert val == pytest.approx(-4.0, abs=1e-4)

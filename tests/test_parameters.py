@@ -1,0 +1,179 @@
+"""Every defaulted parameter of the library is one that a caller sets.
+
+A parameter with a default is an option, and an option earns its place
+when some call in ``src/``, ``scripts/`` or ``perfbench/`` passes it,
+positionally or by keyword.  One that only tests set is a constant with
+extra code around it.  The audit reads the source with ``ast``: it
+resolves a call through the caller's imports of ``diskrig`` modules and
+names, takes ``ClassName(...)`` as a call of ``__init__``, and takes any
+other ``obj.name(...)`` as a call of every method of that name.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "diskrig"
+CALLER_DIRS = ("src", "scripts", "perfbench")
+#: cli.py's runner parameters are config keys, which ``cli.run`` passes by
+#: name from a parsed config, and ``main(argv)`` is the console entry point
+EXEMPT_MODULES = {"cli"}
+#: (module, function, parameter) -> why it stays although only tests set it
+ALLOWED = {
+    ("sequences", "zero_rigidity_track", "ns"):
+        "acceptance criterion 6 tracks the orders to n = 64, not the "
+        "default 128, so its clause reads the index it asserts",
+}
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, FunctionDef) of a module's top-level functions and
+    methods, and the names of its classes."""
+    functions, classes = [], set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            classes.add(node.name)
+            functions.extend((f"{node.name}.{item.name}", item) for item in node.body
+                             if isinstance(item, ast.FunctionDef))
+    return functions, classes
+
+
+def _library() -> tuple[dict, dict]:
+    """((module, qualified name) -> FunctionDef, module -> class names)."""
+    defs, classes = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        functions, classes[path.stem] = _functions(ast.parse(path.read_text()))
+        defs.update(((path.stem, name), fn) for name, fn in functions)
+    return defs, classes
+
+
+def _positional(fn: ast.FunctionDef) -> list[str]:
+    return [a.arg for a in fn.args.posonlyargs + fn.args.args]
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[str]:
+    names = _positional(fn)
+    kwonly = [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+              if d is not None]
+    return names[len(names) - len(fn.args.defaults):] + kwonly
+
+
+def _imports(tree: ast.Module, here: str | None) -> tuple[dict, dict]:
+    """(alias -> diskrig module, name -> (module, name)) over a file's imports,
+    the file's own top-level definitions included for a library module."""
+    modules, names = {}, {}
+    if here is not None:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names[node.name] = (here, node.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("diskrig.") and alias.asname:
+                    modules[alias.asname] = alias.name.split(".")[1]
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level == 0 and source.split(".")[0] != "diskrig":
+                continue
+            sub = source.split(".")[-1] if source not in ("", "diskrig") else None
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if sub is None:
+                    modules[bound] = alias.name
+                else:
+                    names[bound] = (sub, alias.name)
+    return modules, names
+
+
+def _targets(call: ast.Call, modules: dict, names: dict, defs: dict,
+             classes: dict) -> list[tuple[tuple, int]]:
+    """(key of a definition the call may reach, argument offset) pairs."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id in names:
+        module, name = names[func.id]
+    elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+          and func.value.id in modules):
+        module, name = modules[func.value.id], func.attr
+    elif isinstance(func, ast.Attribute):
+        return [(key, 1) for key in defs if key[1].endswith("." + func.attr)]
+    else:
+        return []
+    if name in classes.get(module, ()):
+        key = (module, f"{name}.__init__")
+        return [(key, 1)] if key in defs else []
+    return [((module, name), 0)] if (module, name) in defs else []
+
+
+def _calls(tree: ast.AST, here: str | None):
+    """(call, key of the library function or method around it, or None)."""
+    own = dict(_functions(tree)[0]) if here is not None else {}
+    keys = {id(fn): (here, name) for name, fn in own.items()}
+
+    def walk(node, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                yield child, enclosing
+            yield from walk(child, keys.get(id(child), enclosing))
+
+    return walk(tree, None)
+
+
+def _set_parameters(defs: dict, classes: dict) -> set:
+    """(definition key, parameter) pairs some call passes.
+
+    An argument that is the calling function's own defaulted parameter,
+    passed on by name, sets the callee's parameter only where the
+    caller's is set in turn (cli.py's are set by its configs)."""
+    passed, forwarded = set(), []
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            here = path.stem if path.parent == PACKAGE else None
+            modules, names = _imports(tree, here)
+            for call, outer in _calls(tree, here):
+                own = (set(_defaulted(defs[outer]))
+                       if outer and outer[0] not in EXEMPT_MODULES else set())
+                for key, offset in _targets(call, modules, names, defs, classes):
+                    params = _positional(defs[key])
+                    values = []
+                    for i, arg in enumerate(call.args):
+                        if isinstance(arg, ast.Starred):
+                            values += [(p, arg) for p in params[i + offset:]]
+                            break
+                        if i + offset < len(params):
+                            values.append((params[i + offset], arg))
+                    values += [(kw.arg, kw.value) for kw in call.keywords]
+                    for param, value in values:
+                        if isinstance(value, ast.Name) and value.id in own:
+                            forwarded.append(((key, param), (outer, value.id)))
+                        else:
+                            passed.add((key, param))
+    while True:
+        more = {target for target, source in forwarded if source in passed}
+        if more <= passed:
+            return passed
+        passed |= more
+
+
+def _unset_defaults() -> list[tuple[str, str, str]]:
+    defs, classes = _library()
+    passed = _set_parameters(defs, classes)
+    return [(module, name, p) for (module, name), fn in defs.items()
+            if module not in EXEMPT_MODULES
+            for p in _defaulted(fn) if ((module, name), p) not in passed]
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    unset = [u for u in _unset_defaults() if u not in ALLOWED]
+    assert not unset, (
+        "defaulted parameters that no call in src/, scripts/ or perfbench/ "
+        "sets (make each the constant it always is): "
+        + ", ".join(f"{m}.{f}({p})" for m, f, p in unset))
+
+
+def test_allowed_exceptions_are_still_unset():
+    assert set(ALLOWED) <= set(_unset_defaults())
