@@ -195,9 +195,6 @@ class BallMap:
     def differential(self, z, v) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, z):
-        return self.eval(z)
-
 
 class PolyBallMap(BallMap):
     def __init__(self, components: Sequence[MultiPoly]):

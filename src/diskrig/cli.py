@@ -4,9 +4,10 @@ A config is plain text, one ``key = value`` per line, with a mandatory
 ``command`` key naming the experiment.  Each command has one runner, and
 its keyword parameters are the keys it takes: ``k_min`` is key ``k-min``,
 read by the type of its default (yes/no for a bool, raw text for a string
-or None).  ``what`` (``ball-check``) and ``family`` (``sequence-scan``,
-``zero-track``) pick the runner from a table; its first entry is the
-default.  A config may also set ``out`` and, where the report carries
+or None).  ``what`` (``ball-check``), ``family`` (``sequence-scan``,
+``zero-track``) and ``kappa`` (``liouville-solve``, from
+``CURVATURE_PROFILES``) pick the runner from a table; its first entry is
+the default.  A config may also set ``out`` and, where the report carries
 radial samples, ``profile``; any other key is refused, listing the allowed.
 Reports are machine-first JSON written atomically; radial scans also
 emit a two-column gnuplot-ready profile (1-|z|, value) with a JSON
@@ -136,12 +137,6 @@ def parse_config(text: str) -> ExperimentConfig:
                           f"known: {', '.join(sorted(COMMANDS))}")
     _select_runner(command, params)
     return ExperimentConfig(command, tuple(sorted(params.items())))
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = [f"command = {cfg.command}"]
-    lines.extend(f"{k} = {v}" for k, v in sorted(cfg.params))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +313,10 @@ def run_pj_decompose(lam="poincare", mu=None, R=0.9, z=0.3 + 0j, n_r=220,
     return report
 
 
-def _dichotomy(sequence, mu="poincare", c=4.0, expect_verdict=None) -> dict:
+def _dichotomy(sequence, mu="poincare", expect_verdict=None) -> dict:
     _expected(expect_verdict, sq.DICHOTOMY_VERDICTS)
-    rep = sq.dichotomy_scan(sequence(), parse_metric(mu), c, lambda n: 0j)
+    # the exponent is read only on the boundary ladder, which 0j never takes
+    rep = sq.dichotomy_scan(sequence(), parse_metric(mu), 4.0, lambda n: 0j)
     return {"kind": "dichotomy", "verdict": rep.verdict,
             "sup_deviation": list(rep.sup_deviation),
             "largest_n": rep.largest_n, "notes": rep.notes,
@@ -375,26 +371,28 @@ ZERO_TRACKS = {
 }
 
 
-_KAPPAS = {"const-4": lv.poincare_problem, "pinched-5": lv.pinched_problem}
-
-
-def run_liouville_solve(kappa="const-4", R=0.9, n=129, out_csv=None) -> dict:
-    if kappa not in _KAPPAS:
-        raise ConfigError(f"unknown curvature profile {kappa!r}")
-    sol = lv.solve(_KAPPAS[kappa](R), n=n)
+def run_liouville_solve(kappa, problem, R=0.9, n=129, out_csv=None) -> dict:
+    sol = lv.solve(problem(R), n=n)
     if out_csv is not None:
         rows = ["x,y,log_density"]
         for i, x in enumerate(sol.xs):
             for j, y in enumerate(sol.ys):
                 if sol.mask[i, j]:
                     rows.append(f"{x:.17g},{y:.17g},{sol.u[i, j]:.17g}")
-        _atomic_write(Path(out_csv), "\n".join(rows) + "\n")
+        _atomic_write(out_csv, "\n".join(rows) + "\n")
     return {"kappa": kappa, "R": R, "n": len(sol.xs),
             "iterations": sol.iterations,
             "residual_history": sol.residual_history,
             "step_sizes": sol.step_sizes,
             "krylov_iterations": sol.krylov_iterations,
             "passed": sol.residual_history[-1] <= lv.NEWTON_TOL}
+
+
+#: kappa -> runner; the first is the default
+CURVATURE_PROFILES = {
+    "const-4": partial(run_liouville_solve, "const-4", lv.poincare_problem),
+    "pinched-5": partial(run_liouville_solve, "pinched-5", lv.pinched_problem),
+}
 
 
 def _at_least(key: str, value: int, low: int) -> int:
@@ -515,56 +513,21 @@ BALL_CHECKS = {
 @dataclass(frozen=True)
 class CommandSpec:
     runner: object           # a runner, or a table {selector value: runner}
-    covers: tuple[str, ...]
     selector: str | None = None   # the key that picks from the table
     profile: bool = False         # the report carries radial samples
 
 
 COMMANDS = {
-    "rigidity-scan": CommandSpec(
-        run_rigidity_scan,
-        ("harnack.rigidity_scan", "harnack.boundary_schwarz_scan",
-         "harnack.identity_spot_check"), profile=True),
-    "verify-harnack": CommandSpec(
-        run_verify_harnack,
-        ("harnack.check_harnack", "harnack.cubic_check",
-         "harnack.verify_barrier_pde")),
-    "golusin": CommandSpec(run_golusin, ("harnack.check_golusin",)),
-    "burns-krantz": CommandSpec(
-        run_burns_krantz, ("harnack.burns_krantz_check",), profile=True),
-    "pj-decompose": CommandSpec(
-        run_pj_decompose,
-        ("greenpj.pj_decompose", "greenpj.green_mean",
-         "greenpj.harmonic_majorant", "greenpj.zero_quotient_bound")),
-    "sequence-scan": CommandSpec(
-        SEQUENCE_FAMILIES,
-        ("sequences.dichotomy_scan", "sequences.sequential_schwarz_pick",
-         "sequences.extremal_family_witness"), selector="family"),
-    "zero-track": CommandSpec(
-        ZERO_TRACKS, ("sequences.zero_rigidity_track",), selector="family"),
-    "liouville-solve": CommandSpec(run_liouville_solve, ("liouville.solve",)),
-    "ball-check": CommandSpec(
-        BALL_CHECKS,
-        ("ball.ball_rigidity_check", "ball.geodesic_boundary_check",
-         "ball.metric_comparison_ratio", "ball.distance_band"),
-        selector="what"),
+    "rigidity-scan": CommandSpec(run_rigidity_scan, profile=True),
+    "verify-harnack": CommandSpec(run_verify_harnack),
+    "golusin": CommandSpec(run_golusin),
+    "burns-krantz": CommandSpec(run_burns_krantz, profile=True),
+    "pj-decompose": CommandSpec(run_pj_decompose),
+    "sequence-scan": CommandSpec(SEQUENCE_FAMILIES, selector="family"),
+    "zero-track": CommandSpec(ZERO_TRACKS, selector="family"),
+    "liouville-solve": CommandSpec(CURVATURE_PROFILES, selector="kappa"),
+    "ball-check": CommandSpec(BALL_CHECKS, selector="what"),
 }
-
-#: checkers that must each be reachable from exactly one subcommand
-AUDITED_CHECKERS = (
-    "harnack.check_harnack", "harnack.check_golusin",
-    "harnack.rigidity_scan", "harnack.boundary_schwarz_scan",
-    "harnack.identity_spot_check",
-    "harnack.burns_krantz_check", "harnack.cubic_check",
-    "harnack.verify_barrier_pde",
-    "sequences.dichotomy_scan", "sequences.sequential_schwarz_pick",
-    "sequences.zero_rigidity_track", "sequences.extremal_family_witness",
-    "greenpj.pj_decompose", "greenpj.green_mean",
-    "greenpj.harmonic_majorant", "greenpj.zero_quotient_bound",
-    "ball.ball_rigidity_check", "ball.geodesic_boundary_check",
-    "ball.metric_comparison_ratio", "ball.distance_band",
-    "liouville.solve",
-)
 
 
 def run(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
@@ -572,14 +535,14 @@ def run(cfg: ExperimentConfig, out_dir: Path | None = None) -> int:
     if out_dir is None:
         out_dir = Path(os.environ.get(ENV_OUT_DIR, "."))
     params = dict(cfg.params)
-    if "out-csv" in params:
-        # auxiliary outputs resolve against the output directory too
-        params["out-csv"] = str(out_dir / params["out-csv"])
     try:
         runner = _select_runner(cfg.command, params)
-        report = runner(**{param.name: _read(params[key], param.default, key)
-                           for key, param in _keys(runner).items()
-                           if key in params})
+        args = {param.name: _read(params[key], param.default, key)
+                for key, param in _keys(runner).items() if key in params}
+        if "out_csv" in args:
+            # auxiliary outputs resolve against the output directory too
+            args["out_csv"] = out_dir / args["out_csv"]
+        report = runner(**args)
     except DiskrigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holomap import Blaschke, HoloMap, certify_selfmap, f_eps, hyperbolic_derivative, zpow
+from .holomap import Blaschke, HoloMap, Monomial, certify_selfmap, f_eps, hyperbolic_derivative
 from .metric import (MetricError, Pseudometric, check_domination, mu_max,
                      poincare, pullback, quotient, scale)
 from .numerics import (DiskrigError, RateReport, dyadic_ts, fit_boundary_rate,
@@ -327,7 +327,7 @@ def build_catalog(include_liouville: bool = True,
     cases = [
         HarnackCase("equal", hyp, hyp, 4.0, 0.5),
         HarnackCase("scaled-poincare", scale(0.9, hyp), hyp, 4.0, 0.5),
-        HarnackCase("zsquare-pullback", pullback(zpow(2), hyp), hyp, 4.0, 0.5),
+        HarnackCase("zsquare-pullback", pullback(Monomial(2), hyp), hyp, 4.0, 0.5),
         HarnackCase("cubic-perturbation", pullback(f_eps(1.0 / 12.0), hyp),
                     hyp, 4.0, 0.5),
         HarnackCase("blaschke-pullback",

@@ -50,9 +50,6 @@ class HoloMapError(DiskrigError, ValueError):
 class HoloMap:
     """Base class; nodes implement eval and jet (elementwise) and rational."""
 
-    def __call__(self, z):
-        return self.eval(z)
-
     def eval(self, z):
         raise NotImplementedError
 
@@ -408,10 +405,6 @@ def preimages(f: HoloMap, w: complex) -> list[tuple[complex, int]]:
 
 # ---------------------------------------------------------------------------
 # convenience constructors
-
-
-def zpow(k: int) -> HoloMap:
-    return Monomial(k)
 
 
 def rotation(phi: float) -> HoloMap:

@@ -87,7 +87,7 @@ class PolarGrid:
             return pts, w
         # a node within COINCIDENCE_TOL of avoid lies on a ring whose radius
         # is within COINCIDENCE_TOL of |avoid - center| (triangle
-        # inequality); the slack also covers the rounding of both moduli
+        # inequality); the slack also absorbs the rounding of both moduli
         rho = abs(avoid - self.center)
         slack = 4.0 * COINCIDENCE_TOL + 1e-14 * (abs(self.center) + self.radius)
         first = int(np.searchsorted(r, rho - slack, side="left")) * self.n_t

@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -11,12 +12,6 @@ def run_text(text: str, tmp_path: Path) -> int:
 
 
 class TestConfig:
-    def test_round_trip_identity(self):
-        cfg = cli.parse_config(
-            "command = rigidity-scan\nlam = pullback(zpow 2)\nc = 4\n"
-            "expect-verdict = BOUNDED_NONZERO\n")
-        assert cli.parse_config(cli.serialize_config(cfg)) == cfg
-
     def test_unknown_key_rejected(self):
         with pytest.raises(cli.ConfigError, match="unknown key"):
             cli.parse_config("command = golusin\nwibble = 3\n")
@@ -25,6 +20,7 @@ class TestConfig:
         ("ball-check", "what", cli.BALL_CHECKS),
         ("sequence-scan", "family", cli.SEQUENCE_FAMILIES),
         ("zero-track", "family", cli.ZERO_TRACKS),
+        ("liouville-solve", "kappa", cli.CURVATURE_PROFILES),
     ])
     def test_unknown_selector_lists_known_values(self, command, selector,
                                                  table):
@@ -133,6 +129,8 @@ class TestExitCodes:
         ("command = sequence-scan\nfamily = rotations\nc = 5\n", "c"),
         ("command = sequence-scan\nfamily = moving-zero\na = 0.5\n", "a"),
         ("command = sequence-scan\nfamily = moving-zero\nz = 0.3\n", "z"),
+        ("command = sequence-scan\nfamily = moving-zero\nc = 4\n", "c"),
+        ("command = sequence-scan\nfamily = weighted\nc = 4\n", "c"),
     ])
     def test_key_the_selected_runner_does_not_read_is_two(self, text, key,
                                                          tmp_path):
@@ -226,15 +224,55 @@ class TestReports:
         assert abs(mid[-1] + 2.0 * eps) <= 0.01 * 2.0 * eps
 
 
+#: the checkers; some command must call each one
+CHECKERS = (
+    "harnack.check_harnack", "harnack.check_golusin",
+    "harnack.rigidity_scan", "harnack.boundary_schwarz_scan",
+    "harnack.identity_spot_check",
+    "harnack.burns_krantz_check", "harnack.cubic_check",
+    "harnack.verify_barrier_pde",
+    "sequences.dichotomy_scan", "sequences.sequential_schwarz_pick",
+    "sequences.zero_rigidity_track", "sequences.extremal_family_witness",
+    "greenpj.pj_decompose", "greenpj.green_mean",
+    "greenpj.harmonic_majorant", "greenpj.zero_quotient_bound",
+    "ball.ball_rigidity_check", "ball.geodesic_boundary_check",
+    "ball.metric_comparison_ratio", "ball.distance_band",
+    "liouville.solve",
+)
+
+#: keys added to each command's config: a VANISHES scan is spot-checked,
+#: a second metric brings the quotient bound, and the rest keeps it small
+COVERAGE_KEYS = {
+    "rigidity-scan": "lam = pullback(auto 0.3+0.1j 0.7)\n",
+    "verify-harnack": "include-liouville = no\n",
+    "pj-decompose": "mu = poincare\nn-r = 80\nn-t = 160\n",
+    "liouville-solve": "n = 65\n",
+}
+
+
 class TestCoverage:
-    def test_every_checker_reachable_from_exactly_one_subcommand(self):
-        seen = {}
-        for name, spec in cli.COMMANDS.items():
-            for checker in spec.covers:
-                assert checker not in seen, \
-                    f"{checker} reachable from {seen[checker]} and {name}"
-                seen[checker] = name
-        assert set(seen) == set(cli.AUDITED_CHECKERS)
+    def test_every_checker_is_called_from_some_command(self, tmp_path,
+                                                       monkeypatch):
+        calls = dict.fromkeys(CHECKERS, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # the CLI and the checkers look each other up as module attributes
+        for name in CHECKERS:
+            module, fn = name.split(".")
+            module = importlib.import_module(f"diskrig.{module}")
+            monkeypatch.setattr(module, fn, counted(name, getattr(module, fn)))
+        for command, spec in cli.COMMANDS.items():
+            for choice in spec.runner if spec.selector else [None]:
+                text = f"command = {command}\n" + COVERAGE_KEYS.get(command, "")
+                if choice is not None:
+                    text += f"{spec.selector} = {choice}\n"
+                run_text(text, tmp_path)
+        assert [name for name, n in calls.items() if n == 0] == []
 
     def test_subcommand_names(self):
         assert set(cli.COMMANDS) == {
@@ -288,6 +326,18 @@ class TestSubcommands:
         lines = (tmp_path / "sol.csv").read_text().splitlines()
         assert lines[0] == "x,y,log_density"
         assert len(lines) > 2000
+
+    def test_liouville_report_echoes_config_as_written(self, tmp_path):
+        # out-csv resolves against the output directory, but the report
+        # records the key as the config gave it
+        text = ("command = liouville-solve\nn = 65\nout-csv = sol.csv\n"
+                "out = lv.json\n")
+        reports = []
+        for sub in ("a", "b"):
+            assert run_text(text, tmp_path / sub) == 0
+            assert (tmp_path / sub / "sol.csv").exists()
+            reports.append((tmp_path / sub / "lv.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_liouville_report_records_each_step(self, tmp_path):
         code = run_text("command = liouville-solve\nkappa = pinched-5\nn = 65\n"

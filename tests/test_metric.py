@@ -111,13 +111,13 @@ class TestScaleAndWeight:
 
 
 class TestCurvature:
-    @pytest.mark.parametrize("wrap", [lambda m: mt.pullback(hm.zpow(2), m),
+    @pytest.mark.parametrize("wrap", [lambda m: mt.pullback(hm.Monomial(2), m),
                                       lambda m: mt.scale(0.5, m)],
                              ids=["pullback", "scale"])
     def test_curvature_provider_takes_one_point(self, wrap):
         # a second argument once replaced the map or base curvature
         with pytest.raises(TypeError):
-            wrap(P).curvature(0.3 + 0j, hm.zpow(3))
+            wrap(P).curvature(0.3 + 0j, hm.Monomial(3))
 
     def test_pullback_exact_composition(self):
         pb = mt.pullback(hm.f_eps(1.0 / 12.0), P)
