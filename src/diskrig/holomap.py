@@ -4,15 +4,14 @@ Maps are immutable expression trees over identity, constants, monomials,
 polynomials, disk automorphisms, finite Blaschke products, compositions,
 sums, and scalar multiples.  Evaluation and differentiation are exact
 closed-form tree operations (no numerical differentiation), which is what
-lets boundary quantities be divided by (1-|z|)^2 without noise.  Each node
-evaluates by ``eval`` and by ``jet``, which returns the value and the
-derivative from one walk of the tree; the value it returns equals
-``eval``'s bit for bit.  A point's value does not depend on the array it
-is in: every product of a node constant and an array is taken as array
-times constant, whatever the array's size.
+lets boundary quantities be divided by (1-|z|)^2 without noise.  A node
+defines one walk of the tree, ``jet``, which returns the value and the
+derivative together; ``eval`` is its value.  A point's value does not
+depend on the array it is in: every product of a node constant and an
+array is taken as array times constant, whatever the array's size.
 
-A text serialization in prefix notation is provided so maps can be named
-in flat config files.  Grammar (tokens are whitespace separated, complex
+Maps are named in flat config files by a prefix notation, read by
+``parse_map``.  Grammar (tokens are whitespace separated, complex
 literals use Python syntax like ``0.3+0.1j``)::
 
     map := "id"
@@ -30,6 +29,7 @@ literals use Python syntax like ``0.3+0.1j``)::
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,27 +48,19 @@ class HoloMapError(DiskrigError, ValueError):
 
 
 class HoloMap:
-    """Base class; nodes implement eval and jet (elementwise) and rational."""
+    """Base class; nodes implement jet (elementwise) and rational."""
 
     def eval(self, z):
-        raise NotImplementedError
+        """f(z), the value of the one walk ``jet``."""
+        return self.jet(z)[0]
 
     def jet(self, z):
-        """(f(z), f'(z)); the value is bitwise equal to eval(z)."""
+        """(f(z), f'(z)) from one walk of the tree."""
         raise NotImplementedError
 
     def rational(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (P, Q) ascending coefficient arrays with self = P/Q."""
         raise NotImplementedError
-
-    def to_text(self) -> str:
-        raise NotImplementedError
-
-
-def _fmt_complex(c: complex) -> str:
-    if c.imag == 0.0:
-        return repr(c.real)
-    return repr(c).strip("()")
 
 
 def _finite(node: str, name: str, value, cast):
@@ -81,17 +73,11 @@ def _finite(node: str, name: str, value, cast):
 
 @dataclass(frozen=True)
 class Identity(HoloMap):
-    def eval(self, z):
-        return z
-
     def jet(self, z):
         return z, np.ones(np.shape(z), dtype=complex)[()]
 
     def rational(self):
         return np.array([0, 1], dtype=complex), np.array([1], dtype=complex)
-
-    def to_text(self):
-        return "id"
 
 
 @dataclass(frozen=True)
@@ -101,17 +87,12 @@ class Const(HoloMap):
     def __post_init__(self):
         object.__setattr__(self, "value", _finite("const", "value", self.value, complex))
 
-    def eval(self, z):
-        return np.full(np.shape(z), self.value)[()]
-
     def jet(self, z):
-        return self.eval(z), np.zeros(np.shape(z), dtype=complex)[()]
+        shape = np.shape(z)
+        return np.full(shape, self.value)[()], np.zeros(shape, dtype=complex)[()]
 
     def rational(self):
         return np.array([self.value], dtype=complex), np.array([1], dtype=complex)
-
-    def to_text(self):
-        return f"const {_fmt_complex(self.value)}"
 
 
 @dataclass(frozen=True)
@@ -119,23 +100,24 @@ class Monomial(HoloMap):
     power: int
 
     def __post_init__(self):
-        if self.power < 0:
+        try:
+            power = operator.index(self.power)
+        except TypeError:
+            raise HoloMapError(f"zpow parameter power = {self.power!r} "
+                               f"is not an integer") from None
+        if power < 0:
             raise HoloMapError("monomial power must be nonnegative")
-
-    def eval(self, z):
-        return np.asarray(z) ** self.power
+        object.__setattr__(self, "power", power)
 
     def jet(self, z):
         # k z^(k-1), with z^0 standing in for z^-1 when k = 0
-        return self.eval(z), np.asarray(z) ** max(self.power - 1, 0) * self.power
+        z = np.asarray(z)
+        return z**self.power, z ** max(self.power - 1, 0) * self.power
 
     def rational(self):
         p = np.zeros(self.power + 1, dtype=complex)
         p[-1] = 1.0
         return p, np.array([1], dtype=complex)
-
-    def to_text(self):
-        return f"zpow {self.power}"
 
 
 @dataclass(frozen=True)
@@ -148,18 +130,12 @@ class Poly(HoloMap):
         object.__setattr__(self, "coeffs", tuple(_finite("poly", "coefficient", c, complex)
                                                 for c in self.coeffs))
 
-    def eval(self, z):
-        return npoly.polyval(z, np.array(self.coeffs))
-
     def jet(self, z):
-        return self.eval(z), npoly.polyval(z, npoly.polyder(np.array(self.coeffs)))
+        coeffs = np.array(self.coeffs)
+        return npoly.polyval(z, coeffs), npoly.polyval(z, npoly.polyder(coeffs))
 
     def rational(self):
         return np.array(self.coeffs, dtype=complex), np.array([1], dtype=complex)
-
-    def to_text(self):
-        body = " ".join(_fmt_complex(c) for c in self.coeffs)
-        return f"poly {len(self.coeffs)} {body}"
 
 
 def _moebius_factor(a: complex, z):
@@ -185,11 +161,6 @@ class Automorphism(HoloMap):
         if abs(self.a) >= 1.0:
             raise HoloMapError("automorphism parameter must satisfy |a| < 1")
 
-    def eval(self, z):
-        f, _ = _moebius_factor(self.a, z)
-        f *= cmath.exp(1j * self.theta)
-        return f
-
     def jet(self, z):
         f, den = _moebius_factor(self.a, z)
         phase = cmath.exp(1j * self.theta)
@@ -201,9 +172,6 @@ class Automorphism(HoloMap):
         num = np.array([ph * self.a, -ph], dtype=complex)
         den = np.array([1.0, -np.conj(self.a)], dtype=complex)
         return num, den
-
-    def to_text(self):
-        return f"auto {_fmt_complex(self.a)} {self.theta!r}"
 
 
 @dataclass(frozen=True)
@@ -219,12 +187,6 @@ class Blaschke(HoloMap):
             raise HoloMapError("Blaschke zeros must have modulus < 1")
         object.__setattr__(self, "zeros", zs)
         object.__setattr__(self, "theta", _finite("blaschke", "theta", self.theta, float))
-
-    def eval(self, z):
-        value = np.full(np.shape(z), cmath.exp(1j * self.theta))
-        for a in self.zeros:
-            value *= _moebius_factor(a, z)[0]
-        return value[()]
 
     def jet(self, z):
         # the product rule, d = d f + df value, one factor at a time: no
@@ -249,20 +211,11 @@ class Blaschke(HoloMap):
             den = npoly.polymul(den, np.array([1.0, -np.conj(a)], dtype=complex))
         return num, den
 
-    def to_text(self):
-        parts = ["blaschke", str(len(self.zeros))]
-        parts.extend(_fmt_complex(a) for a in self.zeros)
-        parts.append(repr(self.theta))
-        return " ".join(parts)
-
 
 @dataclass(frozen=True)
 class Compose(HoloMap):
     outer: HoloMap
     inner: HoloMap
-
-    def eval(self, z):
-        return self.outer.eval(self.inner.eval(z))
 
     def jet(self, z):
         w, dw = self.inner.jet(z)
@@ -274,17 +227,11 @@ class Compose(HoloMap):
         r, s = self.inner.rational()
         return _compose_rational(p, q, r, s)
 
-    def to_text(self):
-        return f"compose {self.outer.to_text()} {self.inner.to_text()}"
-
 
 @dataclass(frozen=True)
 class Sum(HoloMap):
     left: HoloMap
     right: HoloMap
-
-    def eval(self, z):
-        return self.left.eval(z) + self.right.eval(z)
 
     def jet(self, z):
         lv, ld = self.left.jet(z)
@@ -297,9 +244,6 @@ class Sum(HoloMap):
         num = npoly.polyadd(npoly.polymul(p, s), npoly.polymul(r, q))
         return num, npoly.polymul(q, s)
 
-    def to_text(self):
-        return f"sum {self.left.to_text()} {self.right.to_text()}"
-
 
 @dataclass(frozen=True)
 class Scaled(HoloMap):
@@ -309,9 +253,6 @@ class Scaled(HoloMap):
     def __post_init__(self):
         object.__setattr__(self, "factor", _finite("scale", "factor", self.factor, complex))
 
-    def eval(self, z):
-        return self.inner.eval(z) * self.factor
-
     def jet(self, z):
         value, d = self.inner.jet(z)
         return value * self.factor, d * self.factor
@@ -319,9 +260,6 @@ class Scaled(HoloMap):
     def rational(self):
         p, q = self.inner.rational()
         return self.factor * p, q
-
-    def to_text(self):
-        return f"scale {_fmt_complex(self.factor)} {self.inner.to_text()}"
 
 
 def _poly_pow_table(p: np.ndarray, n: int) -> list[np.ndarray]:
@@ -420,12 +358,15 @@ def f_eps(eps: float) -> HoloMap:
 # the operations of the module contract
 
 
+_CIRCLE = np.exp(1j * (2.0 * np.pi * np.arange(4096) / 4096))
+_CIRCLE.flags.writeable = False
+
+
 def certify_selfmap(f: HoloMap) -> tuple[bool, float]:
-    """Sample |f| at 4096 equispaced points of the unit circle; the maximum
-    principle makes boundary sampling sufficient.  Returns (verdict, max
-    modulus found)."""
-    theta = 2.0 * np.pi * np.arange(4096) / 4096
-    vals = np.abs(f.eval(np.exp(1j * theta)))
+    """Sample |f| at the 4096 equispaced points of the unit circle in
+    ``_CIRCLE``; the maximum principle makes boundary sampling sufficient.
+    Returns (verdict, max modulus found)."""
+    vals = np.abs(f.eval(_CIRCLE))
     max_mod = float(np.max(vals))
     return max_mod <= 1.0 + SELFMAP_SLACK, max_mod
 
@@ -449,7 +390,7 @@ def hyperbolic_derivative(f: HoloMap, z):
 
 
 # ---------------------------------------------------------------------------
-# text serialization
+# the text grammar
 
 
 def parse_map(text: str) -> HoloMap:
