@@ -1,7 +1,8 @@
 """Kobayashi geometry of the unit ball of C^N in closed form.
 
 The infinitesimal metric, the distance, tangential/normal splittings at
-the sphere, affine-slice complex geodesics, and the boundary condition
+the sphere, analytic discs with polynomial components (the affine-slice
+complex geodesics are the degree-1 ones), and the boundary condition
 checkers for self-maps: the two-sided distance band, the near-boundary
 metric comparison ratio, the geodesic rate characterization, and the
 three-condition rigidity signature (tangential cluster, projected
@@ -261,14 +262,6 @@ def serialize_ball_map(F: PolyBallMap) -> str:
     return " | ".join(parts)
 
 
-def identity_map(n: int) -> PolyBallMap:
-    comps = []
-    for i in range(n):
-        expo = tuple(1 if j == i else 0 for j in range(n))
-        comps.append(MultiPoly(n, {expo: 1.0}))
-    return PolyBallMap(comps)
-
-
 def embedded_power_map(n: int, k: int = 2) -> PolyBallMap:
     """(z_1^k, 0, ..., 0): the disk power map in the first slot."""
     comps = [MultiPoly(n, {tuple(k if j == 0 else 0 for j in range(n)): 1.0})]
@@ -342,43 +335,39 @@ def certify_ball_map(F: BallMap, seed: int = 7) -> tuple[bool, float]:
 
 
 # ---------------------------------------------------------------------------
-# affine-slice complex geodesics
+# analytic discs and affine-slice complex geodesics
 
 
 @dataclass(frozen=True)
-class GeodesicSlice:
-    """Affine parametrization of (C v + p) intersected with the ball.
+class DiscMap:
+    """Analytic disc into the ball with polynomial components; an array of
+    zeta gives points of shape zeta.shape + (N,)."""
 
-    phi(zeta) = p + (w0 + rho eta zeta) v with phi(1) = p; the image is a
-    complex geodesic, so k(phi(zeta); phi'(zeta)) (1 - |zeta|^2) = 1.
-    An array of zeta gives points of shape zeta.shape + (N,).
-    """
-
-    p: tuple
-    v: tuple
-    w0: complex
-    rho: float
-    eta: complex
+    coeff_rows: tuple[tuple[complex, ...], ...]   # ascending, one per component
 
     def __call__(self, zeta) -> np.ndarray:
-        w = np.asarray(self.w0 + self.rho * self.eta * zeta)
-        return (np.asarray(self.p, dtype=complex)
-                + w[..., None] * np.asarray(self.v, dtype=complex))
-
-    eval = __call__
+        return np.stack([np.polynomial.polynomial.polyval(zeta, np.array(row))
+                         for row in self.coeff_rows], axis=-1)
 
     def deriv(self, zeta) -> np.ndarray:
-        v = np.asarray(self.v, dtype=complex)
-        return np.broadcast_to(self.rho * self.eta * v, np.shape(zeta) + v.shape)
+        return np.stack([np.polynomial.polynomial.polyval(
+            zeta, np.polynomial.polynomial.polyder(np.array(row)))
+            for row in self.coeff_rows], axis=-1)
 
 
-def geodesic_slice(p, v) -> GeodesicSlice:
-    """Slice geodesic through the sphere point p in direction v.
+def geodesic_slice(p, v) -> DiscMap:
+    """Slice geodesic through the sphere point p in direction v: the
+    degree-1 disc phi(zeta) = p + (w0 + rho eta zeta) v onto (C v + p) in
+    the ball, with one row (p_j + w0 v_j, rho eta v_j) per component.
 
-    Requires <v, p> != 0 (a complex-tangential direction produces an
+    phi(1) = p, and the image is a complex geodesic, so
+    k(phi(zeta); phi'(zeta)) (1 - |zeta|^2) = 1.  Requires p and v of one
+    length and <v, p> != 0 (a complex-tangential direction produces an
     empty or degenerate slice).
     """
     p, v = _as_vec(p), _as_vec(v)
+    if len(p) != len(v):
+        raise BallError(f"slice point and direction have lengths {len(p)} and {len(v)}")
     if abs(norm(p) - 1.0) > BOUNDARY_TOL:
         raise BallError("slice base point must lie on the sphere")
     a = herm(v, p)
@@ -388,8 +377,8 @@ def geodesic_slice(p, v) -> GeodesicSlice:
     w0 = -np.conj(a) / vv
     rho = abs(a) / vv
     eta = np.conj(a) / abs(a)
-    return GeodesicSlice(p=tuple(p), v=tuple(v), w0=complex(w0),
-                         rho=float(rho), eta=complex(eta))
+    return DiscMap(tuple((complex(pj + w0 * vj), complex(rho * eta * vj))
+                         for pj, vj in zip(p, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,22 +405,6 @@ def metric_comparison_ratio(z, v):
 
 
 @dataclass(frozen=True)
-class DiscMap:
-    """Analytic disc into the ball with polynomial components."""
-
-    coeff_rows: tuple[tuple[complex, ...], ...]   # ascending, one per component
-
-    def eval(self, zeta) -> np.ndarray:
-        return np.stack([np.polynomial.polynomial.polyval(zeta, np.array(row))
-                         for row in self.coeff_rows], axis=-1)
-
-    def deriv(self, zeta) -> np.ndarray:
-        return np.stack([np.polynomial.polynomial.polyval(
-            zeta, np.polynomial.polynomial.polyder(np.array(row)))
-            for row in self.coeff_rows], axis=-1)
-
-
-@dataclass(frozen=True)
 class GeodesicCheckReport:
     verdict: str        # GEODESIC | NOT_GEODESIC
     rate: RateReport
@@ -448,7 +421,7 @@ def geodesic_boundary_check(f) -> GeodesicCheckReport:
     must hold to 1e-6.
     """
     rs = dyadic_ts(3, 14)
-    z = f.eval(rs + 0j)
+    z = f(rs + 0j)
     nz = norm(z)
     if np.any(nz >= 1.0):
         raise BallError("disc image escapes the ball")
@@ -457,7 +430,7 @@ def geodesic_boundary_check(f) -> GeodesicCheckReport:
     rate = fit_boundary_rate(list(zip(rs, deficits)), 1.0)
     far = nz > 0.5
     proj_norms = norm(tangential_projection(z[far] / nz[far, None], dz[far]))
-    iso0 = kobayashi_metric(f.eval(0j), f.deriv(0j))
+    iso0 = kobayashi_metric(f(0j), f.deriv(0j))
     bounded = bool(proj_norms.size == 0
                    or proj_norms.max() <= 10.0 * (1.0 + proj_norms.min()))
     is_geo = (rate.verdict is Verdict.VANISHES

@@ -60,6 +60,11 @@ def green(R: float, z: complex, w) -> float:
     return np.negative(dist, out=dist)[()]
 
 
+def _require_covering(grid: PolarGrid, R: float) -> None:
+    if abs(grid.center) > 1e-15 or abs(grid.radius - R) > 1e-12:
+        raise GreenPJError(f"grid must cover the disk of radius {R} about 0: {grid}")
+
+
 def green_mean(R: float, z: complex, grid: PolarGrid | None = None) -> float:
     """(1/2pi) * area integral of g_R(z, .) over the disk.
 
@@ -68,8 +73,7 @@ def green_mean(R: float, z: complex, grid: PolarGrid | None = None) -> float:
     """
     if grid is None:
         grid = PolarGrid(0j, R, 900, 1800)
-    if abs(grid.center) > 1e-15 or abs(grid.radius - R) > 1e-12:
-        raise GreenPJError("grid must cover the disk of radius R about 0")
+    _require_covering(grid, R)
     total = quadrature_disk(grid, lambda w: green(R, z, w), avoid=z)
     return total / (2.0 * math.pi)
 
@@ -126,8 +130,9 @@ def pj_decompose(lam: Pseudometric, R: float, z: complex,
     log lam(z) = -sum_j alpha_j g_R(z, xi_j) + h_R(z)
                  + (1/2pi) * integral of g_R(z, w) kappa(w) lam(w)^2 dA_w.
 
-    Requires declared pinch bounds with kappa <= -4; z must stay away
-    from the zeros and the zeros away from the circle.
+    Requires declared pinch bounds with kappa <= -4 and a grid on the
+    disk of radius R about 0; z must stay away from the zeros and the
+    zeros away from the circle.
     """
     if lam.pinch is None or lam.pinch[1] > -4.0 + 1e-12:
         raise GreenPJError("decomposition needs declared pinch bounds with "
@@ -139,6 +144,7 @@ def pj_decompose(lam: Pseudometric, R: float, z: complex,
             raise GreenPJError("evaluation point too close to a zero")
     if grid is None:
         grid = PolarGrid(0j, R, 220, 440)
+    _require_covering(grid, R)
 
     zero_terms = []
     for rec in lam.zeros:
@@ -147,15 +153,15 @@ def pj_decompose(lam: Pseudometric, R: float, z: complex,
 
     majorant = harmonic_majorant(lam, R, z)
 
-    pts, w = grid.nodes(avoid=z)
-    src = curvature_source(lam, pts)
     # subtract the value at the logarithmic pole: the remainder integrand
     # is continuous there, and the subtracted part integrates exactly to
-    # s(z) (R^2 - |z|^2)/4 per unit 2 pi
+    # s(z) (R^2 - |z|^2)/4 per unit 2 pi.  The source goes first, so its
+    # temporaries are freed before the Green function's array is built.
     s_z = float(curvature_source(lam, np.array([z]))[0])
-    integrand = green(R, z, pts) * (src - s_z)
-    potential = (float(w @ integrand) / (2.0 * math.pi)
-                 + s_z * (R**2 - abs(z) ** 2) / 4.0)
+    remainder = quadrature_disk(
+        grid, lambda w: (curvature_source(lam, w) - s_z) * green(R, z, w),
+        avoid=z)
+    potential = remainder / (2.0 * math.pi) + s_z * (R**2 - abs(z) ** 2) / 4.0
 
     log_density = math.log(float(lam.density(z)))
     reconstructed = sum(t for _, t in zero_terms) + majorant + potential
@@ -164,18 +170,6 @@ def pj_decompose(lam: Pseudometric, R: float, z: complex,
                            potential_value=potential,
                            reconstructed_log_density=reconstructed,
                            log_density=log_density)
-
-
-def potential_direct(lam: Pseudometric, R: float, z: complex,
-                     grid: PolarGrid) -> float:
-    """Raw quadrature of the curvature potential, no pole subtraction.
-
-    Independent route for cross-checking pj_decompose's potential term:
-    relies only on the node-perturbation rule at w = z.
-    """
-    pts, w = grid.nodes(avoid=z)
-    src = curvature_source(lam, pts)
-    return float(w @ (green(R, z, pts) * src)) / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)

@@ -64,19 +64,6 @@ def harnack_constant(r: float) -> float:
     return math.exp(1.0 - 1.0 / r**2)
 
 
-def corollary_constant(r: float, big_r: float, rho: float, c_rho: float) -> float:
-    """Interior Harnack exponent exp(1-rho^2/r^2) ((rho^2-R^2)/(rho^2-r^2))^(c/2).
-
-    Monotonically decreasing in c_rho since the middle ratio is < 1.
-    """
-    if not 0.0 < r < big_r < rho < 1.0:
-        raise HarnackError("need 0 < r < R < rho < 1")
-    if c_rho < 4.0:
-        raise HarnackError("pinching constant must be >= 4")
-    ratio = (rho**2 - big_r**2) / (rho**2 - r**2)
-    return math.exp(1.0 - rho**2 / r**2) * ratio ** (c_rho / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # proof devices: the annulus barrier and its cubic
 

@@ -155,10 +155,6 @@ class LiouvilleSolution:
     step_sizes: list[float]         # accepted damping of each Newton step
     krylov_iterations: list[int]    # GMRES iterations of each Newton step
 
-    @property
-    def h(self) -> float:
-        return float(self.xs[1] - self.xs[0])
-
 
 def hyperbolic_log_density(z):
     return -np.log(1.0 - np.abs(z) ** 2)

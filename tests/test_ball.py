@@ -148,6 +148,19 @@ class TestSlices:
         with pytest.raises(bl.BallError, match="tangential"):
             bl.geodesic_slice(e1_2, np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("v", [[1.0, 0.0, 0.0], [1.0]])
+    def test_direction_of_another_length_rejected(self, v):
+        with pytest.raises(bl.BallError, match=f"lengths 2 and {len(v)}"):
+            bl.geodesic_slice(e1_2, np.array(v))
+
+    def test_slice_is_a_degree_one_disc(self):
+        v = np.array([1.0, 1.0j]) / math.sqrt(2)
+        sl = bl.geodesic_slice(e1_2, v)
+        assert isinstance(sl, bl.DiscMap)
+        assert all(len(row) == 2 for row in sl.coeff_rows)
+        zeta = np.array([0.3 - 0.2j, -0.5j])
+        assert np.all(sl.deriv(zeta) == sl.deriv(0j))
+
 
 class TestComparisonRatio:
     @pytest.mark.parametrize("delta", [0.1, 0.01, 0.001])
@@ -193,7 +206,7 @@ class TestGeodesicCheck:
 
 class TestRigiditySignature:
     def test_identity_all_pass(self):
-        rep = bl.ball_rigidity_check(bl.identity_map(2), e1_2)
+        rep = bl.ball_rigidity_check(bl.parse_ball_map("1,0:1 | 0,1:1"), e1_2)
         assert rep.all_pass
 
     def test_automorphisms_all_pass_with_zero_deficit(self):
@@ -214,7 +227,8 @@ class TestRigiditySignature:
 
     def test_tangential_slice_direction_rejected(self):
         with pytest.raises(bl.BallError):
-            bl.ball_rigidity_check(bl.identity_map(2), np.array([0.0, 1.0]))
+            bl.ball_rigidity_check(bl.parse_ball_map("1,0:1 | 0,1:1"),
+                                   np.array([0.0, 1.0]))
 
 
 class TestSchwarzPick:
@@ -304,7 +318,7 @@ class TestOneDimensionalAgreement:
 # -- one evaluation path for points and arrays ------------------------------
 
 MAPS = [
-    bl.identity_map(2),
+    bl.parse_ball_map("1,0:1 | 0,1:1"),
     bl.embedded_power_map(3),
     bl.PolyBallMap([bl.MultiPoly(2, {(0, 1): 0.5, (2, 0): 0.25j}),
                     bl.MultiPoly(2, {(1, 1): 0.5, (0, 0): 0.1})]),

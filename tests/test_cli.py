@@ -89,6 +89,7 @@ class TestExitCodes:
         "command = burns-krantz\nmap = zpow\n",
         "command = burns-krantz\nmap = zpow x\n",
         "command = ball-check\nwhat = custom\nmap = 2,0:1 | 0,1:x\n",
+        "command = ball-check\nwhat = custom\nmap = 2,0:1 |\nv = 1,0,0\n",
         "command = verify-harnack\ninclude-liouville = maybe\n",
         "command = rigidity-scan\nexpect-limit = half\n",
         "command = ball-check\nwhat = band\nN = 0\n",

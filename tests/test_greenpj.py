@@ -9,12 +9,22 @@ from hypothesis import strategies as st
 from diskrig import greenpj as gp
 from diskrig import holomap as hm
 from diskrig import metric as mt
-from diskrig.numerics import PolarGrid
+from diskrig.numerics import PolarGrid, quadrature_disk
 
 P = mt.poincare()
 
 inner = st.complex_numbers(max_magnitude=0.7, allow_infinity=False,
                            allow_nan=False)
+
+
+def potential_direct(lam, R, z, grid):
+    """Raw quadrature of the curvature potential, no pole subtraction: an
+    oracle for pj_decompose's potential term that relies only on the
+    node-perturbation rule at w = z."""
+    total = quadrature_disk(
+        grid, lambda w: gp.green(R, z, w) * mt.curvature_source(lam, w),
+        avoid=z)
+    return total / (2.0 * math.pi)
 
 
 class TestGreen:
@@ -169,7 +179,7 @@ class TestDecomposition:
         z = 0.3 + 0j
         R = 0.8
         dec = gp.pj_decompose(lam, R, z, grid=PolarGrid(0j, R, 200, 400))
-        direct = gp.potential_direct(lam, R, z, PolarGrid(0j, R, 700, 1400))
+        direct = potential_direct(lam, R, z, PolarGrid(0j, R, 700, 1400))
         assert dec.potential_value == pytest.approx(direct, abs=5e-5)
 
     def test_finite_difference_source(self):
@@ -179,6 +189,16 @@ class TestDecomposition:
         for R in (0.5, 0.8, 0.9):
             dec = gp.pj_decompose(lam.without_exact_curvature(), R, 0.1 + 0.2j)
             assert dec.residual <= 1e-3
+
+    @pytest.mark.parametrize("grid", [PolarGrid(0j, 0.6, 220, 440),
+                                      PolarGrid(0.1j, 0.7, 220, 440)])
+    def test_grid_that_misses_the_disk_refused(self, grid):
+        # these gave residuals 0.581 and 0.419, read as a failed split
+        lam = mt.pullback(hm.Monomial(2), P)
+        with pytest.raises(gp.GreenPJError, match="grid must cover"):
+            gp.pj_decompose(lam, 0.9, 0.4 + 0j, grid=grid)
+        with pytest.raises(gp.GreenPJError, match="grid must cover"):
+            gp.green_mean(0.9, 0.4 + 0j, grid)
 
     def test_requires_pinch(self):
         s = lambda z: np.zeros(np.shape(z)) if np.ndim(z) else 0.0

@@ -23,23 +23,6 @@ class TestConstants:
         with pytest.raises(hk.HarnackError):
             hk.harnack_constant(1.0)
 
-    def test_corollary_constant_value(self):
-        # exp(1 - 9) * ((0.5625-0.25)/(0.5625-0.0625))^2 = e^-8 * 0.390625
-        val = hk.corollary_constant(0.25, 0.5, 0.75, 4.0)
-        assert val == pytest.approx(math.exp(-8.0) * 0.390625, rel=1e-12)
-
-    def test_corollary_constant_r_limit(self):
-        val = hk.corollary_constant(0.25, 0.2500001, 0.75, 4.0)
-        assert val == pytest.approx(math.exp(1.0 - 9.0), rel=1e-4)
-
-    def test_corollary_constant_monotone_in_pinching(self):
-        vals = [hk.corollary_constant(0.3, 0.5, 0.8, c) for c in range(4, 13)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_corollary_constant_ordering(self):
-        with pytest.raises(hk.HarnackError):
-            hk.corollary_constant(0.5, 0.3, 0.8, 4.0)
-
 
 class TestBarrier:
     def test_vanishes_on_rim(self):

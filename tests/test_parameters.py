@@ -1,4 +1,5 @@
-"""Every defaulted parameter of the library is one that a caller sets.
+"""Every defaulted parameter of the library is one that a caller sets, and
+every library name is one that a caller names.
 
 A parameter with a default is an option, and an option earns its place
 when some call in ``src/``, ``scripts/`` or ``perfbench/`` passes it,
@@ -177,3 +178,36 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 
 def test_allowed_exceptions_are_still_unset():
     assert set(ALLOWED) <= set(_unset_defaults())
+
+
+def _identifiers(tree: ast.AST) -> set:
+    """Every name a file uses: bare names, attributes and imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _unnamed_library_names() -> list[tuple[str, str]]:
+    used = set()
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used |= _identifiers(ast.parse(path.read_text()))
+    return [(path.stem, node.name)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in used]
+
+
+def test_every_library_name_is_used_outside_the_tests():
+    unused = _unnamed_library_names()
+    assert not unused, (
+        "top-level functions and classes that nothing in src/, scripts/ or "
+        "perfbench/ names (move each into the tests that use it, or delete "
+        "it): " + ", ".join(f"{m}.{n}" for m, n in unused))
