@@ -14,6 +14,7 @@ curvature -4; every N = 1 quantity then agrees with the disk modules.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,21 +47,34 @@ def _dot(x):
     return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
-def _as_vec(z) -> np.ndarray:
+def _finite(name: str, a: np.ndarray) -> np.ndarray:
+    """``a``, refused with a BallError naming its first non-finite entry."""
+    if not np.all(np.isfinite(a)):
+        i = np.argwhere(~np.isfinite(a))[0]
+        raise BallError(f"{name}[{', '.join(map(str, i))}] = {complex(a[tuple(i)])} "
+                        f"is not finite")
+    return a
+
+
+def _as_vec(z, name: str) -> np.ndarray:
+    """The finite complex vector ``z``; BallError naming ``name`` otherwise."""
     v = np.asarray(z, dtype=complex)
     if v.ndim != 1:
-        raise BallError("points and vectors must be one-dimensional")
-    return v
+        raise BallError(f"{name} must be one-dimensional")
+    return _finite(name, v)
 
 
-def _as_points(*arrays, n: int | None = None) -> Sequence[np.ndarray]:
-    """Points and vectors of C^N broadcast to one complex shape (..., N),
-    with N = n when given; BallError for any other shapes."""
-    out = [np.asarray(a, dtype=complex) for a in arrays]
+def _as_points(*, n: int | None = None, **arrays) -> Sequence[np.ndarray]:
+    """Finite points and vectors of C^N, given by name, broadcast to one
+    complex shape (..., N), with N = n when given; BallError for any other
+    shapes or a non-finite entry, naming the argument."""
+    out = [np.asarray(a, dtype=complex) for a in arrays.values()]
     shapes = [a.shape for a in out]
     lengths = {s[-1] if s else 0 for s in shapes} | ({n} if n else set())
     if len(lengths) != 1 or 0 in lengths:
         raise BallError(f"shapes {shapes} are not (..., N) with one N")
+    for name, a in zip(arrays, out):
+        _finite(name, a)
     try:
         return np.broadcast_arrays(*out)
     except ValueError as exc:
@@ -79,7 +93,7 @@ def kobayashi_metric(z, v):
     """Infinitesimal metric of the ball:
     sqrt((1-|z|^2)|v|^2 + |<v,z>|^2) / (1-|z|^2), over points and vectors
     of shape (..., N).  For N = 1 this is |v| / (1-|z|^2)."""
-    z, v = _as_points(z, v)
+    z, v = _as_points(z=z, v=v)
     zz = np.square(norm(z))
     if np.any(zz >= 1.0):
         raise BallError("point must lie in the open ball")
@@ -97,7 +111,7 @@ def kobayashi_distance(z, w):
     and arctanh m = (1/2) log((1+m)^2 / q), so the distance keeps its
     digits up to the sphere.
     """
-    z, w = _as_points(z, w)
+    z, w = _as_points(z=z, w=w)
     nz, nw = norm(z), norm(w)
     if np.any(nz >= 1.0) or np.any(nw >= 1.0):
         raise BallError("points must lie in the open ball")
@@ -114,7 +128,7 @@ def boundary_distance(z):
 def distance_band(z):
     """K(0, z) + (1/2) log delta(z) over points of shape (..., N);
     bounded as z approaches the sphere."""
-    (z,) = _as_points(z)
+    (z,) = _as_points(z=z)
     return (kobayashi_distance(np.zeros(z.shape, dtype=complex), z)
             + 0.5 * np.log(boundary_distance(z)))
 
@@ -126,7 +140,7 @@ def distance_band(z):
 def tangential_projection(p, v) -> np.ndarray:
     """Projection of v onto the complex tangent space at p: v - <v,p> p,
     over points and vectors of shape (..., N)."""
-    p, v = _as_points(p, v)
+    p, v = _as_points(p=p, v=v)
     if np.any(np.abs(norm(p) - 1.0) > BOUNDARY_TOL):
         raise BallError("projection base point must lie on the sphere")
     return v - herm(v, p)[..., None] * p
@@ -138,7 +152,7 @@ def normal_decomposition(z, v) -> tuple[np.ndarray, np.ndarray]:
     Returns (normal part <v,p> p, tangential part v - <v,p> p); the two
     are Hermitian-orthogonal.  Undefined at the center.
     """
-    z, v = _as_points(z, v)
+    z, v = _as_points(z=z, v=v)
     nz = norm(z)
     if np.any(nz == 0.0):
         raise BallError("closest boundary point undefined at the center")
@@ -163,7 +177,7 @@ class MultiPoly:
 
     def eval(self, z):
         """Values at points of shape (..., n_vars): an array of shape (...)."""
-        (z,) = _as_points(z, n=self.n_vars)
+        (z,) = _as_points(z=z, n=self.n_vars)
         coords = np.moveaxis(z, -1, 0)
         total = np.zeros(z.shape[:-1], dtype=complex)
         for expo, c in self.terms.items():
@@ -213,7 +227,7 @@ class PolyBallMap(BallMap):
         return np.stack([c.eval(z) for c in self.components], axis=-1)
 
     def differential(self, z, v):
-        z, v = _as_points(z, v, n=self.n_vars)
+        z, v = _as_points(z=z, v=v, n=self.n_vars)
         vs = np.moveaxis(v, -1, 0)
         return np.stack([sum(row[i].eval(z) * vs[i] for i in range(self.n_vars))
                          for row in self._partials], axis=-1)
@@ -240,6 +254,9 @@ def parse_ball_map(text: str) -> PolyBallMap:
                 coeff = complex(coeff_text)
             except ValueError as exc:
                 raise BallError(f"bad polynomial term {token!r}: {exc}") from exc
+            if not cmath.isfinite(coeff):
+                raise BallError(f"bad polynomial term {token!r}: coefficient "
+                                f"{coeff} is not finite")
             if n_vars is None:
                 n_vars = len(expo)
             elif len(expo) != n_vars:
@@ -274,7 +291,7 @@ class BallAutomorphism(BallMap):
     """U phi_a with phi_a the Moebius involution exchanging 0 and a."""
 
     def __init__(self, a, unitary=None):
-        self.a = _as_vec(a)
+        self.a = _as_vec(a, "a")
         self.n_vars = len(self.a)
         if norm(self.a) >= 1.0:
             raise BallError("automorphism parameter must lie inside the ball")
@@ -308,11 +325,11 @@ class BallAutomorphism(BallMap):
         return (-lin * den + num * va) / den**2
 
     def eval(self, z):
-        (z,) = _as_points(z, n=self.n_vars)
+        (z,) = _as_points(z=z, n=self.n_vars)
         return (self.unitary @ self._moebius(z)[..., None])[..., 0]
 
     def differential(self, z, v):
-        z, v = _as_points(z, v, n=self.n_vars)
+        z, v = _as_points(z=z, v=v, n=self.n_vars)
         return (self.unitary @ self._moebius_diff(z, v)[..., None])[..., 0]
 
 
@@ -365,7 +382,7 @@ def geodesic_slice(p, v) -> DiscMap:
     length and <v, p> != 0 (a complex-tangential direction produces an
     empty or degenerate slice).
     """
-    p, v = _as_vec(p), _as_vec(v)
+    p, v = _as_vec(p, "p"), _as_vec(v, "v")
     if len(p) != len(v):
         raise BallError(f"slice point and direction have lengths {len(p)} and {len(v)}")
     if abs(norm(p) - 1.0) > BOUNDARY_TOL:
@@ -389,7 +406,7 @@ def metric_comparison_ratio(z, v):
     """Kobayashi metric over the splitting-based comparison quantity
     sqrt(|v_tan| / (2 delta) + |v_norm|^2 / (4 delta^2)), over points and
     vectors of shape (..., N); bounded between constants near the sphere."""
-    z, v = _as_points(z, v)
+    z, v = _as_points(z=z, v=v)
     delta = boundary_distance(z)
     if np.any(delta >= 0.2):
         raise BallError("comparison ratio is a near-boundary quantity "
@@ -486,7 +503,7 @@ def ball_rigidity_check(F: BallMap, v) -> RigidityConditionsReport:
         image at the sphere.
     """
     n = F.n_vars
-    v = _as_vec(v)
+    v = _as_vec(v, "v")
     e1 = np.zeros(n, dtype=complex)
     e1[0] = 1.0
     if abs(v[0]) < 1e-12:

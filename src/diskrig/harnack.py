@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holomap import Blaschke, HoloMap, Monomial, certify_selfmap, f_eps, hyperbolic_derivative
+from .holomap import (Blaschke, HoloMap, Monomial, certify_selfmap, disk_jet, f_eps,
+                      invariant_derivative)
 from .metric import (MetricError, Pseudometric, check_domination, mu_max,
                      poincare, pullback, quotient, scale)
 from .numerics import (DiskrigError, RateReport, dyadic_ts, fit_boundary_rate,
@@ -265,12 +266,15 @@ def identity_spot_check(lam: Pseudometric, mu: Pseudometric) -> InequalityReport
                             witness=witness, n_checked=int(grid.size))
 
 
-def boundary_schwarz_scan(f: HoloMap, k_min: int = 4,
-                          k_max: int = 20) -> RateReport:
+def boundary_schwarz_scan(f: HoloMap, k_min: int = 4, k_max: int = 20,
+                          jet: tuple | None = None) -> RateReport:
     """Invariant-derivative-to-one rate for a self-map along the positive
-    radius."""
+    radius.  ``jet`` is (f(t), f'(t)) on that ladder, when the caller has
+    walked it already."""
     ts = dyadic_ts(k_min, k_max)
-    deficit = hyperbolic_derivative(f, ts + 0j) - 1.0
+    z = ts + 0j
+    w, dw = disk_jet(f, z) if jet is None else jet
+    deficit = invariant_derivative(z, w, dw) - 1.0
     return fit_boundary_rate(list(zip(ts, deficit)), 2.0)
 
 
@@ -284,9 +288,9 @@ def burns_krantz_check(f: HoloMap, k_min: int = 4, k_max: int = 20) -> tuple[Rat
     if not ok:
         raise HarnackError(f"map is not a certified self-map (max modulus {mx})")
     ts = dyadic_ts(k_min, k_max)
-    displacement = np.abs(f.eval(ts + 0j) - ts)
-    return (fit_boundary_rate(list(zip(ts, displacement)), 3.0),
-            boundary_schwarz_scan(f, k_min, k_max))
+    jet = disk_jet(f, ts + 0j)      # one walk of the ladder serves both rates
+    displacement = fit_boundary_rate(list(zip(ts, np.abs(jet[0] - ts))), 3.0)
+    return displacement, boundary_schwarz_scan(f, k_min, k_max, jet=jet)
 
 
 # ---------------------------------------------------------------------------

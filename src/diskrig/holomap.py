@@ -371,15 +371,21 @@ def certify_selfmap(f: HoloMap) -> tuple[bool, float]:
     return max_mod <= 1.0 + SELFMAP_SLACK, max_mod
 
 
-def hyperbolic_derivative(f: HoloMap, z):
-    """(1-|z|^2) |f'(z)| / (1-|f(z)|^2), the invariant derivative, elementwise.
-    Raises HoloMapError naming the first point with |z| >= 1 or |f(z)| >= 1."""
+def disk_jet(f: HoloMap, z):
+    """``f.jet(z)`` at points of the open disk.  Raises HoloMapError naming
+    the first point with |z| >= 1 before the map is evaluated."""
     z = np.asarray(z)
     outside = np.abs(z) >= 1.0
     if np.any(outside):
         raise HoloMapError(f"hyperbolic derivative needs |z| < 1; "
                            f"z = {complex(z.flat[np.argmax(outside)])}")
-    w, dw = f.jet(z)
+    return f.jet(z)
+
+
+def invariant_derivative(z, w, dw):
+    """(1-|z|^2) |dw| / (1-|w|^2) from the jet (w, dw) = (f(z), f'(z)),
+    elementwise.  Raises HoloMapError naming the first point with |w| >= 1."""
+    z = np.asarray(z)
     w_mod = np.abs(w)
     escaped = w_mod >= 1.0
     if np.any(escaped):
@@ -387,6 +393,12 @@ def hyperbolic_derivative(f: HoloMap, z):
         raise HoloMapError(f"|f(z)| = {np.ravel(w_mod)[i]} >= 1 at interior point "
                            f"z = {complex(z.flat[i])}: not a self-map")
     return (1.0 - np.abs(z) ** 2) * np.abs(dw) / (1.0 - w_mod**2)
+
+
+def hyperbolic_derivative(f: HoloMap, z):
+    """(1-|z|^2) |f'(z)| / (1-|f(z)|^2), the invariant derivative, elementwise.
+    Raises HoloMapError naming the first point with |z| >= 1 or |f(z)| >= 1."""
+    return invariant_derivative(z, *disk_jet(f, z))
 
 
 # ---------------------------------------------------------------------------

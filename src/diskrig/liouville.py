@@ -9,7 +9,8 @@ at hand, legs that cross the circle ending exactly on it
 (R, n), for every solve on it, by SuperLU in nested-dissection order
 (George 1973; blocks of at most 32 unknowns keep their natural order).
 ``splu`` takes no caller's column order, so A is permuted beforehand and
-factored with the NATURAL order, partial pivoting kept.  The factor gives
+factored with the NATURAL order, partial pivoting kept.  The two most
+recently used grids and their factors are kept.  The factor gives
 the harmonic start and preconditions GMRES on every Newton system
 (Newton-Krylov).  A factored variant Lap log v = -kappa |z - xi|^(2 alpha)
 v^2 handles one prescribed zero.
@@ -208,7 +209,10 @@ def _second_derivative_weights(offsets: list[float]) -> np.ndarray:
 _Grid = collections.namedtuple("_Grid", "xs ys inside pts A L5 source_op row_scale "
                                "b_rows b_weights b_angles a_inverse")
 _grid_lock = threading.Lock()
-_grid_slot: dict[tuple[float, int], _Grid] = {}
+#: grids kept, least recently used first
+_grid_slot: collections.OrderedDict[tuple[float, int], _Grid] = collections.OrderedDict()
+#: how many grids ``_grid`` keeps
+GRID_SLOTS = 2
 #: largest block of unknowns that nested dissection leaves in natural order
 ND_LEAF = 32
 
@@ -242,8 +246,10 @@ def _nested_dissection(inside: np.ndarray) -> np.ndarray:
 
 
 def _grid(R: float, n: int) -> _Grid:
-    """The read-only system of (R, n), built once.  One slot, emptied before
-    another grid is built: at most one factor is alive at a time.
+    """The read-only system of (R, n), built once.  The ``GRID_SLOTS`` most
+    recently used grids are kept, and the least recent is dropped before
+    another grid is built: at most ``GRID_SLOTS`` factors are alive at
+    a time, counting the one being built.
 
     A is factored once, by SuperLU with partial pivoting, in the
     nested-dissection order of its unknowns.  ``splu`` takes no column
@@ -253,8 +259,11 @@ def _grid(R: float, n: int) -> _Grid:
     """
     key = (float(R), int(n))
     with _grid_lock:
-        if key not in _grid_slot:
-            _grid_slot.clear()
+        if key in _grid_slot:
+            _grid_slot.move_to_end(key)
+        else:
+            while len(_grid_slot) >= GRID_SLOTS:
+                _grid_slot.popitem(last=False)
             grid = _assemble(*key)      # factored once its temporaries are freed
             p = _nested_dissection(grid.inside)
             lu = spla.splu(grid.A[p][:, p].tocsc(), permc_spec="NATURAL")

@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .holomap import Automorphism, HoloMap, certify_selfmap, hyperbolic_derivative
+from .holomap import (Automorphism, HoloMap, certify_selfmap, disk_jet,
+                      hyperbolic_derivative, invariant_derivative)
 from .metric import (DominationError, Pseudometric, check_domination,
                      exp_weight, mu_max, poincare, pullback, quotient)
 from .numerics import DiskrigError, Verdict, fit_boundary_rate
@@ -259,8 +260,9 @@ def sequential_schwarz_pick(maps: Callable[[int], HoloMap],
             raise SequenceError(f"member {n} is not a self-map (max {mx})")
         z_n = complex(points(n))
         hyp_samples.append((abs(z_n), float(hyperbolic_derivative(f, z_n)) - 1.0))
-        sups.append(float(np.max(np.abs(hyperbolic_derivative(f, pts) - 1.0))))
-        min_mod.append(float(np.min(np.abs(f.eval(pts)))))
+        w, dw = disk_jet(f, pts)
+        sups.append(float(np.max(np.abs(invariant_derivative(pts, w, dw) - 1.0))))
+        min_mod.append(float(np.min(np.abs(w))))
 
     ts = [t for t, _ in hyp_samples]
     if all(b > a for a, b in zip(ts, ts[1:])) and ts[-1] > 0.9:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -424,3 +425,19 @@ class TestArrayEvaluation:
             bl.normal_decomposition(np.array([[0.5, 0.0], [0.0, 0.0]]), e1_2)
         with pytest.raises(bl.BallError):
             bl.metric_comparison_ratio(np.array([[0.95, 0.0], [0.5, 0.0]]), e1_2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.1, -np.inf)])
+    def test_non_finite_entry_named(self, bad):
+        z = np.array([[0.5, 0.0], [0.1, bad]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(bl.BallError, match=r"z\[1, 1\] = .* is not finite"):
+                bl.kobayashi_metric(z, e1_2)
+            with pytest.raises(bl.BallError, match=r"w\[1, 1\] = .* is not finite"):
+                bl.kobayashi_distance(np.zeros(2), z)
+            with pytest.raises(bl.BallError, match=r"v\[1\] = .* is not finite"):
+                bl.geodesic_slice(e1_2, np.array([1.0, bad]))
+            with pytest.raises(bl.BallError, match=r"a\[1\] = .* is not finite"):
+                bl.BallAutomorphism(np.array([0.1, bad]))
+            with pytest.raises(bl.BallError, match=r"'1,1:.*': coefficient .* is not finite"):
+                bl.parse_ball_map(f"2,0:1 | 1,1:{complex(bad)}")

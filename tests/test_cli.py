@@ -1,5 +1,6 @@
 import importlib
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,20 @@ class TestExitCodes:
         assert run_text(text, tmp_path) == 2
         err = capsys.readouterr().err
         assert "auto parameter theta = nan is not finite" in err
+
+    @pytest.mark.parametrize("ball_input, named", [
+        ("map = 2,0:nan |\nv = 1,0\n", "'2,0:nan': coefficient (nan+0j) is not finite"),
+        ("map = 2,0:1 |\nv = nan,0\n", "v[0] = (nan+0j) is not finite"),
+    ], ids=["coefficient", "direction"])
+    def test_non_finite_ball_input_is_named(self, ball_input, named, tmp_path,
+                                            capsys):
+        # refused before any arithmetic: no warning, no report
+        text = f"command = ball-check\nwhat = custom\n{ball_input}out = ball.json\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_text(text, tmp_path) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "ball.json").exists()
 
     @pytest.mark.parametrize("what", ["automorphisms", "slices"])
     def test_vacuous_ball_check_is_two(self, what, tmp_path, capsys):

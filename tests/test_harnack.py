@@ -7,7 +7,7 @@ import pytest
 from diskrig import harnack as hk
 from diskrig import holomap as hm
 from diskrig import metric as mt
-from diskrig.numerics import NumericsError, Verdict
+from diskrig.numerics import NumericsError, Verdict, dyadic_ts, fit_boundary_rate
 
 P = mt.poincare()
 
@@ -257,6 +257,24 @@ class TestBurnsKrantz:
     def test_non_selfmap_rejected(self):
         with pytest.raises(hk.HarnackError):
             hk.burns_krantz_check(hm.Scaled(1.5, hm.Identity()))
+
+    def test_one_jet_per_ladder(self, monkeypatch):
+        # the circle certification and one walk over the 17 ladder points,
+        # which gives both rates exactly as the two separate walks did
+        a = 0.3 + 0.4j
+        f = hm.Automorphism(a, np.angle((1.0 - np.conj(a)) / (a - 1.0)))
+        ts = dyadic_ts()
+        separate = (fit_boundary_rate(list(zip(ts, np.abs(f.eval(ts + 0j) - ts))), 3.0),
+                    hk.boundary_schwarz_scan(f))
+        jet, shapes = hm.Automorphism.jet, []
+
+        def counted(self, z):
+            shapes.append(np.shape(z))
+            return jet(self, z)
+
+        monkeypatch.setattr(hm.Automorphism, "jet", counted)
+        assert hk.burns_krantz_check(f) == separate
+        assert shapes == [hm._CIRCLE.shape, ts.shape]
 
     def test_seeded_automorphisms_fixing_one(self):
         # e^{i theta} (a - z)/(1 - conj(a) z) fixes 1 when

@@ -264,13 +264,54 @@ class TestGridCache:
         assert np.array_equal(cached.u, fresh.u, equal_nan=True)
         assert cached.residual_history == fresh.residual_history
 
-    def test_one_grid_at_a_time(self):
-        problem = lv.poincare_problem(0.9)
-        lv.solve(problem, n=65)
-        lv.solve(problem, n=97)
-        assert list(lv._grid_slot) == [(0.9, 97)]
-        lv.solve(lv.poincare_problem(0.8), n=97)
-        assert list(lv._grid_slot) == [(0.8, 97)]
+    def test_two_most_recent_grids_kept_in_order(self):
+        lv._grid_slot.clear()
+        lv._grid(0.9, 65)
+        lv._grid(0.9, 97)
+        assert list(lv._grid_slot) == [(0.9, 65), (0.9, 97)]
+        lv._grid(0.9, 65)                   # a reuse makes it the most recent
+        assert list(lv._grid_slot) == [(0.9, 97), (0.9, 65)]
+        lv._grid(0.8, 65)                   # a third grid drops the least recent
+        assert list(lv._grid_slot) == [(0.9, 65), (0.8, 65)]
+
+    def test_least_recent_dropped_before_a_third_is_built(self, monkeypatch):
+        lv._grid_slot.clear()
+        lv._grid(0.9, 65)
+        lv._grid(0.9, 97)
+        assemble, kept_while_building = lv._assemble, []
+
+        def spied(*args):
+            kept_while_building.append(list(lv._grid_slot))
+            return assemble(*args)
+
+        monkeypatch.setattr(lv, "_assemble", spied)
+        lv._grid(0.8, 65)
+        assert kept_while_building == [[(0.9, 97)]]
+        assert list(lv._grid_slot) == [(0.9, 97), (0.8, 65)]
+
+    def test_alternating_grids_factored_once_each(self, monkeypatch):
+        lv._grid_slot.clear()
+        splu, factorizations = spla.splu, []
+
+        def counted(*args, **kwargs):
+            factorizations.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(lv.spla, "splu", counted)
+        for n in (65, 97, 65, 97):
+            lv.solve(lv.pinched_problem(0.9), n=n)
+        assert len(factorizations) == 2
+
+    def test_rebuilt_grid_solves_bitwise_equal(self):
+        problem = lv.pinched_problem(0.9)
+        lv._grid_slot.clear()
+        first = lv.solve(problem, n=65)
+        lv._grid(0.9, 97)
+        lv._grid(0.8, 65)
+        assert (0.9, 65) not in lv._grid_slot
+        rebuilt = lv.solve(problem, n=65)
+        assert np.array_equal(first.u, rebuilt.u, equal_nan=True)
+        assert first.residual_history == rebuilt.residual_history
 
     def test_solution_arrays_are_its_own(self):
         problem = lv.pinched_problem(0.9)

@@ -185,6 +185,26 @@ class TestSequentialSchwarzPick:
         assert not rep.hypothesis_ok
         assert rep.hypothesis_limit == pytest.approx(0.2, abs=1e-12)
 
+    def test_one_jet_per_point_set(self, monkeypatch):
+        # per member: the circle certification, the hypothesis point and one
+        # walk over the compact grid for both the deviation and the modulus
+        def member(n):
+            return hm.Automorphism(1.0 - 1.0 / n)
+
+        def points(n):
+            return 1.0 - 1.0 / n
+
+        jet, shapes = hm.Automorphism.jet, []
+
+        def counted(self, z):
+            shapes.append(np.shape(z))
+            return jet(self, z)
+
+        monkeypatch.setattr(hm.Automorphism, "jet", counted)
+        rep = sq.sequential_schwarz_pick(member, points)
+        assert rep.classification == "constant-like"
+        assert shapes == [hm._CIRCLE.shape, (), sq._compact_grid().shape] * 8
+
 
 class TestZeroTracking:
     def test_shared_zero_orders_converge(self):
