@@ -385,6 +385,7 @@ def run_liouville_solve(kappa, problem, R=0.9, n=129, out_csv=None) -> dict:
             "residual_history": sol.residual_history,
             "step_sizes": sol.step_sizes,
             "krylov_iterations": sol.krylov_iterations,
+            "forcing": sol.forcing,
             "passed": sol.residual_history[-1] <= lv.NEWTON_TOL}
 
 

@@ -12,7 +12,8 @@ at hand, legs that cross the circle ending exactly on it
 factored with the NATURAL order, partial pivoting kept.  The two most
 recently used grids and their factors are kept.  The factor gives
 the harmonic start and preconditions GMRES on every Newton system
-(Newton-Krylov).  A factored variant Lap log v = -kappa |z - xi|^(2 alpha)
+(Newton-Krylov), each solved only to an Eisenstat-Walker forcing term
+(inexact Newton).  A factored variant Lap log v = -kappa |z - xi|^(2 alpha)
 v^2 handles one prescribed zero.
 
 The solver doubles as a factory for a variable-curvature test metric:
@@ -48,13 +49,17 @@ NEWTON_TOL = 1e-10
 #: Newton steps ``solve`` takes before it refuses
 NEWTON_MAX_ITER = 40
 AHLFORS_MARGIN = 0.5
-# GMRES on each Newton system: relative 2-norm residual, Krylov basis size
-# and restart cycles.  A step of the bundled problems takes 5 to 11
-# iterations at n = 65 to 513, so one cycle normally suffices; the spare
-# cycles absorb a restart when the updated residual misses the target.
+# GMRES on each Newton system: the least relative 2-norm residual asked of
+# it (the floor of the forcing terms), Krylov basis size and restart
+# cycles.  Under the forcing terms a step of the bundled problems takes 3
+# to 8 iterations at n = 65 to 513, so one cycle normally suffices; the
+# spare cycles absorb a restart when the updated residual misses the target.
 GMRES_RTOL = 1e-8
 GMRES_RESTART = 60
 GMRES_MAXITER = 5
+#: largest forcing term, and the first: the relative residual asked of GMRES
+#: on the first Newton system (Eisenstat & Walker's eta_max)
+ETA_MAX = 0.1
 
 
 class LiouvilleError(DiskrigError, RuntimeError):
@@ -140,7 +145,7 @@ class DirichletProblem:
     def __post_init__(self):
         if not 0.0 < self.R < 1.0:
             raise MetricError("construction radius must lie in (0, 1)")
-        if self.pinch[0] > self.pinch[1] or self.pinch[1] > -4.0 + 1e-12:
+        if not self.pinch[0] <= self.pinch[1] <= -4.0 + 1e-12:     # NaN too
             raise MetricError("curvature pinch must satisfy low <= high <= -4")
 
 
@@ -155,6 +160,7 @@ class LiouvilleSolution:
     iterations: int
     step_sizes: list[float]         # accepted damping of each Newton step
     krylov_iterations: list[int]    # GMRES iterations of each Newton step
+    forcing: list[float]            # relative residual asked of each step's GMRES
 
 
 def hyperbolic_log_density(z):
@@ -371,11 +377,27 @@ def _assemble(R: float, n: int) -> _Grid:
 
 
 def _load(grid: _Grid, problem: DirichletProblem):
-    """A problem's part: boundary vector b, curvature kv, iterate ceiling."""
+    """A problem's part: boundary vector b, curvature kv, iterate ceiling.
+
+    Refuses the first non-finite boundary value, naming its angle, and the
+    first grid node where kappa is not finite or lies outside the declared
+    pinch, before the zero factor: such data would otherwise surface only
+    as a failed GMRES or a stalled Newton iteration."""
     pts = grid.pts
     g = np.asarray(problem.boundary(grid.b_angles), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        raise MetricError(f"boundary value {g[bad[0]]} at angle "
+                          f"{grid.b_angles[bad[0]]} is not finite")
     b = np.bincount(grid.b_rows, weights=grid.b_weights * g, minlength=len(pts))
     kv = np.asarray(problem.kappa(pts), dtype=float)
+    low, high = problem.pinch
+    bad = np.flatnonzero(~np.isfinite(kv) | (kv < low) | (kv > high))
+    if bad.size:
+        k = bad[0]
+        cause = ("is not finite" if not np.isfinite(kv[k])
+                 else f"lies outside the declared pinch [{low:g}, {high:g}]")
+        raise MetricError(f"curvature {kv[k]} at node {pts[k]} {cause}")
     cap = hyperbolic_log_density(pts) + AHLFORS_MARGIN
     if problem.zero_factor is not None:
         xi, alpha = problem.zero_factor
@@ -394,12 +416,20 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N) -> LiouvilleSolution:
     boundary data, and right-preconditions GMRES on every Newton system
     J = A + (I + h^2/12 L5) diag(2 kappa e^(2u)), which differs from A
     only by that scaling (Newton-Krylov: Knoll & Keyes, J. Comput. Phys.
-    193, 2004).  Each Newton step is solved to ``GMRES_RTOL`` relative
-    residual in the 2-norm, with OpenBLAS held to one thread.  Steps are
-    halved until the residual decreases, and iterates are clamped below
-    the extremal-density ceiling (log hyperbolic density plus a margin)
-    to keep the exponential term controlled.  The iteration stops at
-    ``NEWTON_TOL`` and refuses after ``NEWTON_MAX_ITER`` steps.
+    193, 2004).  Newton system k is solved, with OpenBLAS held to one
+    thread, to a relative 2-norm residual eta_k, Eisenstat & Walker's
+    choice 2 (SIAM J. Sci. Comput. 17, 1996) on the scaled residual norms
+    |F_k|: eta_0 = ``ETA_MAX``, then eta_k = 0.9 (|F_k| / |F_k-1|)^2,
+    kept at least 0.9 eta_k-1^2 where that exceeds 0.1, and clipped to
+    [``GMRES_RTOL``, ``ETA_MAX``].  Far from the root a step asks little
+    of GMRES; near it, where Newton converges quadratically, eta_k falls
+    with the residual.  Steps are halved until the residual decreases,
+    and iterates are clamped below the extremal-density ceiling (log
+    hyperbolic density plus a margin) to keep the exponential term
+    controlled.  The iteration stops at
+    ``NEWTON_TOL`` and refuses after ``NEWTON_MAX_ITER`` steps.  Problem
+    data that is not finite, or curvature outside the declared pinch, is
+    refused before the first step (``_load``).
     """
     if n < 64:
         raise MetricError("grid resolution must be at least 64 per side")
@@ -419,10 +449,17 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N) -> LiouvilleSolution:
     history = [res_norm]
     step_sizes: list[float] = []
     krylov_iterations: list[int] = []
+    forcing: list[float] = []
     converged = res_norm <= NEWTON_TOL
     it = 0
     while not converged and it < NEWTON_MAX_ITER:
         it += 1
+        eta = ETA_MAX
+        if forcing:     # Eisenstat-Walker choice 2, gamma = 0.9, alpha = 2
+            eta = 0.9 * (history[-1] / history[-2]) ** 2
+            if 0.9 * forcing[-1] ** 2 > 0.1:    # binds only if ETA_MAX > 1/3
+                eta = max(eta, 0.9 * forcing[-1] ** 2)
+            eta = min(max(eta, GMRES_RTOL), ETA_MAX)
         diag = 2.0 * kv * np.exp(2.0 * u)
         jac = spla.LinearOperator(A.shape, dtype=float,
                                   matvec=lambda v: A @ v + source_op @ (diag * v))
@@ -430,7 +467,7 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N) -> LiouvilleSolution:
         # residual of the Newton system itself at delta = A^-1 y
         inner: list[float] = []
         with _single_threaded_blas():
-            y, info = spla.gmres(jac @ a_inverse, -res, rtol=GMRES_RTOL, atol=0.0,
+            y, info = spla.gmres(jac @ a_inverse, -res, rtol=eta, atol=0.0,
                                  restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
                                  callback=inner.append, callback_type="pr_norm")
         delta = a_inverse @ y
@@ -438,8 +475,10 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N) -> LiouvilleSolution:
             lin_res = np.linalg.norm(jac @ delta + res) / np.linalg.norm(res)
             raise LiouvilleError(
                 f"GMRES did not converge at Newton step {it} (info {info}): "
-                f"relative residual {lin_res:.3e} after {len(inner)} iterations")
+                f"relative residual {lin_res:.3e} after {len(inner)} iterations, "
+                f"forcing term {eta:.3e}")
         krylov_iterations.append(len(inner))
+        forcing.append(eta)
         step = 1.0
         while step >= 1.0 / 64.0:
             trial = np.minimum(u + step * delta, cap)
@@ -469,7 +508,8 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N) -> LiouvilleSolution:
                              ys=grid.ys.copy(), u=U, mask=grid.inside.copy(),
                              residual_history=history, iterations=it,
                              step_sizes=step_sizes,
-                             krylov_iterations=krylov_iterations)
+                             krylov_iterations=krylov_iterations,
+                             forcing=forcing)
 
 
 def _filled_grid(sol: LiouvilleSolution) -> np.ndarray:

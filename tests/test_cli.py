@@ -365,6 +365,7 @@ class TestSubcommands:
         assert len(rep["step_sizes"]) == steps
         assert len(rep["krylov_iterations"]) == steps
         assert all(k >= 1 for k in rep["krylov_iterations"])
+        assert len(rep["forcing"]) == steps
 
     def test_liouville_accepted_at_rounding_floor_fails(self, tmp_path,
                                                          monkeypatch):

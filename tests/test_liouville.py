@@ -168,6 +168,36 @@ class TestSolve:
         with pytest.raises(mt.MetricError):
             lv.solve(lv.poincare_problem(0.9), n=32)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kappa, boundary, match", [
+        (-4.0, np.nan, r"boundary value nan at angle \S+ is not finite"),
+        (np.inf, -math.log(1.0 - 0.81), r"curvature inf at node \S+ is not finite"),
+        (4.0, -math.log(1.0 - 0.81),
+         r"curvature 4\.0 at node \S+ lies outside the declared pinch \[-4, -4\]"),
+    ])
+    def test_bad_problem_data_refused_before_any_step(self, kappa, boundary, match,
+                                                      monkeypatch):
+        # kappa takes its value near 0 only; the boundary on the upper half
+        def gmres(*args, **kwargs):
+            raise AssertionError("GMRES called on refused data")
+
+        monkeypatch.setattr(lv.spla, "gmres", gmres)
+        problem = lv.DirichletProblem(
+            R=0.9,
+            kappa=lambda z: np.where(np.abs(z) < 0.1, kappa, -4.0),
+            pinch=(-4.0, -4.0),
+            boundary=lambda th: np.where(np.sin(th) > 0.0, boundary,
+                                         -math.log(1.0 - 0.81)))
+        with pytest.raises(mt.MetricError, match=match):
+            lv.solve(problem, n=65)
+
+    @pytest.mark.parametrize("pinch", [(-4.0, -5.0), (-3.0, -3.0),
+                                       (np.nan, -4.0), (-5.0, np.nan)])
+    def test_malformed_pinch_refused(self, pinch):
+        with pytest.raises(mt.MetricError, match="pinch must satisfy"):
+            lv.DirichletProblem(R=0.9, kappa=lv.radial_pinched_kappa, pinch=pinch,
+                                boundary=lambda th: np.zeros(np.shape(th)))
+
     def test_iteration_budget_error(self, monkeypatch):
         monkeypatch.setattr(lv, "NEWTON_MAX_ITER", 1)
         monkeypatch.setattr(lv, "NEWTON_TOL", 1e-14)
@@ -202,12 +232,40 @@ class TestNewtonKrylov:
 
     @pytest.mark.parametrize("n", [65, 97])
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
-    def test_matches_direct_newton(self, name, n):
+    def test_matches_direct_newton(self, name, n, monkeypatch):
+        # every Newton system solved to GMRES_RTOL: the Krylov machinery
+        # against direct solves, step for step
+        monkeypatch.setattr(lv, "ETA_MAX", lv.GMRES_RTOL)
         problem = PROBLEMS[name]()
         u_ref, it_ref = direct_newton(problem, n)
         sol = lv.solve(problem, n=n)
         assert sol.iterations == it_ref
         assert np.max(np.abs(sol.u[sol.mask] - u_ref)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_default_forcing_within_stopping_rule_bound(self, name):
+        # the stopping rule leaves |F_j(u)| <= NEWTON_TOL row_scale_j, so to
+        # first order |u - u_root|_i <= NEWTON_TOL sum_j |J^-1|_ij row_scale_j
+        # with J the Jacobian at the root, whatever the forcing terms were
+        problem, n = PROBLEMS[name](), 65
+        u_root, _ = direct_newton(problem, n, tol=1e-14)
+        sol = lv.solve(problem, n=n)
+        grid = lv._grid(problem.R, n)
+        _, kv, _ = lv._load(grid, problem)
+        jac = grid.A + grid.source_op @ sp.diags(2.0 * kv * np.exp(2.0 * u_root))
+        bound = lv.NEWTON_TOL * np.max(np.abs(np.linalg.inv(jac.toarray()))
+                                       @ grid.row_scale)
+        assert sol.residual_history[-1] <= lv.NEWTON_TOL
+        assert np.max(np.abs(sol.u[sol.mask] - u_root)) <= bound
+
+    def test_forcing_saves_krylov_iterations(self, monkeypatch):
+        problem = lv.pinched_problem(0.9)
+        forced = lv.solve(problem, n=97)
+        monkeypatch.setattr(lv, "ETA_MAX", lv.GMRES_RTOL)
+        fixed = lv.solve(problem, n=97)
+        assert fixed.forcing == [lv.GMRES_RTOL] * fixed.iterations
+        assert sum(forced.krylov_iterations) < sum(fixed.krylov_iterations)
+        assert abs(forced.iterations - fixed.iterations) <= 1
 
     def test_step_and_krylov_records(self):
         sol = lv.solve(lv.pinched_problem(0.9), n=65)
@@ -215,6 +273,14 @@ class TestNewtonKrylov:
         assert len(sol.krylov_iterations) == sol.iterations
         assert all(0.0 < s <= 1.0 for s in sol.step_sizes)
         assert all(1 <= k <= lv.GMRES_RESTART for k in sol.krylov_iterations)
+        assert len(sol.forcing) == sol.iterations
+        assert sol.forcing[0] == lv.ETA_MAX
+        # Eisenstat-Walker choice 2 from the recorded residuals
+        hist = sol.residual_history
+        for k in range(1, sol.iterations):
+            want = min(max(0.9 * (hist[k] / hist[k - 1]) ** 2, lv.GMRES_RTOL),
+                       lv.ETA_MAX)
+            assert sol.forcing[k] == want
 
     def test_gmres_failure_names_the_step(self, monkeypatch):
         def failing(op, rhs, **kwargs):
@@ -222,7 +288,8 @@ class TestNewtonKrylov:
 
         monkeypatch.setattr(lv.spla, "gmres", failing)
         with pytest.raises(lv.LiouvilleError,
-                           match=r"Newton step 1 .*relative residual 1\.000e\+00"):
+                           match=r"Newton step 1 .*relative residual 1\.000e\+00 "
+                                 r".*forcing term 1\.000e-01"):
             lv.solve(lv.poincare_problem(0.9), n=65)
 
     def test_gmres_runs_on_one_blas_thread(self, monkeypatch):
