@@ -23,6 +23,7 @@ Pseudometric whose pinch bounds are that problem's.
 
 from __future__ import annotations
 
+import cmath
 import collections
 import contextlib
 import ctypes
@@ -134,6 +135,8 @@ class DirichletProblem:
     Dirichlet data on |z| = R.  ``zero_factor`` = (xi, alpha) switches to
     the factored equation for a density with a zero of order alpha at xi;
     the boundary data then describes log(density / |z - xi|^alpha).
+    A non-finite xi, and an alpha that is not finite and nonnegative, are
+    refused.
     """
 
     R: float
@@ -147,6 +150,13 @@ class DirichletProblem:
             raise MetricError("construction radius must lie in (0, 1)")
         if not self.pinch[0] <= self.pinch[1] <= -4.0 + 1e-12:     # NaN too
             raise MetricError("curvature pinch must satisfy low <= high <= -4")
+        if self.zero_factor is not None:
+            xi, alpha = self.zero_factor
+            if not cmath.isfinite(xi):
+                raise MetricError(f"zero factor location must be finite, got {xi}")
+            if not (math.isfinite(alpha) and alpha >= 0.0):
+                raise MetricError(f"zero factor order must be finite and "
+                                  f"nonnegative, got {alpha}")
 
 
 @dataclass

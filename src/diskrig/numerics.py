@@ -4,11 +4,20 @@ Polar-grid quadrature over disks, five-point finite-difference Laplacians
 with optional Richardson extrapolation, and least-squares fitting of
 boundary asymptotic rates (the machinery that turns a qualitative
 little-o statement into a numeric verdict).
+
+The quadrature walks its grid in blocks of whole rings of about
+BLOCK_NODES nodes, built on the fly from cached per-ring data (ring
+radii, ring weights and the unit circle's points); no node array of a
+whole grid is cached or built, so memory stays at two values per node
+(weights and integrand values) whatever the grid.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -59,7 +68,10 @@ class PolarGrid:
     """Tensor quadrature grid on the disk |z - center| < radius.
 
     Gauss-Legendre in the squared radial variable, trapezoid in angle.
-    Node weights are positive and sum to the disk area.
+    Node weights are positive and sum to the disk area.  Nodes are
+    numbered ring by ring, from the innermost ring out, n_t to a ring.
+    Only per-ring data is cached (radii, weights and the unit circle's
+    n_t points); nodes are built on demand, a range of rings at a time.
     """
 
     center: complex = 0j
@@ -68,75 +80,104 @@ class PolarGrid:
     n_t: int = 128
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise NumericsError("grid radius must be positive")
+        for name in ("n_r", "n_t"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise NumericsError(f"grid {name} must be an integer, "
+                                    f"got {getattr(self, name)!r}")
+        if not cmath.isfinite(self.center):
+            raise NumericsError(f"grid center must be finite, got {self.center!r}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise NumericsError(f"grid radius must be finite and positive, "
+                                f"got {self.radius!r}")
         if self.n_r < 2 or self.n_t < 4:
             raise NumericsError("need n_r >= 2 and n_t >= 4")
 
-    def nodes(self, avoid: complex | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Return (points, weights).
+    def weights(self) -> np.ndarray:
+        """Weights of every node, in node order."""
+        return np.repeat(_rings(float(self.radius), self.n_r, self.n_t)[1], self.n_t)
+
+    def ring_nodes(self, start: int, stop: int,
+                   avoid: complex | None = None) -> np.ndarray:
+        """Nodes of rings start, ..., stop - 1, in node order.
 
         If ``avoid`` is given, any node within COINCIDENCE_TOL of it is
         moved along its ring by half an angular cell, so integrable
         singularities at that point never get sampled exactly and the
         node keeps its radius (it stays inside the disk).
         """
-        pts, w, r = _grid_nodes(complex(self.center), float(self.radius),
-                                self.n_r, self.n_t)
+        if not 0 <= start < stop <= self.n_r:
+            raise NumericsError(f"need 0 <= start < stop <= {self.n_r}, got "
+                                f"start = {start} and stop = {stop}")
+        r, _, circle = _rings(float(self.radius), self.n_r, self.n_t)
+        center = complex(self.center)
+        pts = center + np.outer(r[start:stop], circle).ravel()
         if avoid is None:
-            return pts, w
+            return pts
         # a node within COINCIDENCE_TOL of avoid lies on a ring whose radius
         # is within COINCIDENCE_TOL of |avoid - center| (triangle
         # inequality); the slack also absorbs the rounding of both moduli
-        rho = abs(avoid - self.center)
-        slack = 4.0 * COINCIDENCE_TOL + 1e-14 * (abs(self.center) + self.radius)
-        first = int(np.searchsorted(r, rho - slack, side="left")) * self.n_t
-        stop = int(np.searchsorted(r, rho + slack, side="right")) * self.n_t
-        hit = np.flatnonzero(np.abs(pts[first:stop] - avoid) < COINCIDENCE_TOL) + first
-        if hit.size:
-            pts = pts.copy()
-            pts[hit] = (self.center
-                        + (pts[hit] - self.center) * np.exp(1j * np.pi / self.n_t))
-        return pts, w
+        rho = abs(avoid - center)
+        slack = 4.0 * COINCIDENCE_TOL + 1e-14 * (abs(center) + self.radius)
+        first = max(int(np.searchsorted(r, rho - slack, side="left")), start)
+        last = min(int(np.searchsorted(r, rho + slack, side="right")), stop)
+        if first >= last:
+            return pts
+        near = slice((first - start) * self.n_t, (last - start) * self.n_t)
+        hit = np.flatnonzero(np.abs(pts[near] - avoid) < COINCIDENCE_TOL) + near.start
+        pts[hit] = center + (pts[hit] - center) * np.exp(1j * np.pi / self.n_t)
+        return pts
 
 
-# cached apart from the nodes: the rule depends on n_r alone
+#: Nodes per block of whole rings that quadrature_disk hands the
+#: integrand (one ring when a ring alone has more): the block's
+#: temporaries stay in cache and no whole-grid node array is built.
+BLOCK_NODES = 16384
+
+
+# cached apart from the rings: the rule depends on n_r alone
 @functools.lru_cache(maxsize=8)
 def _gauss_rule(n_r: int):
     return np.polynomial.legendre.leggauss(n_r)
 
 
 @functools.lru_cache(maxsize=32)
-def _grid_nodes(center: complex, radius: float, n_r: int, n_t: int):
+def _rings(radius: float, n_r: int, n_t: int):
+    """Ring radii, the weight of each node of a ring, and the unit
+    circle's n_t points."""
     # Gauss-Legendre in u = r^2 on [0, R^2]: area element is du dtheta / 2.
     x, w = _gauss_rule(n_r)
     u = 0.5 * radius**2 * (x + 1.0)
     wu = 0.5 * radius**2 * w
     theta = 2.0 * np.pi * np.arange(n_t) / n_t
     wt = 2.0 * np.pi / n_t
-    r = np.sqrt(u)
-    pts = center + np.outer(r, np.exp(1j * theta)).ravel()
-    weights = 0.5 * wt * np.repeat(wu, n_t)
-    return pts, weights, r
+    return np.sqrt(u), 0.5 * wt * wu, np.exp(1j * theta)
 
 
 def quadrature_disk(grid: PolarGrid, f: Callable, avoid: complex | None = None) -> float:
     """Integrate f over the grid's disk: sum of w_i * f(node_i).
 
-    f is called once, on the node array, and must act elementwise.
-    Raises NumericsError naming the offending node if f is not finite
-    somewhere on the grid.
+    The grid is walked in blocks of whole rings, about BLOCK_NODES nodes
+    each, and f is called once per block, on its node array: f must act
+    elementwise.  Its values fill one array in node order, so the sum is
+    the same single dot product over all nodes as in one call on every
+    node.  Raises NumericsError naming the first node, in node order,
+    where f is not finite.
     """
-    pts, w = grid.nodes(avoid=avoid)
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.shape != pts.shape:
-        raise NumericsError(f"integrand returned shape {vals.shape} on "
-                            f"{pts.shape} nodes; it must act elementwise")
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        node = pts[np.argmax(bad)]
-        raise NumericsError(f"integrand not finite at node {node}")
-    return float(w @ vals)
+    n_t = grid.n_t
+    vals = np.empty(grid.n_r * n_t)
+    step = max(1, BLOCK_NODES // n_t)
+    for start in range(0, grid.n_r, step):
+        stop = min(start + step, grid.n_r)
+        pts = grid.ring_nodes(start, stop, avoid=avoid)
+        block = np.asarray(f(pts), dtype=float)
+        if block.shape != pts.shape:
+            raise NumericsError(f"integrand returned shape {block.shape} on "
+                                f"{pts.shape} nodes; it must act elementwise")
+        bad = ~np.isfinite(block)
+        if np.any(bad):
+            raise NumericsError(f"integrand not finite at node {pts[np.argmax(bad)]}")
+        vals[start * n_t:stop * n_t] = block
+    return float(grid.weights() @ vals)
 
 
 def laplacian_fd(u: Callable, z, h: float, richardson: bool = False):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ class TestGreen:
         # in-place passes on the work arrays, one expression here; the
         # larger grid is past the size where numpy reuses temporaries
         R, z = 0.9, 0.4 - 0.1j
-        w, _ = PolarGrid(0j, R, n_r, n_t).nodes(avoid=z)
+        w = PolarGrid(0j, R, n_r, n_t).ring_nodes(0, n_r, avoid=z)
         before = w.copy()
         expected = -np.log(R * np.abs(z - w) / np.abs(R**2 - np.conj(w) * z))
         assert np.array_equal(gp.green(R, z, w), expected)
@@ -105,12 +106,33 @@ class TestGreenMean:
         # the node there is moved along its ring, not out of the disk; the
         # error is no worse than at a node of the middle ring
         R, grid = 0.8, PolarGrid(0j, 0.8, 20, 40)
-        pts, _ = grid.nodes()
+        pts = grid.ring_nodes(0, grid.n_r)
 
         def error(z):
             return abs(gp.green_mean(R, z, grid) - (R**2 - abs(z) ** 2) / 4.0)
 
         assert error(complex(pts[19 * 40 + 3])) <= error(complex(pts[10 * 40 + 3]))
+
+    def test_memory_stays_two_values_per_node(self):
+        # the default 900 x 1800 grid: weights and integrand values take
+        # 2 x 13 MB; whole-grid nodes or temporaries would add 13 to 26 MB each
+        tracemalloc.start()
+        try:
+            gp.green_mean(0.9, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_no_grid_kept_after_use(self):
+        tracemalloc.start()
+        try:
+            for k in range(12):
+                gp.green_mean(0.41 + 0.04 * k, 0.3)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 2 * 2**20
 
 
 class TestMajorant:

@@ -198,6 +198,26 @@ class TestSolve:
             lv.DirichletProblem(R=0.9, kappa=lv.radial_pinched_kappa, pinch=pinch,
                                 boundary=lambda th: np.zeros(np.shape(th)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("zero_factor, match", [
+        ((np.nan, 1.0), r"zero factor location must be finite, got nan"),
+        ((complex(0.1, np.inf), 1.0), r"zero factor location must be finite, got \(0\.1\+infj\)"),
+        ((0j, np.nan), r"zero factor order must be finite and nonnegative, got nan"),
+        ((0j, np.inf), r"zero factor order must be finite and nonnegative, got inf"),
+        ((0j, -1.0), r"zero factor order must be finite and nonnegative, got -1\.0"),
+    ], ids=["nan-xi", "inf-xi", "nan-alpha", "inf-alpha", "negative-alpha"])
+    def test_malformed_zero_factor_refused_before_any_step(self, zero_factor, match,
+                                                           monkeypatch):
+        def gmres(*args, **kwargs):
+            raise AssertionError("GMRES called on refused data")
+
+        monkeypatch.setattr(lv.spla, "gmres", gmres)
+        with pytest.raises(mt.MetricError, match=match):
+            lv.solve(lv.DirichletProblem(
+                R=0.8, kappa=lambda z: np.full(np.shape(z), -4.0), pinch=(-4.0, -4.0),
+                boundary=lambda th: np.zeros(np.shape(th)), zero_factor=zero_factor),
+                n=65)
+
     def test_iteration_budget_error(self, monkeypatch):
         monkeypatch.setattr(lv, "NEWTON_MAX_ITER", 1)
         monkeypatch.setattr(lv, "NEWTON_TOL", 1e-14)

@@ -1,26 +1,28 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskrig.numerics import (COINCIDENCE_TOL, NumericsError, PolarGrid, Verdict,
-                              dyadic_ts, fit_boundary_rate, laplacian_fd,
+from diskrig.numerics import (BLOCK_NODES, COINCIDENCE_TOL, NumericsError, PolarGrid,
+                              Verdict, dyadic_ts, fit_boundary_rate, laplacian_fd,
                               quadrature_disk)
 
 
 class TestPolarGrid:
     def test_weights_positive_and_sum_to_area(self):
         for grid in (PolarGrid(0j, 1.0, 16, 32), PolarGrid(0.2 + 0.1j, 0.7, 40, 64)):
-            pts, w = grid.nodes()
+            w = grid.weights()
+            assert w.shape == (grid.n_r * grid.n_t,)
             assert np.all(w > 0)
             area = math.pi * grid.radius**2
             assert abs(w.sum() - area) <= 1e-12 * area
 
     def test_nodes_strictly_inside(self):
         grid = PolarGrid(0.1j, 0.9, 24, 48)
-        pts, _ = grid.nodes()
+        pts = grid.ring_nodes(0, grid.n_r)
         assert np.all(np.abs(pts - grid.center) < grid.radius)
 
     def test_invalid_parameters(self):
@@ -29,18 +31,38 @@ class TestPolarGrid:
         with pytest.raises(NumericsError):
             PolarGrid(0j, 1.0, 1, 16)
 
+    @pytest.mark.parametrize("args, field", [
+        ((0j, math.nan, 8, 8), "radius"), ((0j, math.inf, 8, 8), "radius"),
+        ((complex(math.nan, 0.0), 1.0, 8, 8), "center"),
+        ((complex(0.0, -math.inf), 1.0, 8, 8), "center"),
+        ((0j, 1.0, 8.5, 8), "n_r"), ((0j, 1.0, 8, 16.5), "n_t"),
+        ((0j, 1.0, 8, 16.0), "n_t")])
+    def test_malformed_field_named(self, args, field):
+        with pytest.raises(NumericsError, match=f"grid {field} must be"):
+            PolarGrid(*args)
+
+    def test_numpy_integer_sizes_accepted(self):
+        grid = PolarGrid(0j, 1.0, np.int64(8), np.int32(16))
+        assert quadrature_disk(grid, lambda z: np.ones(z.shape)) == \
+            pytest.approx(math.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("start, stop", [(-1, 4), (3, 3), (4, 2), (0, 9)])
+    def test_ring_range_refused(self, start, stop):
+        with pytest.raises(NumericsError, match="start < stop"):
+            PolarGrid(0j, 1.0, 8, 16).ring_nodes(start, stop)
+
     def test_avoid_perturbs_coincident_node(self):
         grid = PolarGrid(0j, 1.0, 8, 16)
-        pts, _ = grid.nodes()
+        pts = grid.ring_nodes(0, grid.n_r)
         target = complex(pts[37])
-        moved, _ = grid.nodes(avoid=target)
+        moved = grid.ring_nodes(0, grid.n_r, avoid=target)
         assert np.min(np.abs(moved - target)) > 1e-12
 
     @staticmethod
     def avoid_cases(grid):
         """A node on each ring, a point 1e-13 off a node, the center and
         a point off the grid."""
-        pts, _ = grid.nodes()
+        pts = grid.ring_nodes(0, grid.n_r)
         on_rings = [complex(pts[i * grid.n_t + (3 * i) % grid.n_t])
                     for i in range(grid.n_r)]
         return on_rings + [complex(pts[5]) + 1e-13j, grid.center,
@@ -53,18 +75,18 @@ class TestPolarGrid:
     def test_moved_nodes_are_the_full_scan_hits(self, grid):
         # the test only scans rings near |avoid - center|; the nodes it
         # moves must be exactly those a scan of every node finds
-        pts, _ = grid.nodes()
+        pts = grid.ring_nodes(0, grid.n_r)
         for target in self.avoid_cases(grid):
             full_scan = np.flatnonzero(np.abs(pts - target) < COINCIDENCE_TOL)
-            moved, _ = grid.nodes(avoid=target)
+            moved = grid.ring_nodes(0, grid.n_r, avoid=target)
             assert np.array_equal(np.flatnonzero(moved != pts), full_scan)
 
     @pytest.mark.parametrize("ring", ["first", "middle", "last"])
     def test_moved_node_keeps_its_ring(self, ring):
         grid = PolarGrid(0.1 - 0.2j, 0.8, 20, 40)
         i = {"first": 0, "middle": 10, "last": 19}[ring] * grid.n_t + 7
-        pts, _ = grid.nodes()
-        moved, _ = grid.nodes(avoid=complex(pts[i]))
+        pts = grid.ring_nodes(0, grid.n_r)
+        moved = grid.ring_nodes(0, grid.n_r, avoid=complex(pts[i]))
         radius = abs(moved[i] - grid.center)
         assert radius < grid.radius
         assert radius == pytest.approx(abs(pts[i] - grid.center), rel=1e-15)
@@ -72,11 +94,11 @@ class TestPolarGrid:
         step = np.angle((moved[i] - grid.center) / (pts[i] - grid.center))
         assert step == pytest.approx(np.pi / grid.n_t, rel=1e-12)
 
-    def test_cached_nodes_not_written(self):
+    def test_avoid_leaves_later_nodes_unchanged(self):
         grid = PolarGrid(0j, 1.0, 8, 16)
-        before = grid.nodes()[0].copy()
-        grid.nodes(avoid=complex(before[20]))
-        assert np.array_equal(grid.nodes()[0], before)
+        before = grid.ring_nodes(0, grid.n_r)
+        grid.ring_nodes(0, grid.n_r, avoid=complex(before[20]))
+        assert np.array_equal(grid.ring_nodes(0, grid.n_r), before)
 
 
 class TestQuadrature:
@@ -114,13 +136,90 @@ class TestQuadrature:
             with pytest.raises(NumericsError, match="not finite"):
                 quadrature_disk(grid, lambda z: 1.0 / (np.abs(z) - np.abs(z)))
 
-
-    def test_integrand_called_once_on_all_nodes(self):
+    def test_integrand_called_on_node_arrays(self):
         grid = PolarGrid(0j, 1.0, 8, 16)
         with pytest.raises(TypeError):
             quadrature_disk(grid, lambda z: math.exp(abs(z)))
         with pytest.raises(NumericsError, match="elementwise"):
             quadrature_disk(grid, lambda z: 1.0)
+
+
+#: a ring longer than a block (every block is one ring), and three rings
+#: to a block with a short last block (rings 9 of 10)
+BLOCK_GRIDS = [PolarGrid(0.1 - 0.2j, 0.8, 3, BLOCK_NODES + 4),
+               PolarGrid(0j, 0.9, 10, BLOCK_NODES // 3)]
+
+
+def integrand(w):
+    return np.log(np.abs(w - 0.05j)) * np.cos(3.0 * np.real(w)) + np.imag(w) ** 2
+
+
+class TestRingBlocks:
+    """quadrature_disk walks the grid in blocks of whole rings; the sum
+    must equal one dot product of the weights with f on every node."""
+
+    @staticmethod
+    def rings_per_block(grid):
+        return max(1, BLOCK_NODES // grid.n_t)
+
+    @pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=["long-ring", "short-last"])
+    def test_equals_one_dot_over_all_nodes(self, grid):
+        assert grid.n_r % self.rings_per_block(grid) != 0 or grid.n_t > BLOCK_NODES
+        pts = grid.ring_nodes(0, grid.n_r)
+        assert quadrature_disk(grid, integrand) == float(grid.weights() @ integrand(pts))
+
+    @pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=["long-ring", "short-last"])
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_avoid_on_the_first_and_last_ring_of_a_block(self, grid, end):
+        # the second block's first or last ring
+        k = self.rings_per_block(grid)
+        ring = k if end == "first" else 2 * k - 1
+        i = ring * grid.n_t + 11
+        plain = grid.ring_nodes(0, grid.n_r)
+        target = complex(plain[i])
+        pts = grid.ring_nodes(0, grid.n_r, avoid=target)
+        assert np.array_equal(np.flatnonzero(pts != plain), [i])
+
+        def f(w):
+            return np.log(np.abs(w - target))
+
+        assert quadrature_disk(grid, f, avoid=target) == float(grid.weights() @ f(pts))
+
+    @pytest.mark.parametrize("grid", BLOCK_GRIDS + [PolarGrid(0j, 1.0, 8, 16)],
+                             ids=["long-ring", "short-last", "one-block"])
+    def test_integrand_gets_whole_ring_blocks(self, grid):
+        seen = []
+
+        def f(w):
+            seen.append(w.copy())
+            return np.ones(w.shape)
+
+        quadrature_disk(grid, f)
+        assert all(b.size % grid.n_t == 0 for b in seen)
+        assert all(b.size <= max(BLOCK_NODES, grid.n_t) for b in seen)
+        assert max(b.size for b in seen) == \
+            min(grid.n_r, self.rings_per_block(grid)) * grid.n_t
+        assert np.array_equal(np.concatenate(seen), grid.ring_nodes(0, grid.n_r))
+
+    @pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=["long-ring", "short-last"])
+    def test_first_bad_node_named_from_a_later_block(self, grid):
+        # bad values in the last block and, earlier, in the second
+        pts = grid.ring_nodes(0, grid.n_r)
+        first = self.rings_per_block(grid) * grid.n_t + 5
+        bad = np.zeros(pts.size, dtype=bool)
+        bad[[first, pts.size - 2]] = True
+
+        def f(w):
+            return np.where(np.isin(w, pts[bad]), np.nan, 1.0)
+
+        with pytest.raises(NumericsError,
+                           match=re.escape(f"not finite at node {pts[first]}")):
+            quadrature_disk(grid, f)
+
+    def test_shape_mismatch_refused(self):
+        grid = BLOCK_GRIDS[1]
+        with pytest.raises(NumericsError, match="elementwise"):
+            quadrature_disk(grid, lambda w: np.ones(grid.n_t))
 
 
 class TestLaplacian:
