@@ -26,6 +26,17 @@ CONFIGS = [
     ("rigidity scan automorphism",
      "command = rigidity-scan\nlam = pullback(auto 0.3+0.1j 0.0)\n"
      "expect-verdict = VANISHES\nout = scan-auto.json\n"),
+    # Nehari-Schwarz case: mu = pullback(zpow 2) has a zero at 0.  An
+    # automorphism after z^2 pulls back to mu itself; for z^k against z^m
+    # the limit at exponent 2 is -(k^2 - m^2)/6 (README), -5/6 here
+    ("rigidity scan T(z^2) against z^2",
+     "command = rigidity-scan\nlam = pullback(compose auto 0.3+0.2j 1.0 zpow 2)\n"
+     "mu = pullback(zpow 2)\nexpect-verdict = VANISHES\n"
+     "out = scan-ns-auto.json\n"),
+    ("rigidity scan z^3 against z^2",
+     "command = rigidity-scan\nlam = pullback(zpow 3)\nmu = pullback(zpow 2)\n"
+     "expect-verdict = BOUNDED_NONZERO\nexpect-limit = -0.8333333333\n"
+     "out = scan-ns-cube.json\n"),
     ("cubic-order boundary rigidity",
      "command = burns-krantz\nmap = feps 0.0833333333333\nout = bk.json\n"),
     ("poisson-jensen decomposition",

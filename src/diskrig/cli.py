@@ -386,6 +386,7 @@ def run_liouville_solve(kappa, problem, R=0.9, n=129, out_csv=None) -> dict:
             "step_sizes": sol.step_sizes,
             "krylov_iterations": sol.krylov_iterations,
             "forcing": sol.forcing,
+            "start": sol.start, "coarse_difference": sol.coarse_difference,
             "passed": sol.residual_history[-1] <= lv.NEWTON_TOL}
 
 

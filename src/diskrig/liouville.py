@@ -7,14 +7,14 @@ eight neighbors lie inside, else per axis the u'' weights on the offsets
 at hand, legs that cross the circle ending exactly on it
 (Shortley-Weller).  The discrete Laplacian is factored once per grid
 (R, n), for every solve on it, by SuperLU in nested-dissection order
-(George 1973; blocks of at most 32 unknowns keep their natural order).
-``splu`` takes no caller's column order, so A is permuted beforehand and
-factored with the NATURAL order, partial pivoting kept.  The two most
-recently used grids and their factors are kept.  The factor gives
-the harmonic start and preconditions GMRES on every Newton system
-(Newton-Krylov), each solved only to an Eisenstat-Walker forcing term
-(inexact Newton).  A factored variant Lap log v = -kappa |z - xi|^(2 alpha)
-v^2 handles one prescribed zero.
+(George 1973; blocks of at most 32 unknowns keep their natural order),
+A permuted beforehand (``_grid``).  The two most recently used grids and
+their factors are kept.  The factor gives the harmonic start and
+right-preconditions GMRES, one factor solve per iteration, on every
+Newton system (Newton-Krylov), each solved only to an Eisenstat-Walker
+forcing term (inexact Newton); odd n >= ``NESTED_MIN`` start from the
+solve on the nested grid of (n + 1)/2 instead.  A factored variant
+Lap log v = -kappa |z - xi|^(2 alpha) v^2 handles one prescribed zero.
 
 The solver doubles as a factory for a variable-curvature test metric:
 ``make_pinched_metric`` wraps the solution of ``pinched_problem`` in a
@@ -39,6 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.interpolate import RectBivariateSpline
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .metric import MetricError, Pseudometric
 from .numerics import DiskrigError
@@ -52,7 +53,7 @@ NEWTON_MAX_ITER = 40
 AHLFORS_MARGIN = 0.5
 # GMRES on each Newton system: the least relative 2-norm residual asked of
 # it (the floor of the forcing terms), Krylov basis size and restart
-# cycles.  Under the forcing terms a step of the bundled problems takes 3
+# cycles.  Under the forcing terms a step of the bundled problems takes 1
 # to 8 iterations at n = 65 to 513, so one cycle normally suffices; the
 # spare cycles absorb a restart when the updated residual misses the target.
 GMRES_RTOL = 1e-8
@@ -61,6 +62,8 @@ GMRES_MAXITER = 5
 #: largest forcing term, and the first: the relative residual asked of GMRES
 #: on the first Newton system (Eisenstat & Walker's eta_max)
 ETA_MAX = 0.1
+#: smallest odd n whose solve starts from the nested coarse solve
+NESTED_MIN = 257
 
 
 class LiouvilleError(DiskrigError, RuntimeError):
@@ -171,6 +174,8 @@ class LiouvilleSolution:
     step_sizes: list[float]         # accepted damping of each Newton step
     krylov_iterations: list[int]    # GMRES iterations of each Newton step
     forcing: list[float]            # relative residual asked of each step's GMRES
+    start: str | int = "harmonic"   # first iterate, or the coarse n it came from
+    coarse_difference: float | None = None  # nested: max |u_n - u_m| on shared nodes
 
 
 def hyperbolic_log_density(z):
@@ -221,7 +226,7 @@ def _second_derivative_weights(offsets: list[float]) -> np.ndarray:
 
 #: the problem-independent system of one (R, n) grid; b_rows, b_weights and
 #: b_angles: row, weight and angle of each circle point a boundary row reads;
-#: a_inverse: the LinearOperator y -> A^-1 y
+#: a_inverse: the function y -> A^-1 y
 _Grid = collections.namedtuple("_Grid", "xs ys inside pts A L5 source_op row_scale "
                                "b_rows b_weights b_angles a_inverse")
 _grid_lock = threading.Lock()
@@ -284,13 +289,12 @@ def _grid(R: float, n: int) -> _Grid:
             p = _nested_dissection(grid.inside)
             lu = spla.splu(grid.A[p][:, p].tocsc(), permc_spec="NATURAL")
 
-            def solve_a(rhs):
+            def a_inverse(rhs):
                 out = np.empty_like(rhs)
                 out[p] = lu.solve(rhs[p])
                 return out
 
-            _grid_slot[key] = grid._replace(a_inverse=spla.LinearOperator(
-                grid.A.shape, matvec=solve_a, dtype=float))
+            _grid_slot[key] = grid._replace(a_inverse=a_inverse)
         return _grid_slot[key]
 
 
@@ -416,14 +420,53 @@ def _load(grid: _Grid, problem: DirichletProblem):
     return b, kv, cap
 
 
+def _gmres(jac, a_inverse, rhs, rtol):
+    """GMRES(``GMRES_RESTART``) for jac(delta) = rhs from 0, right-preconditioned
+    by ``a_inverse``, in at most ``GMRES_MAXITER`` cycles.  It keeps each
+    z_j = a_inverse(v_j) (Saad's flexible form, SIAM J. Sci. Comput. 14,
+    1993), so delta = Z c needs no further solve, and the true residual
+    that ends a cycle costs matvecs only.  Returns (delta,
+    |rhs - jac(delta)| / |rhs|, iterations)."""
+    lartg = get_lapack_funcs("lartg", dtype=float)
+    rhs_norm = np.linalg.norm(rhs)
+    delta, r, iterations = np.zeros_like(rhs), rhs, 0
+    for _ in range(GMRES_MAXITER):
+        g = np.zeros(GMRES_RESTART + 1)
+        g[0] = np.linalg.norm(r)
+        H = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+        V, Z, rotations = [r * (1.0 / g[0])], [], []
+        for j in range(GMRES_RESTART):     # Arnoldi, modified Gram-Schmidt
+            Z.append(a_inverse(V[j]))
+            w = jac(Z[j])
+            w_norm = np.linalg.norm(w)
+            for k, v in enumerate(V):
+                H[k, j] = v @ w
+                w -= H[k, j] * v
+            H[j + 1, j] = np.linalg.norm(w)
+            breakdown = H[j + 1, j] <= np.finfo(float).eps * w_norm   # delta exact
+            if not breakdown:
+                V.append(w * (1.0 / H[j + 1, j]))
+            for k, (c, s) in enumerate(rotations):
+                H[k:k + 2, j] = (c * H[k, j] + s * H[k + 1, j],
+                                 c * H[k + 1, j] - s * H[k, j])
+            c, s, H[j, j] = lartg(H[j, j], H[j + 1, j])
+            rotations.append((c, s))
+            g[j:j + 2] = c * g[j], -s * g[j]
+            iterations += 1
+            if abs(g[j + 1]) <= rtol * rhs_norm or breakdown:
+                break
+        delta += solve_triangular(H[:j + 1, :j + 1], g[:j + 1]) @ np.array(Z)
+        r = rhs - jac(delta)
+        if np.linalg.norm(r) / rhs_norm <= rtol or breakdown:
+            break
+    return delta, float(np.linalg.norm(r) / rhs_norm), iterations
+
+
 def solve(problem: DirichletProblem, n: int = DEFAULT_N) -> LiouvilleSolution:
     """Damped Newton-Krylov iteration on the finite-difference curvature system.
 
-    ``A`` is factored once per grid (``_grid``), in nested-dissection
-    order with leaves of at most 32 unknowns: permuted beforehand, since
-    ``splu`` takes no caller's order, and factored with NATURAL.  The
-    factor gives the initial iterate, the harmonic extension of the
-    boundary data, and right-preconditions GMRES on every Newton system
+    ``A`` is factored once per grid (``_grid``), and the factor
+    right-preconditions GMRES (``_gmres``) on every Newton system
     J = A + (I + h^2/12 L5) diag(2 kappa e^(2u)), which differs from A
     only by that scaling (Newton-Krylov: Knoll & Keyes, J. Comput. Phys.
     193, 2004).  Newton system k is solved, with OpenBLAS held to one
@@ -436,17 +479,43 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N) -> LiouvilleSolution:
     with the residual.  Steps are halved until the residual decreases,
     and iterates are clamped below the extremal-density ceiling (log
     hyperbolic density plus a margin) to keep the exponential term
-    controlled.  The iteration stops at
-    ``NEWTON_TOL`` and refuses after ``NEWTON_MAX_ITER`` steps.  Problem
-    data that is not finite, or curvature outside the declared pinch, is
-    refused before the first step (``_load``).
+    controlled.  The iteration stops at ``NEWTON_TOL`` and refuses after
+    ``NEWTON_MAX_ITER`` steps.  Problem data that is not finite, or
+    curvature outside the declared pinch, is refused before the first
+    step (``_load``), and before any coarse solve.
+
+    The first iterate is the harmonic extension of the boundary data, but
+    an odd n >= ``NESTED_MIN`` nests the grid of m = (n + 1)/2 (h = 2R/(n - 1)):
+    the same problem is solved there from its harmonic start, and its
+    bicubic interpolant starts the fine iteration (nested iteration:
+    Brandt, Math. Comp. 31, 1977).  ``start`` records m, and
+    ``coarse_difference`` max |u_n - u_m| on the shared nodes, which
+    estimates the discretization error.
     """
     if n < 64:
         raise MetricError("grid resolution must be at least 64 per side")
     grid = _grid(problem.R, n)
+    data = _load(grid, problem)
+    if n < NESTED_MIN or n % 2 == 0:
+        return _newton(grid, problem, data)
+    m = (n + 1) // 2
+    coarse_grid = _grid(problem.R, m)
+    coarse = _newton(coarse_grid, problem, _load(coarse_grid, problem))
+    u0 = solution_interpolator(coarse).ev(grid.pts.real, grid.pts.imag)
+    sol = _newton(grid, problem, data, u0)
+    sol.start = m
+    # u is NaN outside the disk, so the max runs over the shared nodes
+    sol.coarse_difference = float(np.nanmax(np.abs(sol.u[::2, ::2] - coarse.u)))
+    return sol
+
+
+def _newton(grid: _Grid, problem: DirichletProblem, data: tuple,
+            u0: np.ndarray | None = None) -> LiouvilleSolution:
+    """``solve``'s iteration on one grid with data = ``_load(grid, problem)``,
+    from min(u0, cap), or from the harmonic start where u0 is None."""
     A, source_op, a_inverse = grid.A, grid.source_op, grid.a_inverse
-    b, kv, cap = _load(grid, problem)
-    u = np.minimum(a_inverse @ -b, cap)
+    b, kv, cap = data
+    u = np.minimum(a_inverse(-b) if u0 is None else u0, cap)
 
     def residual(uv):
         return A @ uv + b + source_op @ (kv * np.exp(2.0 * uv))
@@ -471,23 +540,18 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N) -> LiouvilleSolution:
                 eta = max(eta, 0.9 * forcing[-1] ** 2)
             eta = min(max(eta, GMRES_RTOL), ETA_MAX)
         diag = 2.0 * kv * np.exp(2.0 * u)
-        jac = spla.LinearOperator(A.shape, dtype=float,
-                                  matvec=lambda v: A @ v + source_op @ (diag * v))
-        # right preconditioning: GMRES minimizes |J A^-1 y + res|, the
-        # residual of the Newton system itself at delta = A^-1 y
-        inner: list[float] = []
+
+        def jac(v):
+            return A @ v + source_op @ (diag * v)
+
         with _single_threaded_blas():
-            y, info = spla.gmres(jac @ a_inverse, -res, rtol=eta, atol=0.0,
-                                 restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
-                                 callback=inner.append, callback_type="pr_norm")
-        delta = a_inverse @ y
-        if info != 0:
-            lin_res = np.linalg.norm(jac @ delta + res) / np.linalg.norm(res)
+            delta, lin_res, inner = _gmres(jac, a_inverse, -res, eta)
+        if not lin_res <= eta:
             raise LiouvilleError(
-                f"GMRES did not converge at Newton step {it} (info {info}): "
-                f"relative residual {lin_res:.3e} after {len(inner)} iterations, "
-                f"forcing term {eta:.3e}")
-        krylov_iterations.append(len(inner))
+                f"GMRES did not converge at Newton step {it} in {GMRES_MAXITER} "
+                f"cycles: relative residual {lin_res:.3e} after {inner} "
+                f"iterations, forcing term {eta:.3e}")
+        krylov_iterations.append(inner)
         forcing.append(eta)
         step = 1.0
         while step >= 1.0 / 64.0:
@@ -511,7 +575,7 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N) -> LiouvilleSolution:
             f"no convergence in {NEWTON_MAX_ITER} iterations; "
             f"residual history {history}")
 
-    U = np.full((n, n), np.nan)
+    U = np.full(grid.inside.shape, np.nan)
     U[grid.inside] = u
     # copies: the grid's arrays are shared with every later solve on it
     return LiouvilleSolution(problem=problem, xs=grid.xs.copy(),
@@ -522,19 +586,14 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N) -> LiouvilleSolution:
                              forcing=forcing)
 
 
-def _filled_grid(sol: LiouvilleSolution) -> np.ndarray:
-    """Replace exterior NaNs by radial continuation of the boundary data."""
+def solution_interpolator(sol: LiouvilleSolution):
+    """Bicubic interpolant of log density over the solved disk; exterior
+    nodes take the boundary value at their angle (radial continuation)."""
     U = sol.u.copy()
     X, Y = np.meshgrid(sol.xs, sol.ys, indexing="ij")
     outside = ~sol.mask
-    theta = np.arctan2(Y[outside], X[outside])
-    U[outside] = np.asarray(sol.problem.boundary(theta), dtype=float)
-    return U
-
-
-def solution_interpolator(sol: LiouvilleSolution):
-    """Bicubic interpolant of log density over the solved disk."""
-    U = _filled_grid(sol)
+    U[outside] = np.asarray(sol.problem.boundary(np.arctan2(Y[outside], X[outside])),
+                            dtype=float)
     return RectBivariateSpline(sol.xs, sol.ys, U, kx=3, ky=3, s=0)
 
 

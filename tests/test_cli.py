@@ -174,6 +174,14 @@ class TestExitCodes:
         assert "unknown expect-verdict" in err and known in err
         assert not list(tmp_path.iterdir())
 
+    def test_undominated_nehari_schwarz_pair_is_two(self, tmp_path, capsys):
+        # z^2 after an automorphism moving 0 lacks the zero of mu at 0
+        text = ("command = rigidity-scan\nlam = pullback(compose zpow 2 auto 0.3 0.0)\n"
+                "mu = pullback(zpow 2)\nout = scan.json\n")
+        assert run_text(text, tmp_path) == 2
+        assert "not dominated" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_seed_is_unknown_key_where_unread(self, tmp_path):
         cfg = tmp_path / "scan.cfg"
         cfg.write_text("command = rigidity-scan\nseed = 3\n")
@@ -366,6 +374,15 @@ class TestSubcommands:
         assert len(rep["krylov_iterations"]) == steps
         assert all(k >= 1 for k in rep["krylov_iterations"])
         assert len(rep["forcing"]) == steps
+        assert rep["start"] == "harmonic" and rep["coarse_difference"] is None
+
+    def test_liouville_report_records_the_nested_start(self, tmp_path):
+        code = run_text("command = liouville-solve\nkappa = const-4\nn = 257\n"
+                        "out = lv.json\n", tmp_path)
+        assert code == 0
+        rep = json.loads((tmp_path / "lv.json").read_text())
+        assert rep["start"] == 129 and rep["iterations"] <= 3
+        assert 0.0 < rep["coarse_difference"] < 1e-3
 
     def test_liouville_accepted_at_rounding_floor_fails(self, tmp_path,
                                                          monkeypatch):

@@ -181,7 +181,7 @@ class TestSolve:
         def gmres(*args, **kwargs):
             raise AssertionError("GMRES called on refused data")
 
-        monkeypatch.setattr(lv.spla, "gmres", gmres)
+        monkeypatch.setattr(lv, "_gmres", gmres)
         problem = lv.DirichletProblem(
             R=0.9,
             kappa=lambda z: np.where(np.abs(z) < 0.1, kappa, -4.0),
@@ -211,7 +211,7 @@ class TestSolve:
         def gmres(*args, **kwargs):
             raise AssertionError("GMRES called on refused data")
 
-        monkeypatch.setattr(lv.spla, "gmres", gmres)
+        monkeypatch.setattr(lv, "_gmres", gmres)
         with pytest.raises(mt.MetricError, match=match):
             lv.solve(lv.DirichletProblem(
                 R=0.8, kappa=lambda z: np.full(np.shape(z), -4.0), pinch=(-4.0, -4.0),
@@ -303,14 +303,37 @@ class TestNewtonKrylov:
             assert sol.forcing[k] == want
 
     def test_gmres_failure_names_the_step(self, monkeypatch):
-        def failing(op, rhs, **kwargs):
-            return np.zeros_like(rhs), 1
+        # a Krylov solve that returns delta = 0 and its true residual
+        def failing(jac, a_inverse, rhs, rtol):
+            return np.zeros_like(rhs), 1.0, 7
 
-        monkeypatch.setattr(lv.spla, "gmres", failing)
+        monkeypatch.setattr(lv, "_gmres", failing)
         with pytest.raises(lv.LiouvilleError,
                            match=r"Newton step 1 .*relative residual 1\.000e\+00 "
-                                 r".*forcing term 1\.000e-01"):
+                                 r"after 7 iterations, forcing term 1\.000e-01"):
             lv.solve(lv.poincare_problem(0.9), n=65)
+
+    def test_exhausted_gmres_refused_with_its_true_residual(self, monkeypatch):
+        # one cycle of one iteration cannot meet the first forcing term: the
+        # refusal reports the residual of the step GMRES returned
+        monkeypatch.setattr(lv, "GMRES_RESTART", 1)
+        monkeypatch.setattr(lv, "GMRES_MAXITER", 1)
+        problem = lv.poincare_problem(0.9)
+        grid = lv._grid(0.9, 65)
+        b, kv, cap = lv._load(grid, problem)
+        u = np.minimum(grid.a_inverse(-b), cap)
+        res = grid.A @ u + b + grid.source_op @ (kv * np.exp(2.0 * u))
+        z = grid.a_inverse(-res)
+        jz = grid.A @ z + grid.source_op @ (2.0 * kv * np.exp(2.0 * u) * z)
+        # one iteration: the multiple c z that minimizes |J (c z) + res|
+        c = -(jz @ res) / (jz @ jz)
+        want = np.linalg.norm(c * jz + res) / np.linalg.norm(res)
+        assert want > lv.ETA_MAX
+        with pytest.raises(lv.LiouvilleError, match=r"Newton step 1 in 1 cycles: "
+                           r"relative residual (\S+) after 1 iterations") as err:
+            lv.solve(problem, n=65)
+        got = float(err.value.args[0].split("relative residual ")[1].split()[0])
+        assert got == pytest.approx(want, rel=1e-3)
 
     def test_gmres_runs_on_one_blas_thread(self, monkeypatch):
         controls = lv._openblas_thread_controls()
@@ -318,13 +341,13 @@ class TestNewtonKrylov:
             pytest.skip("no OpenBLAS thread control in this process")
         before = [get() for get, _ in controls]
         seen = []
-        gmres = spla.gmres
+        gmres = lv._gmres
 
         def recording(*args, **kwargs):
             seen.append([get() for get, _ in controls])
             return gmres(*args, **kwargs)
 
-        monkeypatch.setattr(lv.spla, "gmres", recording)
+        monkeypatch.setattr(lv, "_gmres", recording)
         sol = lv.solve(lv.pinched_problem(0.9), n=65)
         assert seen == [[1] * len(controls)] * sol.iterations
         assert [get() for get, _ in controls] == before
@@ -334,11 +357,82 @@ class TestNewtonKrylov:
         if not controls:
             pytest.skip("no OpenBLAS thread control in this process")
         before = [get() for get, _ in controls]
-        monkeypatch.setattr(lv.spla, "gmres",
-                            lambda op, rhs, **kwargs: (np.zeros_like(rhs), 1))
+        monkeypatch.setattr(lv, "_gmres", lambda jac, a_inverse, rhs, rtol:
+                            (np.zeros_like(rhs), 1.0, 1))
         with pytest.raises(lv.LiouvilleError):
             lv.solve(lv.poincare_problem(0.9), n=65)
         assert [get() for get, _ in controls] == before
+
+
+def counting_factor_solves(monkeypatch, R, n):
+    """Count the applications of the (R, n) grid's factor from now on."""
+    grid = lv._grid(R, n)
+    calls = []
+
+    def counted(rhs):
+        calls.append(1)
+        return grid.a_inverse(rhs)
+
+    monkeypatch.setitem(lv._grid_slot, (float(R), n),
+                        grid._replace(a_inverse=counted))
+    return calls
+
+
+class TestFactorSolves:
+    @pytest.mark.parametrize("n", [65, 97])
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_one_factor_solve_per_krylov_iteration(self, name, n, monkeypatch):
+        # the harmonic start, then one solve per GMRES iteration: no solve to
+        # recover the step and none to check the residual
+        problem = PROBLEMS[name]()
+        calls = counting_factor_solves(monkeypatch, problem.R, n)
+        sol = lv.solve(problem, n=n)
+        assert sol.start == "harmonic" and sol.coarse_difference is None
+        assert len(calls) == 1 + sum(sol.krylov_iterations)
+
+
+class TestNestedStart:
+    def test_flat_n257_starts_from_the_coarse_solve(self, monkeypatch):
+        problem = lv.poincare_problem(0.9)
+        coarse = lv.solve(problem, n=129)
+        fine_calls = counting_factor_solves(monkeypatch, 0.9, 257)
+        coarse_calls = counting_factor_solves(monkeypatch, 0.9, 129)
+        sol = lv.solve(problem, n=257)
+        assert sol.start == 129
+        assert sol.iterations <= 3
+        assert sol.residual_history[-1] <= lv.NEWTON_TOL
+        # no farther from 1/(1 - |z|^2) than the harmonic start left it
+        assert density_error_vs_hyperbolic(sol) <= 2.0633e-5
+        assert len(fine_calls) == sum(sol.krylov_iterations)
+        assert len(coarse_calls) == 1 + sum(coarse.krylov_iterations)
+        # the difference to the coarse solution bounds the true error of u
+        pts = solution_points(sol)
+        error = np.max(np.abs(sol.u[sol.mask] - lv.hyperbolic_log_density(pts)))
+        shared = sol.mask[::2, ::2] & coarse.mask
+        assert sol.coarse_difference == np.max(np.abs(sol.u[::2, ::2][shared]
+                                                      - coarse.u[shared]))
+        assert sol.coarse_difference >= error
+
+    @pytest.mark.parametrize("n", [129, 256])
+    def test_smaller_or_even_grids_keep_the_harmonic_start(self, n):
+        sol = lv.solve(lv.poincare_problem(0.9), n=n)
+        assert sol.start == "harmonic" and sol.coarse_difference is None
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bad_data_refused_before_the_coarse_solve(self, monkeypatch):
+        # only the node h of the fine grid, which the coarse grid lacks,
+        # carries the bad curvature; no Newton step runs on either grid
+        def gmres(*args, **kwargs):
+            raise AssertionError("GMRES called on refused data")
+
+        monkeypatch.setattr(lv, "_gmres", gmres)
+        h = 1.8 / 256
+        problem = lv.DirichletProblem(
+            R=0.9, kappa=lambda z: np.where(np.abs(z - h) < 0.1 * h, np.inf, -4.0),
+            pinch=(-4.0, -4.0),
+            boundary=lambda th: np.full(np.shape(th), -math.log(1.0 - 0.81)))
+        with pytest.raises(mt.MetricError, match=r"curvature inf at node \(0\.0070"):
+            lv.solve(problem, n=257)
 
 
 class TestGridCache:
@@ -475,7 +569,7 @@ class TestNestedDissection:
         lv._grid_slot.clear()
         grid = lv._grid(0.9, 97)
         r = np.random.default_rng(7).standard_normal(grid.A.shape[0])
-        back = grid.A @ (grid.a_inverse @ r)
+        back = grid.A @ grid.a_inverse(r)
         assert np.linalg.norm(back - r) <= 1e-10 * np.linalg.norm(r)
 
     def test_less_fill_than_minimum_degree(self, monkeypatch):
