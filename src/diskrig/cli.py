@@ -286,11 +286,13 @@ def run_burns_krantz(map="id", k_min=4, k_max=20) -> dict:
             "profile_samples": [(1.0 - t, v) for t, v in inv.samples]}
 
 
-def run_pj_decompose(lam="poincare", mu=None, R=0.9, z=0.3 + 0j, n_r=220,
-                     n_t=440, tol=1e-3, bound_r=0.8, bound_xi=0j) -> dict:
+def run_pj_decompose(lam="poincare", mu=None, R=0.9, z=0.3 + 0j,
+                     n_r=gp.RESOLUTION[0], n_t=gp.RESOLUTION[1], tol=1e-3,
+                     bound_r=0.8, bound_xi=0j) -> dict:
     lam = parse_metric(lam)
-    dec = gp.pj_decompose(lam, R, z, grid=PolarGrid(0j, R, n_r, n_t))
-    gm = gp.green_mean(R, z)
+    grid = PolarGrid(0j, R, n_r, n_t)
+    dec = gp.pj_decompose(lam, R, z, grid=grid)
+    gm = gp.green_mean(R, z, grid)
     gm_exact = (R**2 - abs(z) ** 2) / 4.0
     report = {
         "R": R, "z": str(z),

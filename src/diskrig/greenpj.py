@@ -23,6 +23,9 @@ from .numerics import DiskrigError, PolarGrid, quadrature_disk
 
 CIRCLE_ZERO_TOL = 1e-9
 POINT_COINCIDENCE_TOL = 1e-14
+#: (n_r, n_t) of the pole-centred rule of green_mean and pj_decompose
+#: when no grid is given
+RESOLUTION = (64, 128)
 
 
 class GreenPJError(DiskrigError, ValueError):
@@ -69,12 +72,12 @@ def green_mean(R: float, z: complex, grid: PolarGrid | None = None) -> float:
     """(1/2pi) * area integral of g_R(z, .) over the disk.
 
     Equals (R^2 - |z|^2)/4 exactly; the quadrature value is returned so
-    the identity can be used as an error gauge for the node layout.
+    the identity can be used as an error gauge for the rule.
     """
     if grid is None:
-        grid = PolarGrid(0j, R, 900, 1800)
+        grid = PolarGrid(0j, R, *RESOLUTION)
     _require_covering(grid, R)
-    total = quadrature_disk(grid, lambda w: green(R, z, w), avoid=z)
+    total = quadrature_disk(grid, lambda w: green(R, z, w), z)
     return total / (2.0 * math.pi)
 
 
@@ -130,9 +133,11 @@ def pj_decompose(lam: Pseudometric, R: float, z: complex,
     log lam(z) = -sum_j alpha_j g_R(z, xi_j) + h_R(z)
                  + (1/2pi) * integral of g_R(z, w) kappa(w) lam(w)^2 dA_w.
 
+    The area integral runs on the grid's rule in polar coordinates about
+    z, the kernel's logarithmic pole (numerics.quadrature_disk).
     Requires declared pinch bounds with kappa <= -4 and a grid on the
-    disk of radius R about 0; z must stay away from the zeros and the
-    zeros away from the circle.
+    disk of radius R about 0 (one of RESOLUTION when none is given); z
+    must stay away from the zeros and the zeros away from the circle.
     """
     if lam.pinch is None or lam.pinch[1] > -4.0 + 1e-12:
         raise GreenPJError("decomposition needs declared pinch bounds with "
@@ -143,7 +148,7 @@ def pj_decompose(lam: Pseudometric, R: float, z: complex,
         if abs(z - rec.location) < 1e-6:
             raise GreenPJError("evaluation point too close to a zero")
     if grid is None:
-        grid = PolarGrid(0j, R, 220, 440)
+        grid = PolarGrid(0j, R, *RESOLUTION)
     _require_covering(grid, R)
 
     zero_terms = []
@@ -153,15 +158,10 @@ def pj_decompose(lam: Pseudometric, R: float, z: complex,
 
     majorant = harmonic_majorant(lam, R, z)
 
-    # subtract the value at the logarithmic pole: the remainder integrand
-    # is continuous there, and the subtracted part integrates exactly to
-    # s(z) (R^2 - |z|^2)/4 per unit 2 pi.  The source goes first, so its
-    # temporaries are freed before the Green function's array is built.
-    s_z = float(curvature_source(lam, np.array([z]))[0])
-    remainder = quadrature_disk(
-        grid, lambda w: (curvature_source(lam, w) - s_z) * green(R, z, w),
-        avoid=z)
-    potential = remainder / (2.0 * math.pi) + s_z * (R**2 - abs(z) ** 2) / 4.0
+    # the source goes first, so its temporaries are freed before the
+    # Green function's array is built
+    potential = quadrature_disk(
+        grid, lambda w: curvature_source(lam, w) * green(R, z, w), z) / (2.0 * math.pi)
 
     log_density = math.log(float(lam.density(z)))
     reconstructed = sum(t for _, t in zero_terms) + majorant + potential

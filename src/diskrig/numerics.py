@@ -1,15 +1,15 @@
 """Shared numerical substrate.
 
-Polar-grid quadrature over disks, five-point finite-difference Laplacians
-with optional Richardson extrapolation, and least-squares fitting of
-boundary asymptotic rates (the machinery that turns a qualitative
-little-o statement into a numeric verdict).
+Quadrature over disks in polar coordinates about a pole of the
+integrand, five-point finite-difference Laplacians with optional
+Richardson extrapolation, and least-squares fitting of boundary
+asymptotic rates (the machinery that turns a qualitative little-o
+statement into a numeric verdict).
 
-The quadrature walks its grid in blocks of whole rings of about
-BLOCK_NODES nodes, built on the fly from cached per-ring data (ring
-radii, ring weights and the unit circle's points); no node array of a
-whole grid is cached or built, so memory stays at two values per node
-(weights and integrand values) whatever the grid.
+The quadrature builds its nodes on the fly, in blocks of whole rays of
+about BLOCK_NODES nodes, from the cached radial rule of its resolution;
+no node or value array of a whole grid is cached or built, whatever the
+grid.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ import numpy as np
 #: Extrapolated limits below this threshold count as vanishing; values
 #: growing beyond its reciprocal count as divergent.
 TOL_VANISH = 1e-3
-
-#: Nodes closer than this to a declared singular point get perturbed.
-COINCIDENCE_TOL = 1e-12
 
 
 class DiskrigError(Exception):
@@ -65,13 +62,12 @@ class RateReport:
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Tensor quadrature grid on the disk |z - center| < radius.
+    """Resolution and disk of a quadrature rule on |z - center| < radius.
 
-    Gauss-Legendre in the squared radial variable, trapezoid in angle.
-    Node weights are positive and sum to the disk area.  Nodes are
-    numbered ring by ring, from the innermost ring out, n_t to a ring.
-    Only per-ring data is cached (radii, weights and the unit circle's
-    n_t points); nodes are built on demand, a range of rings at a time.
+    quadrature_disk puts the rule's polar coordinates about a pole of
+    the integrand: n_t rays from the pole, each clipped at the circle,
+    with n_r Gauss-Legendre nodes on each ray.  The grid itself holds
+    no nodes.
     """
 
     center: complex = 0j
@@ -92,83 +88,56 @@ class PolarGrid:
         if self.n_r < 2 or self.n_t < 4:
             raise NumericsError("need n_r >= 2 and n_t >= 4")
 
-    def weights(self) -> np.ndarray:
-        """Weights of every node, in node order."""
-        return np.repeat(_rings(float(self.radius), self.n_r, self.n_t)[1], self.n_t)
 
-    def ring_nodes(self, start: int, stop: int,
-                   avoid: complex | None = None) -> np.ndarray:
-        """Nodes of rings start, ..., stop - 1, in node order.
-
-        If ``avoid`` is given, any node within COINCIDENCE_TOL of it is
-        moved along its ring by half an angular cell, so integrable
-        singularities at that point never get sampled exactly and the
-        node keeps its radius (it stays inside the disk).
-        """
-        if not 0 <= start < stop <= self.n_r:
-            raise NumericsError(f"need 0 <= start < stop <= {self.n_r}, got "
-                                f"start = {start} and stop = {stop}")
-        r, _, circle = _rings(float(self.radius), self.n_r, self.n_t)
-        center = complex(self.center)
-        pts = center + np.outer(r[start:stop], circle).ravel()
-        if avoid is None:
-            return pts
-        # a node within COINCIDENCE_TOL of avoid lies on a ring whose radius
-        # is within COINCIDENCE_TOL of |avoid - center| (triangle
-        # inequality); the slack also absorbs the rounding of both moduli
-        rho = abs(avoid - center)
-        slack = 4.0 * COINCIDENCE_TOL + 1e-14 * (abs(center) + self.radius)
-        first = max(int(np.searchsorted(r, rho - slack, side="left")), start)
-        last = min(int(np.searchsorted(r, rho + slack, side="right")), stop)
-        if first >= last:
-            return pts
-        near = slice((first - start) * self.n_t, (last - start) * self.n_t)
-        hit = np.flatnonzero(np.abs(pts[near] - avoid) < COINCIDENCE_TOL) + near.start
-        pts[hit] = center + (pts[hit] - center) * np.exp(1j * np.pi / self.n_t)
-        return pts
-
-
-#: Nodes per block of whole rings that quadrature_disk hands the
-#: integrand (one ring when a ring alone has more): the block's
+#: Nodes per block of whole rays that quadrature_disk hands the
+#: integrand (one ray when a ray alone has more): the block's
 #: temporaries stay in cache and no whole-grid node array is built.
 BLOCK_NODES = 16384
 
 
-# cached apart from the rings: the rule depends on n_r alone
 @functools.lru_cache(maxsize=8)
-def _gauss_rule(n_r: int):
-    return np.polynomial.legendre.leggauss(n_r)
+def _ray_rule(n_r: int):
+    """Nodes u^2 and weights 2 u^3 du of the radial rule on [0, 1]:
+    Gauss-Legendre in u, with rho = u^2 on a ray of unit length."""
+    x, w = np.polynomial.legendre.leggauss(n_r)
+    u = 0.5 * (x + 1.0)
+    return u * u, u**3 * w
 
 
-@functools.lru_cache(maxsize=32)
-def _rings(radius: float, n_r: int, n_t: int):
-    """Ring radii, the weight of each node of a ring, and the unit
-    circle's n_t points."""
-    # Gauss-Legendre in u = r^2 on [0, R^2]: area element is du dtheta / 2.
-    x, w = _gauss_rule(n_r)
-    u = 0.5 * radius**2 * (x + 1.0)
-    wu = 0.5 * radius**2 * w
-    theta = 2.0 * np.pi * np.arange(n_t) / n_t
-    wt = 2.0 * np.pi / n_t
-    return np.sqrt(u), 0.5 * wt * wu, np.exp(1j * theta)
+def quadrature_disk(grid: PolarGrid, f: Callable, pole: complex) -> float:
+    """Integrate f over the grid's disk, in polar coordinates about pole.
 
+    The rule puts n_t rays from the pole at the midpoints of equal
+    angular cells, each clipped at the circle at rho_max, and n_r nodes
+    rho = rho_max u^2 on each, u Gauss-Legendre on [0, 1].  The area
+    element rho drho = 2 rho_max^2 u^3 du damps a logarithmic pole of f
+    at the pole to u^3 log u, and no node lies on the pole.  The pole
+    must lie inside the disk.
 
-def quadrature_disk(grid: PolarGrid, f: Callable, avoid: complex | None = None) -> float:
-    """Integrate f over the grid's disk: sum of w_i * f(node_i).
-
-    The grid is walked in blocks of whole rings, about BLOCK_NODES nodes
-    each, and f is called once per block, on its node array: f must act
-    elementwise.  Its values fill one array in node order, so the sum is
-    the same single dot product over all nodes as in one call on every
-    node.  Raises NumericsError naming the first node, in node order,
-    where f is not finite.
+    The rays are walked in blocks of about BLOCK_NODES nodes, and f is
+    called once per block, on its node array: f must act elementwise.
+    Raises NumericsError naming the first node, ray by ray from the
+    pole out, where f is not finite.
     """
+    pole = complex(pole)
+    d = pole - complex(grid.center)
+    if not abs(d) < grid.radius:
+        raise NumericsError(f"pole {pole} must lie inside the grid's disk "
+                            f"|z - {grid.center}| < {grid.radius}")
+    c = grid.radius**2 - abs(d) ** 2
+    u2, wu = _ray_rule(grid.n_r)
     n_t = grid.n_t
-    vals = np.empty(grid.n_r * n_t)
-    step = max(1, BLOCK_NODES // n_t)
-    for start in range(0, grid.n_r, step):
-        stop = min(start + step, grid.n_r)
-        pts = grid.ring_nodes(start, stop, avoid=avoid)
+    step = max(1, BLOCK_NODES // grid.n_r)
+    total = 0.0
+    for start in range(0, n_t, step):
+        phi = 2.0 * np.pi / n_t * (np.arange(start, min(start + step, n_t)) + 0.5)
+        ray = np.exp(1j * phi)
+        # rho_max solves rho^2 + 2 b rho = c; for b > 0 in the form
+        # that keeps its digits
+        b = np.real(d.conjugate() * ray)
+        s = np.abs(b) + np.sqrt(c + b * b)
+        rho_max = np.where(b > 0, c / s, s)
+        pts = (pole + np.outer(rho_max * ray, u2)).ravel()
         block = np.asarray(f(pts), dtype=float)
         if block.shape != pts.shape:
             raise NumericsError(f"integrand returned shape {block.shape} on "
@@ -176,8 +145,8 @@ def quadrature_disk(grid: PolarGrid, f: Callable, avoid: complex | None = None) 
         bad = ~np.isfinite(block)
         if np.any(bad):
             raise NumericsError(f"integrand not finite at node {pts[np.argmax(bad)]}")
-        vals[start * n_t:stop * n_t] = block
-    return float(grid.weights() @ vals)
+        total += float(rho_max**2 @ (block.reshape(-1, grid.n_r) @ wu))
+    return total * 2.0 * np.pi / n_t
 
 
 def laplacian_fd(u: Callable, z, h: float, richardson: bool = False):

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from diskrig import cli
+from diskrig import greenpj as gp
+from diskrig.numerics import PolarGrid
 
 
 def run_text(text: str, tmp_path: Path) -> int:
@@ -411,3 +413,10 @@ class TestSubcommands:
         rep = json.loads((tmp_path / "pj.json").read_text())
         assert rep["residual"] <= 1e-3
         assert rep["quotient_bound"]["passed"]
+
+    def test_pj_decompose_green_mean_on_the_configured_grid(self, tmp_path):
+        run_text("command = pj-decompose\nR = 0.9\nz = 0.4\nn-r = 3\n"
+                 "n-t = 6\nout = pj.json\n", tmp_path)
+        rep = json.loads((tmp_path / "pj.json").read_text())
+        coarse = gp.green_mean(0.9, 0.4, PolarGrid(0j, 0.9, 3, 6))
+        assert rep["green_mean"] == coarse != gp.green_mean(0.9, 0.4)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from diskrig import greenpj as gp
 from diskrig import holomap as hm
@@ -18,14 +19,26 @@ inner = st.complex_numbers(max_magnitude=0.7, allow_infinity=False,
                            allow_nan=False)
 
 
-def potential_direct(lam, R, z, grid):
-    """Raw quadrature of the curvature potential, no pole subtraction: an
-    oracle for pj_decompose's potential term that relies only on the
-    node-perturbation rule at w = z."""
-    total = quadrature_disk(
-        grid, lambda w: gp.green(R, z, w) * mt.curvature_source(lam, w),
-        avoid=z)
-    return total / (2.0 * math.pi)
+def potential_radial(lam, R, z):
+    """(1/2pi) * integral of g_R(z, w) s(|w|) dA for a radial source s,
+    as the one-dimensional integral of s(t) t log(R / max(t, |z|)) over
+    [0, R]: the mean of g_R(z, .) on the circle |w| = t is
+    log(R / max(t, |z|)).  An oracle for pj_decompose's potential term
+    that shares no quadrature node with it."""
+    r = abs(z)
+
+    def f(t):
+        s = float(mt.curvature_source(lam, np.array([complex(t)]))[0])
+        return s * t * math.log(R / max(t, r))
+
+    return quad(f, 0.0, R, points=[r], epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+
+def quadrature_nodes(grid, pole):
+    """The nodes quadrature_disk hands its integrand, in order."""
+    seen = []
+    quadrature_disk(grid, lambda w: seen.append(w.copy()) or np.ones(w.shape), pole)
+    return np.concatenate(seen)
 
 
 class TestGreen:
@@ -74,7 +87,7 @@ class TestGreen:
         # in-place passes on the work arrays, one expression here; the
         # larger grid is past the size where numpy reuses temporaries
         R, z = 0.9, 0.4 - 0.1j
-        w = PolarGrid(0j, R, n_r, n_t).ring_nodes(0, n_r, avoid=z)
+        w = quadrature_nodes(PolarGrid(0j, R, n_r, n_t), z)
         before = w.copy()
         expected = -np.log(R * np.abs(z - w) / np.abs(R**2 - np.conj(w) * z))
         assert np.array_equal(gp.green(R, z, w), expected)
@@ -97,38 +110,39 @@ class TestGreen:
 
 class TestGreenMean:
     @pytest.mark.parametrize("R,z", [(1.0, 0j), (1.0, 0.6 + 0j), (0.5, 0j),
-                                     (0.8, 0.3 + 0.2j)])
+                                     (0.8, 0.3 + 0.2j), (0.5, 0.2 + 0j),
+                                     (0.5, 0.1 - 0.3j), (0.9, 0.3 + 0j),
+                                     (0.9, -0.5 + 0.6j)])
     def test_matches_closed_form(self, R, z):
+        # on the default resolution
         val = gp.green_mean(R, z)
-        assert val == pytest.approx((R**2 - abs(z) ** 2) / 4.0, abs=1e-5)
+        assert val == pytest.approx((R**2 - abs(z) ** 2) / 4.0, abs=1e-12)
 
-    def test_node_on_the_outermost_ring(self):
-        # the node there is moved along its ring, not out of the disk; the
-        # error is no worse than at a node of the middle ring
-        R, grid = 0.8, PolarGrid(0j, 0.8, 20, 40)
-        pts = grid.ring_nodes(0, grid.n_r)
-
-        def error(z):
-            return abs(gp.green_mean(R, z, grid) - (R**2 - abs(z) ** 2) / 4.0)
-
-        assert error(complex(pts[19 * 40 + 3])) <= error(complex(pts[10 * 40 + 3]))
+    @pytest.mark.parametrize("R, z", [(0.5, 0.2 + 0j), (0.9, 0.3 + 0j)])
+    def test_default_resolution_is_declared_once(self, R, z):
+        grid = PolarGrid(0j, R, *gp.RESOLUTION)
+        assert gp.green_mean(R, z) == gp.green_mean(R, z, grid)
+        assert gp.pj_decompose(P, R, z) == gp.pj_decompose(P, R, z, grid)
 
     def test_memory_stays_two_values_per_node(self):
-        # the default 900 x 1800 grid: weights and integrand values take
-        # 2 x 13 MB; whole-grid nodes or temporaries would add 13 to 26 MB each
+        # a 900 x 1800 grid: whole-grid weights or integrand values would
+        # take 13 MB each, whole-grid nodes 26 MB; the ray blocks take
+        # about 1 MB of temporaries
+        grid = PolarGrid(0j, 0.9, 900, 1800)
         tracemalloc.start()
         try:
-            gp.green_mean(0.9, 0.3)
+            gp.green_mean(0.9, 0.3, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 8 * 2**20
 
     def test_no_grid_kept_after_use(self):
         tracemalloc.start()
         try:
             for k in range(12):
-                gp.green_mean(0.41 + 0.04 * k, 0.3)
+                R = 0.41 + 0.04 * k
+                gp.green_mean(R, 0.3, PolarGrid(0j, R, 900, 1800))
             current, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -193,16 +207,15 @@ class TestDecomposition:
                    for z in zs)
         assert coarse / fine >= 3.0
 
-    def test_potential_matches_direct_quadrature(self):
-        # constant curvature -4: the potential term must agree with a
-        # direct quadrature of -4 g lam^2 (the subtracted-pole route and
-        # the raw route converge to the same integral)
-        lam = P
-        z = 0.3 + 0j
-        R = 0.8
-        dec = gp.pj_decompose(lam, R, z, grid=PolarGrid(0j, R, 200, 400))
-        direct = potential_direct(lam, R, z, PolarGrid(0j, R, 700, 1400))
-        assert dec.potential_value == pytest.approx(direct, abs=5e-5)
+    @pytest.mark.parametrize("lam, tol", [(P, 1e-12), (mt.scale(0.7, P), 1e-12),
+                                          (mt.mu_max(1.5), 1e-8)],
+                             ids=["poincare", "scaled", "mu_max-1.5"])
+    @pytest.mark.parametrize("R, z", [(0.8, 0.3 + 0j), (0.9, -0.2 + 0.4j)])
+    def test_potential_matches_radial_oracle(self, lam, tol, R, z):
+        # the source of mu_max(1.5) is not smooth at its zero at 0
+        dec = gp.pj_decompose(lam, R, z)
+        assert dec.potential_value == pytest.approx(potential_radial(lam, R, z),
+                                                    rel=0.0, abs=tol)
 
     def test_finite_difference_source(self):
         # zeros off the origin: the source from the unguarded grid

@@ -6,24 +6,71 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskrig.numerics import (BLOCK_NODES, COINCIDENCE_TOL, NumericsError, PolarGrid,
-                              Verdict, dyadic_ts, fit_boundary_rate, laplacian_fd,
-                              quadrature_disk)
+from diskrig import numerics
+from diskrig.numerics import (NumericsError, PolarGrid, Verdict, _ray_rule, dyadic_ts,
+                              fit_boundary_rate, laplacian_fd, quadrature_disk)
+
+
+def rule(grid, pole):
+    """Every node and weight of the pole-centred rule, from its
+    definition: n_t rays at the midpoints of equal angular cells, each
+    clipped where |pole + rho e - center| = radius, and n_r nodes
+    rho = rho_max u^2 on it, u Gauss-Legendre on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(grid.n_r)
+    u = (x + 1.0) / 2.0
+    e = np.exp(2j * np.pi * (np.arange(grid.n_t) + 0.5) / grid.n_t)
+    d = pole - grid.center
+    b = np.real(np.conj(d) * e)
+    rho_max = -b + np.sqrt(b * b + grid.radius**2 - abs(d) ** 2)
+    nodes = pole + np.outer(rho_max * e, u**2)
+    weights = np.outer(rho_max**2, u**3 * w) * 2.0 * np.pi / grid.n_t
+    return nodes.ravel(), weights.ravel()
+
+
+def nodes_of(grid, pole):
+    """The nodes quadrature_disk hands its integrand, in order."""
+    seen = []
+
+    def f(w):
+        seen.append(w.copy())
+        return np.ones(w.shape)
+
+    quadrature_disk(grid, f, pole)
+    return np.concatenate(seen)
 
 
 class TestPolarGrid:
-    def test_weights_positive_and_sum_to_area(self):
-        for grid in (PolarGrid(0j, 1.0, 16, 32), PolarGrid(0.2 + 0.1j, 0.7, 40, 64)):
-            w = grid.weights()
-            assert w.shape == (grid.n_r * grid.n_t,)
-            assert np.all(w > 0)
+    @pytest.mark.parametrize("n_r", [2, 16, 40])
+    def test_weights_positive_and_sum_to_area(self, n_r):
+        # the radial weights 2 u^3 du integrate 2 u^3 over [0, 1] to 1/2
+        u2, wu = _ray_rule(n_r)
+        assert np.all(wu > 0) and np.all((0 < u2) & (u2 < 1))
+        assert abs(wu.sum() - 0.5) <= 1e-14
+        for grid in (PolarGrid(0j, 1.0, n_r, 32), PolarGrid(0.2 + 0.1j, 0.7, n_r, 64)):
             area = math.pi * grid.radius**2
-            assert abs(w.sum() - area) <= 1e-12 * area
+            for pole in (grid.center, grid.center + 0.6 * grid.radius * np.exp(2j)):
+                val = quadrature_disk(grid, lambda w: np.ones(w.shape), pole)
+                assert abs(val - area) <= 1e-12 * area
 
-    def test_nodes_strictly_inside(self):
+    @pytest.mark.parametrize("pole", [0.1j, 0.5 - 0.3j, -0.7 + 0.1j])
+    def test_nodes_strictly_inside(self, pole):
         grid = PolarGrid(0.1j, 0.9, 24, 48)
-        pts = grid.ring_nodes(0, grid.n_r)
+        pts = nodes_of(grid, pole)
+        assert pts.size == grid.n_r * grid.n_t
         assert np.all(np.abs(pts - grid.center) < grid.radius)
+        assert np.all(pts != pole)
+
+    @pytest.mark.parametrize("angle", [0.0, 1.0, math.pi / 2, 3.0])
+    def test_pole_near_the_rim_keeps_nodes_inside_and_off_it(self, angle):
+        # rays towards the near rim are 1e-4 long, the others up to 2R
+        grid = PolarGrid(0.2 - 0.1j, 0.8, 64, 128)
+        pole = grid.center + (grid.radius - 1e-4) * np.exp(1j * angle)
+        pts = nodes_of(grid, pole)
+        assert np.all(np.abs(pts - grid.center) < grid.radius)
+        assert np.min(np.abs(pts - pole)) > 0.0
+        area = math.pi * grid.radius**2
+        val = quadrature_disk(grid, lambda w: np.ones(w.shape), pole)
+        assert abs(val - area) <= 1e-12 * area
 
     def test_invalid_parameters(self):
         with pytest.raises(NumericsError):
@@ -43,169 +90,128 @@ class TestPolarGrid:
 
     def test_numpy_integer_sizes_accepted(self):
         grid = PolarGrid(0j, 1.0, np.int64(8), np.int32(16))
-        assert quadrature_disk(grid, lambda z: np.ones(z.shape)) == \
+        assert quadrature_disk(grid, lambda z: np.ones(z.shape), 0.3j) == \
             pytest.approx(math.pi, rel=1e-12)
-
-    @pytest.mark.parametrize("start, stop", [(-1, 4), (3, 3), (4, 2), (0, 9)])
-    def test_ring_range_refused(self, start, stop):
-        with pytest.raises(NumericsError, match="start < stop"):
-            PolarGrid(0j, 1.0, 8, 16).ring_nodes(start, stop)
-
-    def test_avoid_perturbs_coincident_node(self):
-        grid = PolarGrid(0j, 1.0, 8, 16)
-        pts = grid.ring_nodes(0, grid.n_r)
-        target = complex(pts[37])
-        moved = grid.ring_nodes(0, grid.n_r, avoid=target)
-        assert np.min(np.abs(moved - target)) > 1e-12
-
-    @staticmethod
-    def avoid_cases(grid):
-        """A node on each ring, a point 1e-13 off a node, the center and
-        a point off the grid."""
-        pts = grid.ring_nodes(0, grid.n_r)
-        on_rings = [complex(pts[i * grid.n_t + (3 * i) % grid.n_t])
-                    for i in range(grid.n_r)]
-        return on_rings + [complex(pts[5]) + 1e-13j, grid.center,
-                           grid.center + 0.37 * grid.radius * np.exp(0.2j)]
-
-    @pytest.mark.parametrize("grid", [PolarGrid(0j, 1.0, 8, 16),
-                                      PolarGrid(0.2 + 0.1j, 0.7, 12, 24),
-                                      PolarGrid(-3.0 + 4.0j, 2.5, 10, 20)],
-                             ids=["unit", "shifted", "far-center"])
-    def test_moved_nodes_are_the_full_scan_hits(self, grid):
-        # the test only scans rings near |avoid - center|; the nodes it
-        # moves must be exactly those a scan of every node finds
-        pts = grid.ring_nodes(0, grid.n_r)
-        for target in self.avoid_cases(grid):
-            full_scan = np.flatnonzero(np.abs(pts - target) < COINCIDENCE_TOL)
-            moved = grid.ring_nodes(0, grid.n_r, avoid=target)
-            assert np.array_equal(np.flatnonzero(moved != pts), full_scan)
-
-    @pytest.mark.parametrize("ring", ["first", "middle", "last"])
-    def test_moved_node_keeps_its_ring(self, ring):
-        grid = PolarGrid(0.1 - 0.2j, 0.8, 20, 40)
-        i = {"first": 0, "middle": 10, "last": 19}[ring] * grid.n_t + 7
-        pts = grid.ring_nodes(0, grid.n_r)
-        moved = grid.ring_nodes(0, grid.n_r, avoid=complex(pts[i]))
-        radius = abs(moved[i] - grid.center)
-        assert radius < grid.radius
-        assert radius == pytest.approx(abs(pts[i] - grid.center), rel=1e-15)
-        # half an angular cell from the node, so midway between two nodes
-        step = np.angle((moved[i] - grid.center) / (pts[i] - grid.center))
-        assert step == pytest.approx(np.pi / grid.n_t, rel=1e-12)
-
-    def test_avoid_leaves_later_nodes_unchanged(self):
-        grid = PolarGrid(0j, 1.0, 8, 16)
-        before = grid.ring_nodes(0, grid.n_r)
-        grid.ring_nodes(0, grid.n_r, avoid=complex(before[20]))
-        assert np.array_equal(grid.ring_nodes(0, grid.n_r), before)
 
 
 class TestQuadrature:
     def test_constant_gives_disk_area(self):
         grid = PolarGrid(0j, 1.0, 32, 64)
-        val = quadrature_disk(grid, lambda z: np.ones_like(np.real(z)))
+        val = quadrature_disk(grid, lambda z: np.ones_like(np.real(z)), 0j)
         assert abs(val - math.pi) <= 1e-12 * math.pi
 
     def test_radial_square_moment(self):
         # oracle: 2 pi * int_0^1 r^3 dr = pi/2
         grid = PolarGrid(0j, 1.0, 32, 64)
-        val = quadrature_disk(grid, lambda z: np.abs(z) ** 2)
+        val = quadrature_disk(grid, lambda z: np.abs(z) ** 2, 0j)
         assert abs(val - math.pi / 2.0) <= 1e-12
 
     def test_log_potential_mean(self):
-        # (1/2pi) * integral of -log|w| over the unit disk equals 1/4
-        grid = PolarGrid(0j, 1.0, 400, 64)
-        val = quadrature_disk(grid, lambda z: -np.log(np.abs(z)), avoid=0j)
-        assert abs(val / (2.0 * math.pi) - 0.25) <= 1e-6
+        # (1/2pi) * integral of -log|w| over the unit disk equals 1/4; the
+        # area element damps the pole at 0 to u^3 log u
+        grid = PolarGrid(0j, 1.0, 64, 8)
+        val = quadrature_disk(grid, lambda z: -np.log(np.abs(z)), 0j)
+        assert abs(val / (2.0 * math.pi) - 0.25) <= 1e-12
 
     @given(st.integers(min_value=0, max_value=15))
     @settings(max_examples=16, deadline=None)
     def test_exact_for_radial_polynomials(self, k):
-        # |w|^(2k) has exact value 2 pi / (2k + 2); Gauss nodes in r^2 are
-        # exact through degree n_r - 1 in the radial variable
-        n_r = 16
-        grid = PolarGrid(0j, 1.0, n_r, 32)
-        val = quadrature_disk(grid, lambda z, k=k: np.abs(z) ** (2 * k))
+        # |w|^(2k) has exact value 2 pi / (2k + 2); about the center it is
+        # R^(2k) u^(4k) on a ray, and u^(4k+3) is exact once n_r >= 2k + 2
+        grid = PolarGrid(0j, 1.0, 2 * k + 2, 8)
+        val = quadrature_disk(grid, lambda z, k=k: np.abs(z) ** (2 * k), 0j)
         exact = 2.0 * math.pi / (2.0 * k + 2.0)
-        assert abs(val - exact) <= 1e-10 * exact
+        assert abs(val - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("pole", [0.3 - 0.1j, -0.5j, 0.25 + 0.6j])
+    def test_square_moment_about_an_off_centre_pole(self, pole):
+        # |w - c|^2 is a polynomial of degree 2 in rho on every ray, and
+        # rho_max is smooth and periodic in the angle
+        grid = PolarGrid(0.2 + 0.1j, 0.7, 4, 64)
+        val = quadrature_disk(grid, lambda w: np.abs(w - grid.center) ** 2,
+                              grid.center + pole)
+        assert abs(val - math.pi * grid.radius**4 / 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("pole", [0.5 + 0.9j, 1.3 + 0.1j, -0.8 + 1.0j,
+                                      complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_pole_on_or_outside_the_disk_refused(self, pole):
+        # the grid's circle is |z - (0.5 + 0.1j)| = 0.8
+        grid = PolarGrid(0.5 + 0.1j, 0.8, 8, 16)
+        with pytest.raises(NumericsError, match=re.escape(f"pole {pole} must lie inside")):
+            quadrature_disk(grid, lambda w: np.ones(w.shape), pole)
 
     def test_nonfinite_integrand_names_node(self):
         grid = PolarGrid(0j, 1.0, 8, 16)
         with np.errstate(divide="ignore"):
             with pytest.raises(NumericsError, match="not finite"):
-                quadrature_disk(grid, lambda z: 1.0 / (np.abs(z) - np.abs(z)))
+                quadrature_disk(grid, lambda z: 1.0 / (np.abs(z) - np.abs(z)), 0j)
 
     def test_integrand_called_on_node_arrays(self):
         grid = PolarGrid(0j, 1.0, 8, 16)
         with pytest.raises(TypeError):
-            quadrature_disk(grid, lambda z: math.exp(abs(z)))
+            quadrature_disk(grid, lambda z: math.exp(abs(z)), 0j)
         with pytest.raises(NumericsError, match="elementwise"):
-            quadrature_disk(grid, lambda z: 1.0)
+            quadrature_disk(grid, lambda z: 1.0, 0j)
 
 
-#: a ring longer than a block (every block is one ring), and three rings
-#: to a block with a short last block (rings 9 of 10)
-BLOCK_GRIDS = [PolarGrid(0.1 - 0.2j, 0.8, 3, BLOCK_NODES + 4),
-               PolarGrid(0j, 0.9, 10, BLOCK_NODES // 3)]
+#: a ray longer than a block of BLOCK_NODES = 64 (every block is one ray),
+#: and three rays to a block with a short last block (rays 9 of 10)
+SMALL_BLOCK = 64
+BLOCK_GRIDS = [PolarGrid(0.1 - 0.2j, 0.8, SMALL_BLOCK + 4, 4),
+               PolarGrid(0j, 0.9, SMALL_BLOCK // 3, 10)]
+#: inside both grids' disks, and the pole of the integrand below
+POLE = 0.05j
 
 
 def integrand(w):
-    return np.log(np.abs(w - 0.05j)) * np.cos(3.0 * np.real(w)) + np.imag(w) ** 2
+    return np.log(np.abs(w - POLE)) * np.cos(3.0 * np.real(w)) + np.imag(w) ** 2
 
 
-class TestRingBlocks:
-    """quadrature_disk walks the grid in blocks of whole rings; the sum
-    must equal one dot product of the weights with f on every node."""
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # blocks of the real size need rays of 16384 nodes, whose
+    # Gauss-Legendre rule alone would take gigabytes to compute
+    monkeypatch.setattr(numerics, "BLOCK_NODES", SMALL_BLOCK)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestRayBlocks:
+    """quadrature_disk walks the rays in blocks; the sum must equal one
+    dot product of the weights with f on every node of the rule."""
 
     @staticmethod
-    def rings_per_block(grid):
-        return max(1, BLOCK_NODES // grid.n_t)
+    def rays_per_block(grid):
+        return max(1, SMALL_BLOCK // grid.n_r)
 
-    @pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=["long-ring", "short-last"])
+    @pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=["long-ray", "short-last"])
     def test_equals_one_dot_over_all_nodes(self, grid):
-        assert grid.n_r % self.rings_per_block(grid) != 0 or grid.n_t > BLOCK_NODES
-        pts = grid.ring_nodes(0, grid.n_r)
-        assert quadrature_disk(grid, integrand) == float(grid.weights() @ integrand(pts))
+        assert grid.n_t % self.rays_per_block(grid) != 0 or grid.n_r > SMALL_BLOCK
+        pts, weights = rule(grid, POLE)
+        assert quadrature_disk(grid, integrand, POLE) == \
+            pytest.approx(float(weights @ integrand(pts)), rel=1e-13)
 
-    @pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=["long-ring", "short-last"])
-    @pytest.mark.parametrize("end", ["first", "last"])
-    def test_avoid_on_the_first_and_last_ring_of_a_block(self, grid, end):
-        # the second block's first or last ring
-        k = self.rings_per_block(grid)
-        ring = k if end == "first" else 2 * k - 1
-        i = ring * grid.n_t + 11
-        plain = grid.ring_nodes(0, grid.n_r)
-        target = complex(plain[i])
-        pts = grid.ring_nodes(0, grid.n_r, avoid=target)
-        assert np.array_equal(np.flatnonzero(pts != plain), [i])
-
-        def f(w):
-            return np.log(np.abs(w - target))
-
-        assert quadrature_disk(grid, f, avoid=target) == float(grid.weights() @ f(pts))
-
-    @pytest.mark.parametrize("grid", BLOCK_GRIDS + [PolarGrid(0j, 1.0, 8, 16)],
-                             ids=["long-ring", "short-last", "one-block"])
-    def test_integrand_gets_whole_ring_blocks(self, grid):
+    @pytest.mark.parametrize("grid", BLOCK_GRIDS + [PolarGrid(0j, 1.0, 8, 4)],
+                             ids=["long-ray", "short-last", "one-block"])
+    def test_integrand_gets_whole_ray_blocks(self, grid):
         seen = []
 
         def f(w):
             seen.append(w.copy())
             return np.ones(w.shape)
 
-        quadrature_disk(grid, f)
-        assert all(b.size % grid.n_t == 0 for b in seen)
-        assert all(b.size <= max(BLOCK_NODES, grid.n_t) for b in seen)
+        quadrature_disk(grid, f, POLE)
+        assert all(b.size % grid.n_r == 0 for b in seen)
+        assert all(b.size <= max(SMALL_BLOCK, grid.n_r) for b in seen)
         assert max(b.size for b in seen) == \
-            min(grid.n_r, self.rings_per_block(grid)) * grid.n_t
-        assert np.array_equal(np.concatenate(seen), grid.ring_nodes(0, grid.n_r))
+            min(grid.n_t, self.rays_per_block(grid)) * grid.n_r
+        assert np.allclose(np.concatenate(seen), rule(grid, POLE)[0],
+                           rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=["long-ring", "short-last"])
+    @pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=["long-ray", "short-last"])
     def test_first_bad_node_named_from_a_later_block(self, grid):
         # bad values in the last block and, earlier, in the second
-        pts = grid.ring_nodes(0, grid.n_r)
-        first = self.rings_per_block(grid) * grid.n_t + 5
+        pts = nodes_of(grid, POLE)
+        first = self.rays_per_block(grid) * grid.n_r + 5
         bad = np.zeros(pts.size, dtype=bool)
         bad[[first, pts.size - 2]] = True
 
@@ -214,12 +220,12 @@ class TestRingBlocks:
 
         with pytest.raises(NumericsError,
                            match=re.escape(f"not finite at node {pts[first]}")):
-            quadrature_disk(grid, f)
+            quadrature_disk(grid, f, POLE)
 
     def test_shape_mismatch_refused(self):
         grid = BLOCK_GRIDS[1]
         with pytest.raises(NumericsError, match="elementwise"):
-            quadrature_disk(grid, lambda w: np.ones(grid.n_t))
+            quadrature_disk(grid, lambda w: np.ones(grid.n_r), POLE)
 
 
 class TestLaplacian:
