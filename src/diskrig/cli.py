@@ -2,16 +2,18 @@
 
 A config is plain text, one ``key = value`` per line, with a mandatory
 ``command`` key naming the experiment.  Each command has one runner, and
-its keyword parameters are the keys it takes: ``k_min`` is key ``k-min``,
-read by the type of its default (yes/no for a bool, raw text for a string
-or None).  ``what`` (``ball-check``), ``family`` (``sequence-scan``,
-``zero-track``) and ``kappa`` (``liouville-solve``, from
-``CURVATURE_PROFILES``) pick the runner from a table; its first entry is
-the default.  A config may also set ``out`` and, where the report carries
-radial samples, ``profile``; any other key is refused, listing the allowed.
-Reports are machine-first JSON written atomically; radial scans also
-emit a two-column gnuplot-ready profile (1-|z|, value) with a JSON
-metadata sidecar.  Exit codes: 0 all asserted checks pass, 1 a check
+its keyword parameters are the keys it takes: ``expect_verdict`` is key
+``expect-verdict``, read by the type of its default (raw text for a string
+or None).  Keys name what is checked; pass thresholds and sampling
+ladders are library constants, which no key retunes.  ``what``
+(``ball-check``), ``family`` (``sequence-scan``, ``zero-track``) and
+``kappa`` (``liouville-solve``, from ``CURVATURE_PROFILES``) pick the
+runner from a table; its first entry is the default.  A config may also
+set ``out`` and, where the report carries radial samples, ``profile``;
+any other key is refused, listing the allowed.  Reports are
+machine-first JSON written atomically; radial scans also emit a
+two-column gnuplot-ready profile (1-|z|, value) with a JSON metadata
+sidecar.  Exit codes: 0 all asserted checks pass, 1 a check
 failed (report still written), 2 invalid configuration or an input the
 library refuses (any DiskrigError, message on standard error).
 
@@ -52,6 +54,8 @@ from .holomap import Automorphism, parse_map, rotation
 from .numerics import DiskrigError, PolarGrid, Verdict
 
 ENV_OUT_DIR = "DISKRIG_OUT_DIR"
+#: relative tolerance of a rigidity scan's fitted limit against expect-limit
+LIMIT_TOL = 0.02
 
 
 class ConfigError(DiskrigError, ValueError):
@@ -71,15 +75,11 @@ def _cast(cast, raw: str, where: str):
 
 
 def _read(raw: str, default, key: str):
-    """The text value of a key, read by the type of its parameter's default:
-    yes/no for a bool, the raw text for a string or None."""
+    """The text value of a key, read by the type of its parameter's default;
+    the raw text for a string or None."""
     if default is None or isinstance(default, str):
         return raw
-    if not isinstance(default, bool):
-        return _cast(type(default), raw, f"key {key!r}")
-    if raw.lower() in ("true", "yes", "1", "false", "no", "0"):
-        return raw.lower() in ("true", "yes", "1")
-    raise ConfigError(f"bad boolean {raw!r} for key {key!r}")
+    return _cast(type(default), raw, f"key {key!r}")
 
 
 def _keys(runner) -> dict:
@@ -226,16 +226,15 @@ def _rate_dict(rep) -> dict:
 
 
 def run_rigidity_scan(lam="pullback(zpow 2)", mu="poincare", c=4.0,
-                      angle=0.0, k_min=4, k_max=20, expect_verdict=None,
-                      expect_limit=None, limit_tol=0.02) -> dict:
+                      angle=0.0, expect_verdict=None, expect_limit=None) -> dict:
     _expected(expect_verdict)
     lam, mu = parse_metric(lam), parse_metric(mu)
-    rep = hk.rigidity_scan(lam, mu, c, angle=angle, k_min=k_min, k_max=k_max)
+    rep = hk.rigidity_scan(lam, mu, c, angle=angle)
     passed = expect_verdict is None or rep.verdict.value == expect_verdict
     if expect_limit is not None:
         limit = _cast(float, expect_limit, "key 'expect-limit'")
         passed = passed and abs(rep.fitted_limit - limit) <= \
-            limit_tol * max(1.0, abs(limit))
+            LIMIT_TOL * max(1.0, abs(limit))
     scaled = [(1.0 - t, v / (1.0 - t) ** (c / 2.0)) for t, v in rep.samples]
     report = {"rate": _rate_dict(rep), "verdict": rep.verdict.value,
               "passed": passed, "profile_samples": scaled}
@@ -249,10 +248,8 @@ def run_rigidity_scan(lam="pullback(zpow 2)", mu="poincare", c=4.0,
     return report
 
 
-def run_verify_harnack(include_liouville=True, tol=1e-7,
-                       liouville_n=97) -> dict:
-    results = hk.run_catalog(include_liouville=include_liouville, tol=tol,
-                             liouville_n=liouville_n)
+def run_verify_harnack(liouville_n=97) -> dict:
+    results = hk.run_catalog(liouville_n=liouville_n)
     cases = {case.name: {"passed": rep.passed,
                          "max_violation": rep.lhs_max_violation,
                          "c": case.c, "r": case.r}
@@ -269,15 +266,14 @@ def run_verify_harnack(include_liouville=True, tol=1e-7,
             "barrier_pde": barrier.passed, "passed": passed}
 
 
-def run_golusin(lam="pullback(zpow 2)", tol=1e-9) -> dict:
-    rep = hk.check_golusin(parse_metric(lam), tol=tol)
+def run_golusin(lam="pullback(zpow 2)") -> dict:
+    rep = hk.check_golusin(parse_metric(lam))
     return {"passed": rep.passed, "max_violation": rep.max_violation,
             "lam0": rep.details["lam0"], "n_checked": rep.n_checked}
 
 
-def run_burns_krantz(map="id", k_min=4, k_max=20) -> dict:
-    disp, inv = hk.burns_krantz_check(parse_map(map), k_min=k_min,
-                                      k_max=k_max)
+def run_burns_krantz(map="id") -> dict:
+    disp, inv = hk.burns_krantz_check(parse_map(map))
     implication = (disp.verdict is not Verdict.VANISHES
                    or inv.verdict is Verdict.VANISHES)
     return {"displacement_rate": _rate_dict(disp),
@@ -287,7 +283,7 @@ def run_burns_krantz(map="id", k_min=4, k_max=20) -> dict:
 
 
 def run_pj_decompose(lam="poincare", mu=None, R=0.9, z=0.3 + 0j,
-                     n_r=gp.RESOLUTION[0], n_t=gp.RESOLUTION[1], tol=1e-3,
+                     n_r=gp.RESOLUTION[0], n_t=gp.RESOLUTION[1],
                      bound_r=0.8, bound_xi=0j) -> dict:
     lam = parse_metric(lam)
     grid = PolarGrid(0j, R, n_r, n_t)
@@ -304,7 +300,7 @@ def run_pj_decompose(lam="poincare", mu=None, R=0.9, z=0.3 + 0j,
         "log_density": dec.log_density,
         "residual": dec.residual,
         "green_mean": gm, "green_mean_exact": gm_exact,
-        "passed": dec.passed(tol) and abs(gm - gm_exact) <= 1e-5,
+        "passed": dec.passed and abs(gm - gm_exact) <= 1e-5,
     }
     if mu is not None:
         bound = gp.zero_quotient_bound(lam, parse_metric(mu), bound_r,
@@ -354,9 +350,9 @@ SEQUENCE_FAMILIES = {
 }
 
 
-def _zero_track(setup, tol_order=1e-2) -> dict:
+def _zero_track(setup) -> dict:
     seq, mu, points = setup()
-    rep = sq.zero_rigidity_track(seq, mu, points, 0j, tol_order=tol_order)
+    rep = sq.zero_rigidity_track(seq, mu, points, 0j)
     return {"kind": rep.kind, "orders": list(rep.orders),
             "target": rep.target, "final_gap": rep.final_gap,
             "largest_n": rep.largest_n, "passed": rep.passed}

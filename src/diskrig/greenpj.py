@@ -23,6 +23,8 @@ from .numerics import DiskrigError, PolarGrid, quadrature_disk
 
 CIRCLE_ZERO_TOL = 1e-9
 POINT_COINCIDENCE_TOL = 1e-14
+#: largest reconstruction residual a decomposition passes with
+PJ_TOL = 1e-3
 #: (n_r, n_t) of the pole-centred rule of green_mean and pj_decompose
 #: when no grid is given
 RESOLUTION = (64, 128)
@@ -34,33 +36,20 @@ class GreenPJError(DiskrigError, ValueError):
 
 def green(R: float, z: complex, w) -> float:
     """Green's function of the disk |z| < R; symmetric, positive,
-    vanishing as w tends to the rim.  Vectorized over w.
-
-    Computes -log(R |z - w| / |R^2 - conj(w) z|) in one complex and one
-    real work array besides the result, and never writes into w.
-    """
+    vanishing as w tends to the rim.  Vectorized over w."""
     if abs(z) >= R:
         raise GreenPJError(f"first argument must lie inside the disk; z = {z}")
     w = np.asarray(w)
-    dist = np.empty(w.shape)            # |w|, then |z - w|, then the result
-    outside = np.abs(w, out=dist) >= R
+    outside = np.abs(w) >= R
     if np.any(outside):
         raise GreenPJError(f"second argument must lie inside the disk; "
                            f"w = {complex(w.flat[np.argmax(outside)])}")
-    work = np.empty(w.shape, dtype=complex)
-    pole = np.abs(np.subtract(z, w, out=work), out=dist) < POINT_COINCIDENCE_TOL
+    dist = np.abs(z - w)
+    pole = dist < POINT_COINCIDENCE_TOL
     if np.any(pole):
         raise GreenPJError(f"Green's function has a logarithmic pole at w = z; "
                            f"w = {complex(w.flat[np.argmax(pole)])}")
-    np.conjugate(w, out=work)
-    np.multiply(work, z, out=work)
-    np.subtract(R**2, work, out=work)
-    den = np.abs(work, out=np.empty(w.shape))
-    del work                    # freed before the real passes below
-    np.multiply(R, dist, out=dist)
-    np.divide(dist, den, out=dist)
-    np.log(dist, out=dist)
-    return np.negative(dist, out=dist)[()]
+    return -np.log(R * dist / np.abs(R**2 - np.conj(w) * z))
 
 
 def _require_covering(grid: PolarGrid, R: float) -> None:
@@ -122,8 +111,9 @@ class PJDecomposition:
     def residual(self) -> float:
         return abs(self.reconstructed_log_density - self.log_density)
 
-    def passed(self, tol: float = 1e-3) -> bool:
-        return self.residual <= tol
+    @property
+    def passed(self) -> bool:
+        return self.residual <= PJ_TOL
 
 
 def pj_decompose(lam: Pseudometric, R: float, z: complex,
@@ -157,9 +147,6 @@ def pj_decompose(lam: Pseudometric, R: float, z: complex,
             zero_terms.append((rec, -rec.order * green(R, z, rec.location)))
 
     majorant = harmonic_majorant(lam, R, z)
-
-    # the source goes first, so its temporaries are freed before the
-    # Green function's array is built
     potential = quadrature_disk(
         grid, lambda w: curvature_source(lam, w) * green(R, z, w), z) / (2.0 * math.pi)
 

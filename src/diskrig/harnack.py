@@ -30,6 +30,8 @@ from .numerics import (DiskrigError, RateReport, dyadic_ts, fit_boundary_rate,
                        laplacian_fd)
 
 INEQ_TOL = 1e-7
+#: slack of the Golusin bound
+GOLUSIN_TOL = 1e-9
 ANNULUS_CAP = 0.9995
 
 
@@ -153,10 +155,11 @@ def annulus_grid(r_min: float, r_max: float, n_r: int = 14, n_t: int = 16) -> np
     return np.outer(radii, angles).ravel()
 
 
-def check_harnack(lam: Pseudometric, mu: Pseudometric, c: float, r: float,
-                  tol: float = INEQ_TOL) -> HarnackReport:
+def check_harnack(lam: Pseudometric, mu: Pseudometric, c: float,
+                  r: float) -> HarnackReport:
     """Verify the boundary Harnack inequality on the annulus grid from r to
-    the cap min(0.9995, 0.97 times either domain radius).
+    the cap min(0.9995, 0.97 times either domain radius), up to a
+    violation of INEQ_TOL.
 
     Requires mu to carry an exact curvature provider with pinch bounds
     inside [-c, -4], and r below the cap; domination of lam by mu is
@@ -192,12 +195,13 @@ def check_harnack(lam: Pseudometric, mu: Pseudometric, c: float, r: float,
         lhs = np.log(q)
     rhs = coeff * inner_max * (1.0 - np.abs(grid) ** 2) ** (c / 2.0)
     worst, witness = _worst_violation(lhs - rhs, grid)
-    return HarnackReport(r=r, c=c, lhs_max_violation=worst, passed=worst <= tol,
-                         witness=witness if worst > tol else None,
+    return HarnackReport(r=r, c=c, lhs_max_violation=worst,
+                         passed=worst <= INEQ_TOL,
+                         witness=witness if worst > INEQ_TOL else None,
                          n_checked=int(grid.size))
 
 
-def check_golusin(lam: Pseudometric, tol: float = 1e-9) -> InequalityReport:
+def check_golusin(lam: Pseudometric) -> InequalityReport:
     """Constant-curvature sharpening of the extremal bound.
 
     For densities with curvature exactly -4 (pullbacks, extremal-zero
@@ -206,9 +210,9 @@ def check_golusin(lam: Pseudometric, tol: float = 1e-9) -> InequalityReport:
         lam(z)/lam_D(z) <= (lam(0) + m(z)) / (1 + lam(0) m(z)),
         m(z) = 2|z| / (1 + |z|^2).
 
-    It is sampled at 12 radii from 0.05 to 0.95 times 12 angles.  Raises
-    for metrics without exact curvature -4, where the bound is known to
-    fail in general.
+    It is sampled at 12 radii from 0.05 to 0.95 times 12 angles and passes
+    up to a violation of GOLUSIN_TOL.  Raises for metrics without exact
+    curvature -4, where the bound is known to fail in general.
     """
     if not lam.has_exact_curvature:
         raise HarnackError("bound requires curvature exactly -4; "
@@ -224,7 +228,7 @@ def check_golusin(lam: Pseudometric, tol: float = 1e-9) -> InequalityReport:
     ratio = np.asarray(lam.density(grid), dtype=float) / \
         np.asarray(hyp.density(grid), dtype=float)
     worst, witness = _worst_violation(ratio - bound, grid)
-    return InequalityReport(passed=worst <= tol, max_violation=worst,
+    return InequalityReport(passed=worst <= GOLUSIN_TOL, max_violation=worst,
                             witness=witness, n_checked=int(grid.size),
                             details={"lam0": lam0})
 
@@ -234,10 +238,9 @@ def check_golusin(lam: Pseudometric, tol: float = 1e-9) -> InequalityReport:
 
 
 def rigidity_scan(lam: Pseudometric, mu: Pseudometric, c: float,
-                  angle: float = 0.0, k_min: int = 4,
-                  k_max: int = 20) -> RateReport:
-    """Fit (lam/mu - 1) / (1-|z|)^(c/2) along the ray at ``angle``, at
-    |z| = 1 - 2^-k for k = k_min, ..., k_max.
+                  angle: float = 0.0) -> RateReport:
+    """Fit (lam/mu - 1) / (1-|z|)^(c/2) along the ray at ``angle``, on the
+    dyadic ladder |z| = 1 - 2^-k of ``dyadic_ts()``.
 
     Domination lam <= mu is checked first.  A VANISHES verdict certifies
     the rigidity hypothesis numerically (identity of the metrics
@@ -246,7 +249,7 @@ def rigidity_scan(lam: Pseudometric, mu: Pseudometric, c: float,
     """
     if not check_domination(lam, mu).passed:
         raise MetricError("rigidity scan requires domination lam <= mu")
-    ts = dyadic_ts(k_min, k_max)
+    ts = dyadic_ts()
     q = np.asarray(quotient(lam, mu, ts * np.exp(1j * angle)), dtype=float)
     samples = list(zip(ts, q - 1.0))
     return fit_boundary_rate(samples, c / 2.0)
@@ -266,31 +269,31 @@ def identity_spot_check(lam: Pseudometric, mu: Pseudometric) -> InequalityReport
                             witness=witness, n_checked=int(grid.size))
 
 
-def boundary_schwarz_scan(f: HoloMap, k_min: int = 4, k_max: int = 20,
-                          jet: tuple | None = None) -> RateReport:
+def boundary_schwarz_scan(f: HoloMap, jet: tuple | None = None) -> RateReport:
     """Invariant-derivative-to-one rate for a self-map along the positive
-    radius.  ``jet`` is (f(t), f'(t)) on that ladder, when the caller has
-    walked it already."""
-    ts = dyadic_ts(k_min, k_max)
+    radius, on the ladder of ``dyadic_ts()``.  ``jet`` is (f(t), f'(t)) on
+    that ladder, when the caller has walked it already."""
+    ts = dyadic_ts()
     z = ts + 0j
     w, dw = disk_jet(f, z) if jet is None else jet
     deficit = invariant_derivative(z, w, dw) - 1.0
     return fit_boundary_rate(list(zip(ts, deficit)), 2.0)
 
 
-def burns_krantz_check(f: HoloMap, k_min: int = 4, k_max: int = 20) -> tuple[RateReport, RateReport]:
+def burns_krantz_check(f: HoloMap) -> tuple[RateReport, RateReport]:
     """Two radial rates behind the cubic-order boundary Schwarz lemma.
 
     Returns (rate of |f(t) - t| at exponent 3, rate of f^h(t) - 1 at
-    exponent 2): when the first vanishes the second must as well.
+    exponent 2), both on the ladder of ``dyadic_ts()``: when the first
+    vanishes the second must as well.
     """
     ok, mx = certify_selfmap(f)
     if not ok:
         raise HarnackError(f"map is not a certified self-map (max modulus {mx})")
-    ts = dyadic_ts(k_min, k_max)
+    ts = dyadic_ts()
     jet = disk_jet(f, ts + 0j)      # one walk of the ladder serves both rates
     displacement = fit_boundary_rate(list(zip(ts, np.abs(jet[0] - ts))), 3.0)
-    return displacement, boundary_schwarz_scan(f, k_min, k_max, jet=jet)
+    return displacement, boundary_schwarz_scan(f, jet=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +309,18 @@ class HarnackCase:
     r: float
 
 
-def build_catalog(include_liouville: bool = True,
-                  liouville_n: int = 97) -> list[HarnackCase]:
+def build_catalog(liouville_n: int = 97) -> list[HarnackCase]:
     """Dominated (lam, mu) pairs with correct pinching exponents.
 
     Includes scaled hyperbolic densities, pullbacks under polynomial and
-    Blaschke self-maps, extremal-zero densities, and (optionally) a
-    numerically constructed variable-curvature metric with c = 5.
+    Blaschke self-maps, extremal-zero densities, and a variable-curvature
+    metric with c = 5, solved on the n = ``liouville_n`` grid.
     """
+    from .liouville import make_pinched_metric
+
     hyp = poincare()
-    cases = [
+    pinched = make_pinched_metric(n=liouville_n)
+    return [
         HarnackCase("equal", hyp, hyp, 4.0, 0.5),
         HarnackCase("scaled-poincare", scale(0.9, hyp), hyp, 4.0, 0.5),
         HarnackCase("zsquare-pullback", pullback(Monomial(2), hyp), hyp, 4.0, 0.5),
@@ -326,20 +331,10 @@ def build_catalog(include_liouville: bool = True,
         HarnackCase("extremal-zero-0.5", mu_max(0.5), hyp, 4.0, 0.5),
         HarnackCase("extremal-zero-2", mu_max(2.0), hyp, 4.0, 0.5),
         HarnackCase("nested-extremal", mu_max(2.0), mu_max(1.0), 4.0, 0.5),
+        HarnackCase("pinched-scaled", scale(0.9, pinched), pinched, 5.0, 0.5),
     ]
-    if include_liouville:
-        from .liouville import make_pinched_metric
-
-        pinched = make_pinched_metric(n=liouville_n)
-        cases.append(HarnackCase("pinched-scaled", scale(0.9, pinched),
-                                 pinched, 5.0, 0.5))
-    return cases
 
 
-def run_catalog(include_liouville: bool = True, tol: float = INEQ_TOL,
-                liouville_n: int = 97) -> list[tuple[HarnackCase, HarnackReport]]:
-    out = []
-    for case in build_catalog(include_liouville, liouville_n):
-        out.append((case, check_harnack(case.lam, case.mu, case.c, case.r,
-                                        tol=tol)))
-    return out
+def run_catalog(liouville_n: int = 97) -> list[tuple[HarnackCase, HarnackReport]]:
+    return [(case, check_harnack(case.lam, case.mu, case.c, case.r))
+            for case in build_catalog(liouville_n)]

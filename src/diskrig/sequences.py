@@ -27,6 +27,8 @@ from .numerics import DiskrigError, Verdict, fit_boundary_rate
 MAX_FACTORIAL_N = 170
 COMPACT_GRID_RADIUS = 0.8
 UNIFORM_TOL = 0.05
+#: largest gap between the tracked zero order and its limit that passes
+ORDER_TOL = 1e-2
 DICHOTOMY_VERDICTS = ("UNIFORM_CONVERGENCE", "FADING_ZEROS", "INCONCLUSIVE")
 SCHWARZ_PICK_CLASSES = ("automorphism-like", "constant-like", "indeterminate")
 
@@ -309,7 +311,7 @@ class ZeroTrackReport:
 def zero_rigidity_track(seq: MetricSequence, mu: Pseudometric,
                         points: Callable[[int], complex], xi: complex,
                         ns: Sequence[int] = tuple(2**k for k in range(1, 8)),
-                        tol_order: float = 1e-2) -> ZeroTrackReport:
+                        ) -> ZeroTrackReport:
     """Track declared zero orders of a dominated sequence near xi.
 
     Requires the quotients at the tracked points to approach 1 (the
@@ -318,7 +320,7 @@ def zero_rigidity_track(seq: MetricSequence, mu: Pseudometric,
     is a shared zero of every member, the member orders must converge to
     mu's order there; when the members' zeros drift toward xi while
     staying distinct from it, their orders must fade to 0.  Both limits are asserted at the
-    largest index within ``tol_order``.
+    largest index within ORDER_TOL.
     """
     ns = tuple(ns)
     hyp = []
@@ -360,7 +362,7 @@ def zero_rigidity_track(seq: MetricSequence, mu: Pseudometric,
     return ZeroTrackReport(kind=kind, orders=tuple(orders),
                            locations=tuple(locs), target=target,
                            final_gap=final_gap,
-                           passed=final_gap <= tol_order,
+                           passed=final_gap <= ORDER_TOL,
                            largest_n=ns[-1])
 
 

@@ -99,7 +99,7 @@ def test_criterion_2_cubic_family_thresholds():
 
 def test_criterion_3_harnack_suite():
     t0 = time.perf_counter()
-    results = hk.run_catalog(include_liouville=True, tol=1e-7, liouville_n=97)
+    results = hk.run_catalog(liouville_n=97)
     catalog_ok = all(rep.passed for _, rep in results)
     cubic_ok = True
     for c in (4.0, 5.0, 8.0):

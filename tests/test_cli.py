@@ -14,6 +14,23 @@ def run_text(text: str, tmp_path: Path) -> int:
     return cli.run(cli.parse_config(text), out_dir=tmp_path)
 
 
+#: (command, family, key) of every key that only retuned a verdict's pass
+#: threshold or sampling ladder
+RETUNING_KEYS = [
+    ("rigidity-scan", None, "k-min"),
+    ("rigidity-scan", None, "k-max"),
+    ("rigidity-scan", None, "limit-tol"),
+    ("burns-krantz", None, "k-min"),
+    ("burns-krantz", None, "k-max"),
+    ("verify-harnack", None, "tol"),
+    ("verify-harnack", None, "include-liouville"),
+    ("golusin", None, "tol"),
+    ("pj-decompose", None, "tol"),
+    ("zero-track", "extremal-orders", "tol-order"),
+    ("zero-track", "moving-zero", "tol-order"),
+]
+
+
 class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(cli.ConfigError, match="unknown key"):
@@ -33,15 +50,19 @@ class TestConfig:
         assert all(name in str(err.value) for name in table)
 
     def test_key_set_twice_rejected(self):
-        with pytest.raises(cli.ConfigError, match="'tol' is set twice"):
-            cli.parse_config("command = golusin\ntol = 1e-9\ntol = 1e-3\n")
+        with pytest.raises(cli.ConfigError, match="'lam' is set twice"):
+            cli.parse_config("command = golusin\nlam = poincare\nlam = poincare\n")
 
     def test_runner_keywords_are_the_keys(self):
-        # each parameter k_min of a runner is the key k-min, nothing else
-        cfg = cli.parse_config("command = burns-krantz\nk-min = 5\n")
-        assert cfg.params == (("k-min", "5"),)
-        with pytest.raises(cli.ConfigError, match="unknown key 'k_min'"):
-            cli.parse_config("command = burns-krantz\nk_min = 5\n")
+        # each parameter expect_verdict of a runner is the key
+        # expect-verdict, nothing else
+        cfg = cli.parse_config("command = rigidity-scan\n"
+                               "expect-verdict = VANISHES\n")
+        assert cfg.params == (("expect-verdict", "VANISHES"),)
+        with pytest.raises(cli.ConfigError,
+                           match="unknown key 'expect_verdict'"):
+            cli.parse_config("command = rigidity-scan\n"
+                             "expect_verdict = VANISHES\n")
 
     def test_unknown_command_rejected(self):
         with pytest.raises(cli.ConfigError, match="unknown command"):
@@ -76,7 +97,7 @@ class TestExitCodes:
     def test_failed_expectation_is_one(self, tmp_path):
         code = run_text(
             "command = rigidity-scan\nlam = pullback(auto 0.3+0.1j 0.0)\n"
-            "expect-verdict = BOUNDED_NONZERO\nk-max = 14\n", tmp_path)
+            "expect-verdict = BOUNDED_NONZERO\n", tmp_path)
         assert code == 1
 
     def test_malformed_metric_is_two(self, tmp_path):
@@ -88,12 +109,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text", [
         "command = rigidity-scan\nc = abc\n",
-        "command = rigidity-scan\nk-min = 10\nk-max = 12\n",
         "command = burns-krantz\nmap = zpow\n",
         "command = burns-krantz\nmap = zpow x\n",
         "command = ball-check\nwhat = custom\nmap = 2,0:1 | 0,1:x\n",
         "command = ball-check\nwhat = custom\nmap = 2,0:1 |\nv = 1,0,0\n",
-        "command = verify-harnack\ninclude-liouville = maybe\n",
         "command = rigidity-scan\nexpect-limit = half\n",
         "command = ball-check\nwhat = band\nN = 0\n",
         "command = ball-check\nwhat = power\nk = 1\n",
@@ -102,6 +121,34 @@ class TestExitCodes:
         assert run_text(text, tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, family, key", RETUNING_KEYS)
+    def test_retuning_key_is_two(self, command, family, key, tmp_path, capsys):
+        # a pass threshold or a ladder is a library constant, not a key
+        selected = {"family": family} if family else {}
+        cfg = tmp_path / "retune.cfg"
+        cfg.write_text(f"command = {command}\n{key} = 1\n"
+                       + "".join(f"{k} = {v}\n" for k, v in selected.items()))
+        assert cli.main([str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown key {key!r}" in err
+        allowed = err.split("allowed: ")[1].strip().split(", ")
+        runner = cli._select_runner(command, selected)
+        assert key not in allowed
+        assert set(cli._keys(runner)) | {"out"} <= set(allowed)
+
+    def test_loosened_limit_is_two(self, tmp_path):
+        # the fitted limit of z^2 is -0.5; a config cannot widen the
+        # tolerance until 0.5 passes
+        text = ("command = rigidity-scan\nlam = pullback(zpow 2)\n"
+                "expect-verdict = BOUNDED_NONZERO\nexpect-limit = 0.5\n"
+                "out = scan.json\n")
+        assert run_text(text, tmp_path) == 1
+        cfg = tmp_path / "loose.cfg"
+        cfg.write_text(text + "limit-tol = 2\n")
+        out = tmp_path / "loose"
+        assert cli.main([str(cfg), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_non_finite_map_parameter_is_named(self, tmp_path, capsys):
         text = "command = rigidity-scan\nlam = pullback(auto 0.3 nan)\n"
@@ -203,7 +250,7 @@ class TestReports:
     def test_report_written_even_on_failure(self, tmp_path):
         code = run_text(
             "command = rigidity-scan\nlam = pullback(auto 0.2 0.0)\n"
-            "expect-verdict = BOUNDED_NONZERO\nk-max = 14\nout = rep.json\n",
+            "expect-verdict = BOUNDED_NONZERO\nout = rep.json\n",
             tmp_path)
         assert code == 1
         report = json.loads((tmp_path / "rep.json").read_text())
@@ -270,7 +317,6 @@ CHECKERS = (
 #: a second metric brings the quotient bound, and the rest keeps it small
 COVERAGE_KEYS = {
     "rigidity-scan": "lam = pullback(auto 0.3+0.1j 0.7)\n",
-    "verify-harnack": "include-liouville = no\n",
     "pj-decompose": "mu = poincare\nn-r = 80\nn-t = 160\n",
     "liouville-solve": "n = 65\n",
 }

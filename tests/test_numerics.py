@@ -305,6 +305,12 @@ class TestRateFit:
         b = fit_boundary_rate([(t, s * v) for t, v in base], 2.0).fitted_limit
         assert b == pytest.approx(s * a, rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize("ladder", [(-2, 20), (4, 54)])
+    def test_ladder_leaving_the_open_disk_refused(self, ladder):
+        # 1 - 2^-k is -3 at k = -2 and rounds to 1 at k = 54
+        with pytest.raises(NumericsError, match="k_max <= 53"):
+            dyadic_ts(*ladder)
+
     def test_samples_recorded_sorted(self):
         ts = dyadic_ts(4, 10)
         rep = fit_boundary_rate([(t, (1 - t) ** 2) for t in ts], 2.0)

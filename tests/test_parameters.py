@@ -1,5 +1,6 @@
-"""Every defaulted parameter of the library is one that a caller sets, and
-every library name is one that a caller names.
+"""Every defaulted parameter of the library is one that a caller sets,
+every config key is one that a shipped config sets or that names an
+input, and every library name is one that a caller names.
 
 A parameter with a default is an option, and an option earns its place
 when some call in ``src/``, ``scripts/`` or ``perfbench/`` passes it,
@@ -8,18 +9,26 @@ extra code around it.  The audit reads the source with ``ast``: it
 resolves a call through the caller's imports of ``diskrig`` modules and
 names, takes ``ClassName(...)`` as a call of ``__init__``, and takes any
 other ``obj.name(...)`` as a call of every method of that name.
+
+A config key is a runner parameter of ``cli.py``.  The configs shipped
+with the project are those in ``scripts/``, the README's example, the CI
+workflow and the benchmark's battery; a key that none of them sets must
+name what is checked, never how strictly.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
+
+from diskrig import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "diskrig"
 CALLER_DIRS = ("src", "scripts", "perfbench")
-#: cli.py's runner parameters are config keys, which ``cli.run`` passes by
-#: name from a parsed config, and ``main(argv)`` is the console entry point
+#: cli.py's runner parameters are config keys, audited against the shipped
+#: configs below, and ``main(argv)`` is the console entry point
 EXEMPT_MODULES = {"cli"}
 #: (module, function, parameter) -> why it stays although only tests set it
 ALLOWED = {
@@ -211,3 +220,116 @@ def test_every_library_name_is_used_outside_the_tests():
         "top-level functions and classes that nothing in src/, scripts/ or "
         "perfbench/ names (move each into the tests that use it, or delete "
         "it): " + ", ".join(f"{m}.{n}" for m, n in unused))
+
+
+#: files that ship configs, as literal text or as Python string literals
+SHIPPED_CONFIGS = (*sorted((ROOT / "scripts").glob("*.py")), ROOT / "README.md",
+                   ROOT / ".github" / "workflows" / "tier1.yml",
+                   ROOT / "perfbench" / "workloads.py")
+#: (command, key) -> what the key names, for keys no shipped config sets
+INPUT_KEYS = {
+    ("rigidity-scan", "angle"): "the ray the scan walks to the boundary",
+    ("pj-decompose", "n-r"): "the radial nodes of the quadrature grid",
+    ("pj-decompose", "n-t"): "the angular nodes of the quadrature grid",
+    ("pj-decompose", "bound-r"): "the sub-disk radius of the quotient bound",
+    ("pj-decompose", "bound-xi"): "the point whose zero orders the bound weighs",
+    ("sequence-scan", "mu"): "the metric the sequence is compared with",
+    ("sequence-scan", "expect-verdict"): "the verdict the config asserts",
+    ("sequence-scan", "a"): "the parameter of the extremal family",
+    ("sequence-scan", "z"): "the point the extremal family is evaluated at",
+    ("liouville-solve", "R"): "the radius of the disk the equation is solved on",
+    ("liouville-solve", "out-csv"): "the file the solution grid is exported to",
+    ("ball-check", "N"): "the dimension of the ball",
+    ("ball-check", "seed"): "the seed of the random maps, slices or samples",
+    ("ball-check", "count"): "the number of random maps or slices drawn",
+    ("ball-check", "k"): "the power of the map (z1^k, 0, ...)",
+    ("ball-check", "expect-verdict"): "the verdict the config asserts",
+}
+KEY_LINE = re.compile(r"\s*([A-Za-z][\w-]*) = \S.*")
+
+
+def _texts(path: Path) -> list[str]:
+    """The text a file may carry configs in: its string literals (an
+    f-string with its fields blanked) for Python, else the file with its
+    escaped newlines read as newlines."""
+    if path.suffix != ".py":
+        return [path.read_text().replace("\\n", "\n")]
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append(node.value)
+        elif isinstance(node, ast.JoinedStr):
+            out.append("".join(v.value if isinstance(v, ast.Constant) else "{}"
+                               for v in node.values))
+    return out
+
+
+def _shipped_configs():
+    """(command, {key: value}) of each config in a shipped file: a
+    ``command = ...`` line and the key lines right after it."""
+    for path in SHIPPED_CONFIGS:
+        for text in _texts(path):
+            for match in re.finditer(r"command = ([\w-]+)\n", text):
+                params = {}
+                for line in text[match.end():].split("\n"):
+                    key = KEY_LINE.fullmatch(line)
+                    if key is None:
+                        break
+                    params[key[1]] = line.split(" = ", 1)[1]
+                yield match[1], params
+
+
+def _runners():
+    """(command, selector value or None, runner) of every runner."""
+    for command, spec in cli.COMMANDS.items():
+        if spec.selector is None:
+            yield command, None, spec.runner
+        else:
+            yield from ((command, choice, runner)
+                        for choice, runner in spec.runner.items())
+
+
+def _unset_keys() -> list[tuple[str, str | None, str]]:
+    """(command, selector value, key) of each runner key that no shipped
+    config sets.  A selector value that is a placeholder (the CI
+    workflow's ``kappa = %s``) stands for every runner of the table."""
+    shipped = set()
+    for command, params in _shipped_configs():
+        spec = cli.COMMANDS[command]
+        choices = [None]
+        if spec.selector is not None:
+            choice = params.get(spec.selector, next(iter(spec.runner)))
+            choices = [choice] if choice in spec.runner else list(spec.runner)
+        shipped |= {(command, choice, key) for choice in choices for key in params}
+    return [(command, choice, key) for command, choice, runner in _runners()
+            for key in cli._keys(runner) if (command, choice, key) not in shipped]
+
+
+def test_every_config_key_is_shipped_or_names_an_input():
+    unlisted = [u for u in _unset_keys() if (u[0], u[2]) not in INPUT_KEYS]
+    assert not unlisted, (
+        "config keys that no shipped config sets and INPUT_KEYS does not "
+        "list (a key that only retunes a verdict is a library constant): "
+        + ", ".join(f"{c}{f' ({s})' if s else ''}: {k}" for c, s, k in unlisted))
+
+
+def test_input_keys_are_still_unset():
+    assert set(INPUT_KEYS) <= {(c, k) for c, _, k in _unset_keys()}
+
+
+def test_shipped_configs_are_found():
+    # the README's example and a battery config, as the extraction reads them
+    configs = list(_shipped_configs())
+    assert ("rigidity-scan", {
+        "lam": "pullback(zpow 2)", "mu": "poincare", "c": "4",
+        "expect-verdict": "BOUNDED_NONZERO", "expect-limit": "-0.5",
+        "out": "scan.json", "profile": "scan.dat"}) in configs
+    assert ("verify-harnack", {"liouville-n": "97", "out": "harnack.json"}) in configs
+
+
+def test_no_config_key_is_boolean():
+    # a config value is text, and bool("no") is True
+    flags = [(command, choice, key) for command, choice, runner in _runners()
+             for key, param in cli._keys(runner).items()
+             if isinstance(param.default, bool)]
+    assert not flags
