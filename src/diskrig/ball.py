@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import DiskrigError, RateReport, Verdict, dyadic_ts, fit_boundary_rate
+from .numerics import (DiskrigError, RateReport, Verdict, dyadic_ts, fit_boundary_rate,
+                       polar_points)
 
 SELFMAP_SLACK = 1e-10
 BOUNDARY_TOL = 1e-12
@@ -137,20 +138,13 @@ def distance_band(z):
 # tangential / normal splitting at the sphere
 
 
-def tangential_projection(p, v) -> np.ndarray:
-    """Projection of v onto the complex tangent space at p: v - <v,p> p,
-    over points and vectors of shape (..., N)."""
-    p, v = _as_points(p=p, v=v)
-    if np.any(np.abs(norm(p) - 1.0) > BOUNDARY_TOL):
-        raise BallError("projection base point must lie on the sphere")
-    return v - herm(v, p)[..., None] * p
-
 def normal_decomposition(z, v) -> tuple[np.ndarray, np.ndarray]:
     """Split v at the closest sphere point pi(z) = z/|z|, over points and
     vectors of shape (..., N).
 
-    Returns (normal part <v,p> p, tangential part v - <v,p> p); the two
-    are Hermitian-orthogonal.  Undefined at the center.
+    Returns (normal part <v,p> p, tangential part v - <v,p> p, the
+    projection onto the complex tangent space at p); the two are
+    Hermitian-orthogonal.  Undefined at the center.
     """
     z, v = _as_points(z=z, v=v)
     nz = norm(z)
@@ -444,9 +438,9 @@ def geodesic_boundary_check(f) -> GeodesicCheckReport:
         raise BallError("disc image escapes the ball")
     dz = f.deriv(rs + 0j)
     deficits = kobayashi_metric(z, dz) - 1.0 / (1.0 - rs**2)
-    rate = fit_boundary_rate(list(zip(rs, deficits)), 1.0)
+    rate = fit_boundary_rate(rs, deficits, 1.0)
     far = nz > 0.5
-    proj_norms = norm(tangential_projection(z[far] / nz[far, None], dz[far]))
+    proj_norms = norm(normal_decomposition(z[far], dz[far])[1])
     iso0 = kobayashi_metric(f(0j), f.deriv(0j))
     bounded = bool(proj_norms.size == 0
                    or proj_norms.max() <= 10.0 * (1.0 + proj_norms.min()))
@@ -482,7 +476,7 @@ def tangential_directions(n: int) -> np.ndarray:
     if n < 2:
         return np.empty((0, n), dtype=complex)
     if n == 2:
-        w = np.exp(2j * np.pi * np.arange(16) / 16)[:, None]
+        w = polar_points([1.0], 16, 0.0)[:, None]
     else:
         draws = np.random.default_rng(3).normal(size=(16, 2, n - 1))
         w = draws[:, 0] + 1j * draws[:, 1]
@@ -515,10 +509,9 @@ def ball_rigidity_check(F: BallMap, v) -> RigidityConditionsReport:
     w = F.eval(z)
     dv = F.differential(z, v)
     diff = kobayashi_metric(w, dv) - kobayashi_metric(z, v)
-    rate = fit_boundary_rate(list(zip(1.0 - boundary_distance(z), diff)), 1.0)
-    nw = norm(w)
-    near = nw > 0.9
-    proj_vals = norm(tangential_projection(w[near] / nw[near, None], dv[near]))
+    rate = fit_boundary_rate(1.0 - boundary_distance(z), diff, 1.0)
+    near = norm(w) > 0.9
+    proj_vals = norm(normal_decomposition(w[near], dv[near])[1])
     proj_sup = float(proj_vals.max()) if proj_vals.size else 0.0
     head = proj_vals[: max(1, proj_vals.size // 2)] if proj_vals.size else [0.0]
     bounded = proj_sup <= max(5.0, 3.0 * float(np.median(head)) + 5.0)

@@ -251,7 +251,7 @@ def run_rigidity_scan(lam="pullback(zpow 2)", mu="poincare", c=4.0,
 def run_verify_harnack(liouville_n=97) -> dict:
     results = hk.run_catalog(liouville_n=liouville_n)
     cases = {case.name: {"passed": rep.passed,
-                         "max_violation": rep.lhs_max_violation,
+                         "max_violation": rep.max_violation,
                          "c": case.c, "r": case.r}
              for case, rep in results}
     cubic = {}

@@ -19,7 +19,7 @@ import numpy as np
 
 from .metric import (Pseudometric, ZeroRecord, curvature_source, quotient,
                      require_structural_domination)
-from .numerics import DiskrigError, PolarGrid, quadrature_disk
+from .numerics import DiskrigError, PolarGrid, polar_points, quadrature_disk
 
 CIRCLE_ZERO_TOL = 1e-9
 POINT_COINCIDENCE_TOL = 1e-14
@@ -86,8 +86,7 @@ def harmonic_majorant(lam: Pseudometric, R: float, z: complex) -> float:
             raise GreenPJError(
                 f"zero at {rec.location} sits on the circle |xi| = {R}; "
                 "perturb the radius")
-    theta = 2.0 * np.pi * np.arange(512) / 512
-    ring = R * np.exp(1j * theta)
+    ring = polar_points([R], 512, 0.0)
     vals = np.log(np.asarray(lam.density(ring), dtype=float))
     pk = (R**2 - abs(z) ** 2) / np.abs(ring - z) ** 2
     value = float(np.mean(pk * vals))

@@ -27,7 +27,7 @@ from .holomap import (Blaschke, HoloMap, Monomial, certify_selfmap, disk_jet, f_
 from .metric import (MetricError, Pseudometric, check_domination, mu_max,
                      poincare, pullback, quotient, scale)
 from .numerics import (DiskrigError, RateReport, dyadic_ts, fit_boundary_rate,
-                       laplacian_fd)
+                       laplacian_fd, polar_points)
 
 INEQ_TOL = 1e-7
 #: slack of the Golusin bound
@@ -40,22 +40,12 @@ class HarnackError(DiskrigError, ValueError):
 
 
 @dataclass(frozen=True)
-class HarnackReport:
-    r: float
-    c: float
-    lhs_max_violation: float
-    passed: bool
-    witness: complex | None
-    n_checked: int
-
-
-@dataclass(frozen=True)
 class InequalityReport:
     """Generic sampled-inequality report: max violation and witness."""
 
     passed: bool
     max_violation: float
-    witness: complex | None
+    witness: complex
     n_checked: int
     details: dict | None = None
 
@@ -136,8 +126,7 @@ def verify_barrier_pde(r: float, c: float) -> InequalityReport:
     """Check Lap v_r >= 2c v_r / (1-|z|^2)^2 at 12 radii from r + 0.01 to
     0.99 times 8 angles, with the Richardson-extrapolated five-point
     Laplacian at step 1e-4, up to a violation of 1e-5."""
-    radii = np.linspace(r + 0.01, 0.99, 12)
-    grid = np.outer(radii, np.exp(2j * np.pi * np.arange(8) / 8)).ravel()
+    grid = polar_points(np.linspace(r + 0.01, 0.99, 12), 8, 0.0)
     lap = laplacian_fd(lambda w: barrier_v(r, c, w), grid, 1e-4, richardson=True)
     viol = 2.0 * c * barrier_v(r, c, grid) / (1.0 - np.abs(grid) ** 2) ** 2 - lap
     worst, witness = _worst_violation(viol, grid)
@@ -149,17 +138,11 @@ def verify_barrier_pde(r: float, c: float) -> InequalityReport:
 # the Harnack checker itself
 
 
-def annulus_grid(r_min: float, r_max: float, n_r: int = 14, n_t: int = 16) -> np.ndarray:
-    radii = np.linspace(r_min, r_max, n_r)
-    angles = np.exp(2j * np.pi * (np.arange(n_t) + 0.23) / n_t)
-    return np.outer(radii, angles).ravel()
-
-
 def check_harnack(lam: Pseudometric, mu: Pseudometric, c: float,
-                  r: float) -> HarnackReport:
-    """Verify the boundary Harnack inequality on the annulus grid from r to
-    the cap min(0.9995, 0.97 times either domain radius), up to a
-    violation of INEQ_TOL.
+                  r: float) -> InequalityReport:
+    """Verify the boundary Harnack inequality at 14 radii from r to the cap
+    min(0.9995, 0.97 times either domain radius) times 16 angles, up to a
+    violation of INEQ_TOL; the witness is the worst point.
 
     Requires mu to carry an exact curvature provider with pinch bounds
     inside [-c, -4], and r below the cap; domination of lam by mu is
@@ -185,8 +168,8 @@ def check_harnack(lam: Pseudometric, mu: Pseudometric, c: float,
                           f"{len(dom.quotient_violations)} quotient and "
                           f"{len(dom.curvature_violations)} curvature violations")
 
-    grid = annulus_grid(r, cap)
-    circle = r * np.exp(2j * np.pi * np.arange(180) / 180)
+    grid = polar_points(np.linspace(r, cap, 14), 16, 0.23)
+    circle = polar_points([r], 180, 0.0)
     inner_max = float(np.max(np.log(quotient(lam, mu, circle))))
     coeff = harnack_constant(r) / (1.0 - r**2) ** (c / 2.0)
 
@@ -195,10 +178,8 @@ def check_harnack(lam: Pseudometric, mu: Pseudometric, c: float,
         lhs = np.log(q)
     rhs = coeff * inner_max * (1.0 - np.abs(grid) ** 2) ** (c / 2.0)
     worst, witness = _worst_violation(lhs - rhs, grid)
-    return HarnackReport(r=r, c=c, lhs_max_violation=worst,
-                         passed=worst <= INEQ_TOL,
-                         witness=witness if worst > INEQ_TOL else None,
-                         n_checked=int(grid.size))
+    return InequalityReport(passed=worst <= INEQ_TOL, max_violation=worst,
+                            witness=witness, n_checked=int(grid.size))
 
 
 def check_golusin(lam: Pseudometric) -> InequalityReport:
@@ -220,7 +201,7 @@ def check_golusin(lam: Pseudometric) -> InequalityReport:
     probe = np.array([0.11 + 0.07j, -0.4 + 0.31j, 0.62j, 0.55 - 0.21j])
     if np.max(np.abs(np.asarray(lam.curvature(probe), dtype=float) + 4.0)) > 1e-10:
         raise HarnackError("bound requires curvature exactly -4")
-    grid = annulus_grid(0.05, 0.95, n_r=12, n_t=12)
+    grid = polar_points(np.linspace(0.05, 0.95, 12), 12, 0.23)
     lam0 = float(lam.density(0j))
     hyp = poincare()
     m = 2.0 * np.abs(grid) / (1.0 + np.abs(grid) ** 2)
@@ -251,8 +232,7 @@ def rigidity_scan(lam: Pseudometric, mu: Pseudometric, c: float,
         raise MetricError("rigidity scan requires domination lam <= mu")
     ts = dyadic_ts()
     q = np.asarray(quotient(lam, mu, ts * np.exp(1j * angle)), dtype=float)
-    samples = list(zip(ts, q - 1.0))
-    return fit_boundary_rate(samples, c / 2.0)
+    return fit_boundary_rate(ts, q - 1.0, c / 2.0)
 
 
 def identity_spot_check(lam: Pseudometric, mu: Pseudometric) -> InequalityReport:
@@ -263,7 +243,7 @@ def identity_spot_check(lam: Pseudometric, mu: Pseudometric) -> InequalityReport
     so the predicted coincidence of the metrics is checked rather than
     asserted.  It passes up to 1e-6.
     """
-    grid = annulus_grid(0.05, 0.9, n_r=10, n_t=12)
+    grid = polar_points(np.linspace(0.05, 0.9, 10), 12, 0.23)
     worst, witness = _worst_violation(np.abs(quotient(lam, mu, grid) - 1.0), grid)
     return InequalityReport(passed=worst <= 1e-6, max_violation=worst,
                             witness=witness, n_checked=int(grid.size))
@@ -277,7 +257,7 @@ def boundary_schwarz_scan(f: HoloMap, jet: tuple | None = None) -> RateReport:
     z = ts + 0j
     w, dw = disk_jet(f, z) if jet is None else jet
     deficit = invariant_derivative(z, w, dw) - 1.0
-    return fit_boundary_rate(list(zip(ts, deficit)), 2.0)
+    return fit_boundary_rate(ts, deficit, 2.0)
 
 
 def burns_krantz_check(f: HoloMap) -> tuple[RateReport, RateReport]:
@@ -292,7 +272,7 @@ def burns_krantz_check(f: HoloMap) -> tuple[RateReport, RateReport]:
         raise HarnackError(f"map is not a certified self-map (max modulus {mx})")
     ts = dyadic_ts()
     jet = disk_jet(f, ts + 0j)      # one walk of the ladder serves both rates
-    displacement = fit_boundary_rate(list(zip(ts, np.abs(jet[0] - ts))), 3.0)
+    displacement = fit_boundary_rate(ts, np.abs(jet[0] - ts), 3.0)
     return displacement, boundary_schwarz_scan(f, jet=jet)
 
 
@@ -335,6 +315,6 @@ def build_catalog(liouville_n: int = 97) -> list[HarnackCase]:
     ]
 
 
-def run_catalog(liouville_n: int = 97) -> list[tuple[HarnackCase, HarnackReport]]:
+def run_catalog(liouville_n: int = 97) -> list[tuple[HarnackCase, InequalityReport]]:
     return [(case, check_harnack(case.lam, case.mu, case.c, case.r))
             for case in build_catalog(liouville_n)]

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .numerics import DiskrigError
+from .numerics import DiskrigError, polar_points
 
 POLE_TOL = 1e-14
 SELFMAP_SLACK = 1e-12
@@ -358,7 +358,7 @@ def f_eps(eps: float) -> HoloMap:
 # the operations of the module contract
 
 
-_CIRCLE = np.exp(1j * (2.0 * np.pi * np.arange(4096) / 4096))
+_CIRCLE = polar_points([1.0], 4096, 0.0)
 _CIRCLE.flags.writeable = False
 
 

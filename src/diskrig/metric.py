@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .holomap import HoloMap, critical_points, is_constant, preimages
-from .numerics import DiskrigError, laplacian_fd
+from .numerics import DiskrigError, laplacian_fd, polar_points
 
 ZERO_MATCH_TOL = 1e-9
 QUOTIENT_LIMIT_RADIUS = 1e-4
@@ -52,10 +53,10 @@ class ZeroRecord:
     order: float
 
     def __post_init__(self):
-        if self.order <= 0:
-            raise MetricError("zero order must be positive")
-        if abs(self.location) >= 1.0:
-            raise MetricError("zero location must lie inside the disk")
+        if not (math.isfinite(self.order) and self.order > 0):
+            raise MetricError(f"zero order must be finite and positive, got {self.order}")
+        if not abs(self.location) < 1.0:
+            raise MetricError(f"zero location {self.location} must lie inside the disk")
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,10 @@ class Pseudometric:
             for j in range(i + 1, len(locs)):
                 if abs(locs[i] - locs[j]) < ZERO_MATCH_TOL:
                     raise MetricError("zero locations must be pairwise distinct")
-        if self.pinch is not None and self.pinch[0] > self.pinch[1]:
-            raise MetricError("pinch bounds out of order")
+        if self.pinch is not None and not self.pinch[0] <= self.pinch[1]:
+            raise MetricError(f"pinch bounds {self.pinch} out of order or NaN")
+        if not 0.0 < self.domain_radius <= 1.0:
+            raise MetricError(f"domain radius {self.domain_radius} must lie in (0, 1]")
 
     @property
     def has_exact_curvature(self) -> bool:
@@ -194,23 +197,19 @@ def scale(t: float, mu: Pseudometric) -> Pseudometric:
                         domain_radius=mu.domain_radius)
 
 
-def exp_weight(s: Callable, lap_s: Callable | None = None,
-               name: str = "exp_weight") -> Pseudometric:
-    """Density e^{s(z)} / (1-|z|^2) for a smooth subharmonic weight s <= 0.
-
-    With an exact Laplacian of the weight supplied the curvature is exact:
-    kappa = -e^{-2s} (lap(s) (1-|z|^2)^2 + 4); it is <= -4 whenever
-    lap(s) >= 0 and s <= 0.
+def exp_weight(s: Callable, lap_s: Callable, name: str) -> Pseudometric:
+    """Density e^{s(z)} / (1-|z|^2) for a smooth subharmonic weight s <= 0,
+    with the exact curvature kappa = -e^{-2s} (lap(s) (1-|z|^2)^2 + 4) from
+    the Laplacian lap_s of the weight; it is <= -4 whenever lap(s) >= 0
+    and s <= 0.
     """
 
     def density(z):
         return np.exp(s(z)) / (1.0 - np.abs(z) ** 2)
 
-    curvature = None
-    if lap_s is not None:
-        def curvature(z):  # noqa: F811
-            w2 = (1.0 - np.abs(z) ** 2) ** 2
-            return -np.exp(-2.0 * s(z)) * (lap_s(z) * w2 + 4.0)
+    def curvature(z):
+        w2 = (1.0 - np.abs(z) ** 2) ** 2
+        return -np.exp(-2.0 * s(z)) * (lap_s(z) * w2 + 4.0)
 
     return Pseudometric(density=density, zeros=(), curvature=curvature,
                         pinch=None, name=name)
@@ -307,9 +306,8 @@ def _limit_quotient(lam: Pseudometric, mu: Pseudometric, rec: ZeroRecord,
                     lam_order: float) -> float:
     if lam_order > rec.order + 1e-12:
         return 0.0
-    angles = np.exp(2j * np.pi * np.arange(QUOTIENT_LIMIT_ANGLES)
-                    / QUOTIENT_LIMIT_ANGLES)
-    ring = rec.location + QUOTIENT_LIMIT_RADIUS * angles
+    ring = rec.location + polar_points([QUOTIENT_LIMIT_RADIUS],
+                                       QUOTIENT_LIMIT_ANGLES, 0.0)
     vals = np.asarray(lam.density(ring), dtype=float) / \
         np.asarray(mu.density(ring), dtype=float)
     return float(np.mean(vals))
@@ -351,9 +349,7 @@ def default_disk_grid(r_max: float = 0.9,
                       avoid: Sequence[complex] = ()) -> np.ndarray:
     """Sample points in the disk, 9 radii from 0.08 to r_max times 16
     angles, keeping those more than 0.02 from each given location."""
-    radii = np.linspace(0.08, r_max, 9)
-    angles = np.exp(2j * np.pi * (np.arange(16) + 0.31) / 16)
-    pts = np.outer(radii, angles).ravel()
+    pts = polar_points(np.linspace(0.08, r_max, 9), 16, 0.31)
     keep = np.ones(pts.shape, dtype=bool)
     for a in avoid:
         keep &= np.abs(pts - a) > 0.02
@@ -408,11 +404,9 @@ def zero_order(mu: Pseudometric, xi: complex) -> float:
     if float(mu.density(xi)) > 1e-8:
         return 0.0
     radii = 10.0 ** (-np.arange(2, 6, dtype=float))
-    angles = np.exp(2j * np.pi * (np.arange(16) + 0.17) / 16)
     mean_logs = []
     for r in radii:
-        ring = xi + r * angles
-        vals = np.asarray(mu.density(ring), dtype=float)
+        vals = np.asarray(mu.density(xi + polar_points([r], 16, 0.17)), dtype=float)
         if np.any(vals <= 0.0):
             raise MetricError("density not positive on a punctured neighborhood")
         mean_logs.append(float(np.mean(np.log(vals))))

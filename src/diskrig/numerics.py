@@ -1,7 +1,7 @@
 """Shared numerical substrate.
 
-Quadrature over disks in polar coordinates about a pole of the
-integrand, five-point finite-difference Laplacians with optional
+Sample rings, quadrature over disks in polar coordinates about a pole
+of the integrand, five-point finite-difference Laplacians with optional
 Richardson extrapolation, and least-squares fitting of boundary
 asymptotic rates (the machinery that turns a qualitative little-o
 statement into a numeric verdict).
@@ -20,7 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -70,10 +70,10 @@ class PolarGrid:
     no nodes.
     """
 
-    center: complex = 0j
-    radius: float = 1.0
-    n_r: int = 64
-    n_t: int = 128
+    center: complex
+    radius: float
+    n_r: int
+    n_t: int
 
     def __post_init__(self):
         for name in ("n_r", "n_t"):
@@ -87,6 +87,13 @@ class PolarGrid:
                                 f"got {self.radius!r}")
         if self.n_r < 2 or self.n_t < 4:
             raise NumericsError("need n_r >= 2 and n_t >= 4")
+
+
+def polar_points(radii, n_t: int, phase: float) -> np.ndarray:
+    """n_t points on each circle |z| = r for r in radii, at the angles
+    2 pi (j + phase) / n_t, j = 0, ..., n_t - 1: radius-major, one ring
+    after another."""
+    return np.outer(radii, np.exp(2j * np.pi * (np.arange(n_t) + phase) / n_t)).ravel()
 
 
 #: Nodes per block of whole rays that quadrature_disk hands the
@@ -231,9 +238,9 @@ def _trimmed_linear_fit(eps_t: np.ndarray, g_t: np.ndarray) -> tuple[float, floa
     return float(coef[0]), float(coef[1])
 
 
-def fit_boundary_rate(samples: Sequence[tuple[float, float]],
-                      exponent: float) -> RateReport:
-    """Decide how value(t) behaves relative to (1-t)**exponent as t -> 1.
+def fit_boundary_rate(ts, values, exponent: float) -> RateReport:
+    """Decide how value(t) behaves relative to (1-t)**exponent as t -> 1,
+    from the samples values[i] at ts[i], two 1-D arrays of one length.
 
     The scaled quantity g = value / (1-t)**exponent is fitted linearly
     against (1-t) on the boundary-nearest half of the samples, after
@@ -242,11 +249,13 @@ def fit_boundary_rate(samples: Sequence[tuple[float, float]],
     verdict: VANISHES below TOL_VANISH = 1e-3, DIVERGES when |g| grows
     beyond 1/TOL_VANISH on that same cut tail, BOUNDED_NONZERO otherwise.
     """
-    samples = [(float(t), float(v)) for t, v in samples]
-    if len(samples) < 5:
+    ts = np.asarray(ts, dtype=float)
+    vs = np.asarray(values, dtype=float)
+    if ts.ndim != 1 or ts.shape != vs.shape:
+        raise NumericsError(f"need two 1-D sample arrays of one length, got "
+                            f"shapes {ts.shape} and {vs.shape}")
+    if ts.size < 5:
         raise NumericsError("need at least 5 samples for a rate fit")
-    ts = np.array([s[0] for s in samples])
-    vs = np.array([s[1] for s in samples])
     if np.any(np.diff(ts) <= 0) or ts[-1] >= 1.0:
         raise NumericsError("samples must have t strictly increasing toward 1")
     if not np.all(np.isfinite(vs)):
@@ -271,7 +280,7 @@ def fit_boundary_rate(samples: Sequence[tuple[float, float]],
     else:
         verdict = Verdict.BOUNDED_NONZERO
     return RateReport(exponent_tested=float(exponent),
-                      samples=tuple(samples),
+                      samples=tuple(zip(ts.tolist(), vs.tolist())),
                       fitted_limit=limit,
                       fitted_slope=slope,
                       verdict=verdict)

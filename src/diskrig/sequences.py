@@ -22,7 +22,7 @@ from .holomap import (Automorphism, HoloMap, certify_selfmap, disk_jet,
                       hyperbolic_derivative, invariant_derivative)
 from .metric import (DominationError, Pseudometric, check_domination,
                      exp_weight, mu_max, poincare, pullback, quotient)
-from .numerics import DiskrigError, Verdict, fit_boundary_rate
+from .numerics import DiskrigError, Verdict, fit_boundary_rate, polar_points
 
 MAX_FACTORIAL_N = 170
 COMPACT_GRID_RADIUS = 0.8
@@ -139,9 +139,7 @@ class DichotomyReport:
 
 def _compact_grid() -> np.ndarray:
     radii = np.linspace(0.0, COMPACT_GRID_RADIUS, 7)
-    angles = np.exp(2j * np.pi * (np.arange(12) + 0.41) / 12)
-    pts = np.outer(radii[1:], angles).ravel()
-    return np.concatenate([[0j], pts])
+    return np.concatenate([[0j], polar_points(radii[1:], 12, 0.41)])
 
 
 def dichotomy_scan(seq: MetricSequence, mu: Pseudometric, c: float,
@@ -183,7 +181,7 @@ def dichotomy_scan(seq: MetricSequence, mu: Pseudometric, c: float,
     # sequences get the full rate fit; interior ones a trend check.
     ts = np.abs(np.asarray(samples))
     if np.all(np.diff(ts) > 0) and ts[-1] > 0.9:
-        rate = fit_boundary_rate(list(zip(ts, [v for v in hyp_vals])), c / 2.0)
+        rate = fit_boundary_rate(ts, hyp_vals, c / 2.0)
         hypothesis_ok = rate.verdict is Verdict.VANISHES
     else:
         hypothesis_ok = hyp_vals[-1] <= max(0.2, 0.8 * hyp_vals[0]) and \
@@ -252,7 +250,7 @@ def sequential_schwarz_pick(maps: Callable[[int], HoloMap],
     ns = tuple(2**k for k in range(1, 9))
     pts = _compact_grid()
 
-    hyp_samples = []
+    ts, hyp = [], []
     sups = []
     min_mod = []
     for n in ns:
@@ -261,20 +259,19 @@ def sequential_schwarz_pick(maps: Callable[[int], HoloMap],
         if not ok:
             raise SequenceError(f"member {n} is not a self-map (max {mx})")
         z_n = complex(points(n))
-        hyp_samples.append((abs(z_n), float(hyperbolic_derivative(f, z_n)) - 1.0))
+        ts.append(abs(z_n))
+        hyp.append(float(hyperbolic_derivative(f, z_n)) - 1.0)
         w, dw = disk_jet(f, pts)
         sups.append(float(np.max(np.abs(invariant_derivative(pts, w, dw) - 1.0))))
         min_mod.append(float(np.min(np.abs(w))))
 
-    ts = [t for t, _ in hyp_samples]
     if all(b > a for a, b in zip(ts, ts[1:])) and ts[-1] > 0.9:
-        rate = fit_boundary_rate(hyp_samples, 2.0)
+        rate = fit_boundary_rate(ts, hyp, 2.0)
         hypothesis_ok = rate.verdict is Verdict.VANISHES
         hyp_limit = rate.fitted_limit
     else:
-        deviations = [abs(v) for _, v in hyp_samples]
-        hypothesis_ok = deviations[-1] <= 1e-6
-        hyp_limit = deviations[-1]
+        hyp_limit = abs(hyp[-1])
+        hypothesis_ok = hyp_limit <= 1e-6
 
     uniform_ok = bool(np.all(np.diff(sups) <= 1e-9) and sups[-1] <= 1e-6)
     if not hypothesis_ok:

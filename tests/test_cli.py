@@ -170,6 +170,19 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "ball.json").exists()
 
+    @pytest.mark.parametrize("command, beta", [("golusin", "nan"),
+                                               ("rigidity-scan", "inf")])
+    def test_non_finite_zero_order_is_two(self, command, beta, tmp_path, capsys):
+        # the zero of mu_max(beta) is refused before any arithmetic: no
+        # warning, and no report to hold a NaN, which is not JSON
+        text = f"command = {command}\nlam = mu_max({beta})\nout = nan.json\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_text(text, tmp_path) == 2
+        assert f"zero order must be finite and positive, got {beta}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "nan.json").exists()
+
     @pytest.mark.parametrize("what", ["automorphisms", "slices"])
     def test_vacuous_ball_check_is_two(self, what, tmp_path, capsys):
         # count = 0 would check nothing and pass

@@ -238,7 +238,8 @@ class TestDecomposition:
     def test_requires_pinch(self):
         s = lambda z: np.zeros(np.shape(z)) if np.ndim(z) else 0.0
         with pytest.raises(gp.GreenPJError, match="pinch"):
-            gp.pj_decompose(mt.exp_weight(s), 0.9, 0.3 + 0j)
+            # the zero weight is its own Laplacian
+            gp.pj_decompose(mt.exp_weight(s, s, "flat"), 0.9, 0.3 + 0j)
 
 
 class TestQuotientBound:

@@ -86,7 +86,17 @@ class TestCheckHarnack:
     def test_equal_metrics_both_sides_zero(self):
         rep = hk.check_harnack(P, P, 4.0, 0.5)
         assert rep.passed
-        assert abs(rep.lhs_max_violation) <= 1e-12
+        assert abs(rep.max_violation) <= 1e-12
+
+    def test_pass_names_its_worst_point(self):
+        # lhs - rhs = log 0.9 (1 - C (1-|z|^2)^2) with C < 1 is largest,
+        # and still negative, on the inner circle |z| = r of the annulus
+        rep = hk.check_harnack(mt.scale(0.9, P), P, 4.0, 0.5)
+        coeff = hk.harnack_constant(0.5) / (1.0 - 0.5**2) ** 2
+        assert rep.passed
+        assert abs(rep.witness) == pytest.approx(0.5, abs=1e-12)
+        assert rep.max_violation == pytest.approx(
+            math.log(0.9) * (1.0 - coeff * (1.0 - 0.5**2) ** 2), rel=1e-12)
 
     def test_scaled(self):
         rep = hk.check_harnack(mt.scale(0.9, P), P, 4.0, 0.5)
@@ -148,7 +158,8 @@ class TestGolusin:
     def test_requires_constant_curvature(self):
         s = lambda z: -(np.abs(z) ** 2) * 0 - 0.1
         with pytest.raises(hk.HarnackError):
-            hk.check_golusin(mt.exp_weight(s))
+            hk.check_golusin(mt.exp_weight(s, lambda z: 0.0 * s(z), "weight")
+                             .without_exact_curvature())
 
 
 class TestRigidityScan:
@@ -258,7 +269,7 @@ class TestBurnsKrantz:
         a = 0.3 + 0.4j
         f = hm.Automorphism(a, np.angle((1.0 - np.conj(a)) / (a - 1.0)))
         ts = dyadic_ts()
-        separate = (fit_boundary_rate(list(zip(ts, np.abs(f.eval(ts + 0j) - ts))), 3.0),
+        separate = (fit_boundary_rate(ts, np.abs(f.eval(ts + 0j) - ts), 3.0),
                     hk.boundary_schwarz_scan(f))
         jet, shapes = hm.Automorphism.jet, []
 

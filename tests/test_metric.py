@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from diskrig import holomap as hm
 from diskrig import metric as mt
+from diskrig import sequences as sq
 
 P = mt.poincare()
 
@@ -89,6 +90,30 @@ class TestMuMax:
             mt.mu_max(0.0)
 
 
+class TestRefusedFields:
+    @pytest.mark.parametrize("order", [0.0, -1.0, math.nan, math.inf])
+    def test_zero_order(self, order):
+        with pytest.raises(mt.MetricError, match="finite and positive"):
+            mt.ZeroRecord(0.1j, order)
+
+    @pytest.mark.parametrize("location", [1.0, complex(math.nan, 0.0),
+                                          complex(0.0, math.inf)])
+    def test_zero_location(self, location):
+        with pytest.raises(mt.MetricError, match="must lie inside the disk"):
+            mt.ZeroRecord(location, 1.0)
+
+    @pytest.mark.parametrize("pinch", [(-4.0, -5.0), (math.nan, -4.0),
+                                       (-4.0, math.nan), (math.nan, math.nan)])
+    def test_pinch(self, pinch):
+        with pytest.raises(mt.MetricError, match="pinch"):
+            mt.Pseudometric(P.density, pinch=pinch)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.5, 1.5, math.nan, math.inf])
+    def test_domain_radius(self, radius):
+        with pytest.raises(mt.MetricError, match="domain radius"):
+            mt.Pseudometric(P.density, domain_radius=radius)
+
+
 class TestScaleAndWeight:
     def test_scale_identity(self):
         m = mt.scale(1.0, P)
@@ -99,9 +124,8 @@ class TestScaleAndWeight:
         assert float(mt.curvature_grid(m, 0.2 + 0.1j)) == -16.0
 
     def test_weight_value(self):
-        # s(z) = -1 - 1/6 + (|z|^2 + 1/6)^(1/3) evaluated at the origin
-        s = lambda z: -1.0 - 1.0 / 6.0 + (np.abs(z) ** 2 + 1.0 / 6.0) ** (1.0 / 3.0)
-        m = mt.exp_weight(s)
+        # member 3 of the weighted family: s(z) = -1 - 1/6 + (|z|^2 + 1/6)^(1/3)
+        m = sq.weighted_family(3)
         assert float(m.density(0j)) == pytest.approx(
             math.exp(-1 - 1 / 6 + (1 / 6) ** (1 / 3)))
 

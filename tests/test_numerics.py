@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from diskrig import numerics
 from diskrig.numerics import (NumericsError, PolarGrid, Verdict, _ray_rule, dyadic_ts,
-                              fit_boundary_rate, laplacian_fd, quadrature_disk)
+                              fit_boundary_rate, laplacian_fd, polar_points,
+                              quadrature_disk)
 
 
 def rule(grid, pole):
@@ -270,39 +272,49 @@ class TestLaplacian:
             assert val == laplacian_fd(u, complex(z), 1e-3, richardson=richardson)
 
 
+class TestPolarPoints:
+    @pytest.mark.parametrize("phase", [0.0, 0.23, 0.5])
+    def test_radius_major_at_the_stated_angles(self, phase):
+        radii = [0.1, 0.5, 0.9]
+        pts = polar_points(radii, 6, phase)
+        want = [r * cmath.exp(2j * math.pi * (j + phase) / 6)
+                for r in radii for j in range(6)]
+        assert pts.shape == (18,)
+        np.testing.assert_allclose(pts, want, rtol=0, atol=1e-15)
+
+
 class TestRateFit:
     def test_cubic_value_vanishes_at_exponent_two(self):
         ts = dyadic_ts()
-        rep = fit_boundary_rate([(t, (1 - t) ** 3) for t in ts], 2.0)
+        rep = fit_boundary_rate(ts, (1 - ts) ** 3, 2.0)
         assert rep.verdict is Verdict.VANISHES
 
     def test_linear_value_diverges_at_exponent_two(self):
         ts = dyadic_ts()
-        rep = fit_boundary_rate([(t, (1 - t)) for t in ts], 2.0)
+        rep = fit_boundary_rate(ts, 1 - ts, 2.0)
         assert rep.verdict is Verdict.DIVERGES
 
     def test_matched_exponent_recovers_constant(self):
         ts = dyadic_ts()
-        rep = fit_boundary_rate([(t, 3.7 * (1 - t) ** 2 + (1 - t) ** 3) for t in ts], 2.0)
+        rep = fit_boundary_rate(ts, 3.7 * (1 - ts) ** 2 + (1 - ts) ** 3, 2.0)
         assert rep.verdict is Verdict.BOUNDED_NONZERO
         assert rep.fitted_limit == pytest.approx(3.7, rel=1e-6)
 
     def test_requires_five_samples(self):
         with pytest.raises(NumericsError):
-            fit_boundary_rate([(0.9, 1.0)] * 4, 2.0)
+            fit_boundary_rate([0.9] * 4, [1.0] * 4, 2.0)
 
     def test_requires_increasing_t(self):
         with pytest.raises(NumericsError):
-            fit_boundary_rate([(0.9, 1.0), (0.8, 1.0), (0.95, 1.0),
-                               (0.96, 1.0), (0.97, 1.0)], 2.0)
+            fit_boundary_rate([0.9, 0.8, 0.95, 0.96, 0.97], [1.0] * 5, 2.0)
 
     @given(st.floats(min_value=-50.0, max_value=50.0).filter(lambda s: abs(s) > 1e-3))
     @settings(max_examples=40, deadline=None)
     def test_scale_equivariance(self, s):
         ts = dyadic_ts(4, 14)
-        base = [(t, (1 - t) ** 2 * (1.0 + (1 - t))) for t in ts]
-        a = fit_boundary_rate(base, 2.0).fitted_limit
-        b = fit_boundary_rate([(t, s * v) for t, v in base], 2.0).fitted_limit
+        base = (1 - ts) ** 2 * (1.0 + (1 - ts))
+        a = fit_boundary_rate(ts, base, 2.0).fitted_limit
+        b = fit_boundary_rate(ts, s * base, 2.0).fitted_limit
         assert b == pytest.approx(s * a, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("ladder", [(-2, 20), (4, 54)])
@@ -313,6 +325,21 @@ class TestRateFit:
 
     def test_samples_recorded_sorted(self):
         ts = dyadic_ts(4, 10)
-        rep = fit_boundary_rate([(t, (1 - t) ** 2) for t in ts], 2.0)
+        rep = fit_boundary_rate(ts, (1 - ts) ** 2, 2.0)
         recorded = [t for t, _ in rep.samples]
         assert recorded == sorted(recorded)
+
+    def test_samples_recorded_as_float_pairs(self):
+        ts = dyadic_ts(4, 10)
+        rep = fit_boundary_rate(ts, (1 - ts) ** 2, 2.0)
+        assert rep.samples == tuple((float(t), float((1 - t) ** 2)) for t in ts)
+        assert all(type(t) is float and type(v) is float for t, v in rep.samples)
+
+    @pytest.mark.parametrize("ts, values", [
+        (dyadic_ts(4, 10), (1 - dyadic_ts(4, 11)) ** 2),
+        (dyadic_ts(4, 10)[:, None], (1 - dyadic_ts(4, 10))[:, None]),
+        (dyadic_ts(4, 10), np.zeros((7, 2))),
+    ], ids=["lengths", "two-dimensional", "value-shape"])
+    def test_mismatched_shapes_refused(self, ts, values):
+        with pytest.raises(NumericsError, match="1-D sample arrays"):
+            fit_boundary_rate(ts, values, 2.0)

@@ -333,3 +333,16 @@ def test_no_config_key_is_boolean():
              for key, param in cli._keys(runner).items()
              if isinstance(param.default, bool)]
     assert not flags
+
+
+def test_rings_of_points_have_one_builder():
+    # a ring e^(2 pi i (j + phase) / n) is built only by numerics.polar_points
+    tree = ast.parse((PACKAGE / "numerics.py").read_text())
+    builder = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "polar_points")
+    hits = [(path.stem, i) for path in sorted(PACKAGE.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"np\.exp\(.*np\.pi", line)]
+    assert len(hits) == 1
+    assert hits[0][0] == "numerics"
+    assert builder.lineno <= hits[0][1] <= builder.end_lineno

@@ -27,7 +27,7 @@ blaschke_zeros = st.lists(st.complex_numbers(max_magnitude=0.6,
 @settings(max_examples=30, deadline=None)
 def test_rate_verdict_tracks_exponent_gap(p, q):
     ts = dyadic_ts(4, 16)
-    rep = fit_boundary_rate([(t, (1 - t) ** p) for t in ts], float(q))
+    rep = fit_boundary_rate(ts, (1 - ts) ** p, float(q))
     if p > q:
         assert rep.verdict is Verdict.VANISHES
     elif p == q:
@@ -70,7 +70,7 @@ def test_quadratic_weight_curvature_cap(c):
     # s = c(|z|^2 - 1) is subharmonic and nonpositive: curvature <= -4
     s = lambda z, c=c: c * (np.abs(z) ** 2 - 1.0)
     lap = lambda z, c=c: np.full(np.shape(z), 4.0 * c) if np.ndim(z) else 4.0 * c
-    lam = mt.exp_weight(s, lap)
+    lam = mt.exp_weight(s, lap, "quadratic")
     grid = mt.default_disk_grid(r_max=0.9)
     assert np.all(np.asarray(lam.curvature(grid), dtype=float) <= -4.0 + 1e-12)
     assert np.all(np.asarray(lam.density(grid), dtype=float)
