@@ -61,12 +61,17 @@ def harnack_constant(r: float) -> float:
 # proof devices: the annulus barrier and its cubic
 
 
+def _require_pinching(c: float) -> None:
+    """Refuse a pinching constant c that is not finite and >= 4 (NaN too)."""
+    if not 4.0 <= c < math.inf:
+        raise HarnackError(f"c must be finite and >= 4, got {c}")
+
+
 def barrier_v(r: float, c: float, z: complex) -> float:
     """Barrier (1-|z|^2)^(c/2) e^((1-|z|^2)/r^2), vanishing on |z| = 1."""
     if not 0.0 < r < 1.0:
         raise HarnackError("r must lie in (0, 1)")
-    if c < 4.0:
-        raise HarnackError("c must be >= 4")
+    _require_pinching(c)
     s = 1.0 - np.abs(z) ** 2
     if np.any(s < 0):
         raise HarnackError("barrier defined on the closed disk only")
@@ -93,8 +98,9 @@ def barrier_cubic(c: float, r: float):
 def cubic_check(c: float, r: float) -> InequalityReport:
     """Endpoint identities and the lower bound f >= 2c on [r^2, 1], sampled
     at 400 equispaced points."""
-    if c < 4.0 or not 0.0 < r < 1.0:
-        raise HarnackError("need c >= 4 and r in (0, 1)")
+    _require_pinching(c)
+    if not 0.0 < r < 1.0:
+        raise HarnackError("r must lie in (0, 1)")
     f = barrier_cubic(c, r)
     at_r2 = f(r**2)
     at_one = f(1.0)
@@ -152,8 +158,7 @@ def check_harnack(lam: Pseudometric, mu: Pseudometric, c: float,
     """
     if not 0.0 < r < 1.0:
         raise HarnackError("r must lie in (0, 1)")
-    if c < 4.0:
-        raise HarnackError("c must be >= 4")
+    _require_pinching(c)
     if not mu.has_exact_curvature or mu.pinch is None:
         raise HarnackError("dominating metric needs exact curvature with "
                            "declared pinch bounds")
@@ -223,11 +228,13 @@ def rigidity_scan(lam: Pseudometric, mu: Pseudometric, c: float,
     """Fit (lam/mu - 1) / (1-|z|)^(c/2) along the ray at ``angle``, on the
     dyadic ladder |z| = 1 - 2^-k of ``dyadic_ts()``.
 
-    Domination lam <= mu is checked first.  A VANISHES verdict certifies
+    A c that is not finite and >= 4 is refused, and domination lam <= mu
+    is checked before the scan.  A VANISHES verdict certifies
     the rigidity hypothesis numerically (identity of the metrics
     predicted); BOUNDED_NONZERO or DIVERGES means the hypothesis fails at
     this pinching exponent.
     """
+    _require_pinching(c)
     if not check_domination(lam, mu).passed:
         raise MetricError("rigidity scan requires domination lam <= mu")
     ts = dyadic_ts()

@@ -16,6 +16,11 @@ forcing term (inexact Newton); odd n >= ``NESTED_MIN`` start from the
 solve on the nested grid of (n + 1)/2 instead.  A factored variant
 Lap log v = -kappa |z - xi|^(2 alpha) v^2 handles one prescribed zero.
 
+Solutions are interpolated by the not-a-knot bicubic spline
+(``BicubicInterpolant``, FITPACK's interpolating spline), in numpy:
+besides numpy the module needs only ``scipy.sparse``,
+``scipy.sparse.linalg`` and ``scipy.linalg``.
+
 The solver doubles as a factory for a variable-curvature test metric:
 ``make_pinched_metric`` wraps the solution of ``pinched_problem`` in a
 Pseudometric whose pinch bounds are that problem's.
@@ -38,7 +43,6 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.interpolate import RectBivariateSpline
 from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .metric import MetricError, Pseudometric
@@ -212,18 +216,6 @@ NINE_POINT = {(0, 0): -20.0, (1, 0): 4.0, (-1, 0): 4.0, (0, 1): 4.0, (0, -1): 4.
 FIVE_POINT = {(0, 0): -4.0, (1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}
 
 
-def _second_derivative_weights(offsets: list[float]) -> np.ndarray:
-    """Weights w with sum_j w_j u(offsets[j]) = u''(0) for every polynomial
-    u of degree < len(offsets).
-
-    These are Fornberg's finite-difference weights on arbitrary offsets
-    (Math. Comp. 51, 1988), taken here from the moment equations.
-    """
-    x = np.asarray(offsets)
-    m = np.vstack([x**p / math.factorial(p) for p in range(len(x))])
-    return np.linalg.solve(m, np.eye(len(x))[2])
-
-
 #: the problem-independent system of one (R, n) grid; b_rows, b_weights and
 #: b_angles: row, weight and angle of each circle point a boundary row reads;
 #: a_inverse: the function y -> A^-1 y
@@ -309,7 +301,8 @@ def _assemble(R: float, n: int) -> _Grid:
     each axis its row takes u'' from one weight solve on the offsets at
     hand, which are, on each side, the neighbor or the leg shortened to
     end exactly on the circle (Shortley-Weller), and, where exactly one
-    leg is short, up to three nodes on the far side.
+    leg is short, up to three nodes on the far side.  The weights of all
+    these stencils are solved for in one batch per stencil size.
 
     A acts on interior unknowns, the b_ arrays give their boundary
     contributions (``_load``), L5 is the five-point Laplacian on
@@ -339,41 +332,48 @@ def _assemble(R: float, n: int) -> _Grid:
                  np.concatenate([neighbor(*d)[compact] for d in weights])))
 
     vals, (rows, cols) = stencil(NINE_POINT, 6.0 * h**2)
-    layer_vals, layer_rows, layer_cols = [], [], []
-    b_weights, b_rows, b_angles = [], [], []
+    stencils = []   # (row, [(offset, unknown number or -1, angle)]) per axis
     for k, (i, j) in zip(np.flatnonzero(~compact), np.argwhere(inside)[~compact]):
         for di, dj in ((1, 0), (0, 1)):
             along, across = (xs[i], ys[j]) if di else (ys[j], xs[i])
-            legs = []   # (offset, unknown number or -1, angle of the circle point)
+            legs = []   # the angle is that of the circle point, NaN at a node
             for s in (-1, 1):
                 kk = idx[i + s * di, j + s * dj]
                 if kk >= 0:
-                    legs.append((s * h, kk, None))
+                    legs.append((s * h, kk, np.nan))
                     continue
                 cross = s * np.sqrt(max(R**2 - across**2, 0.0))
                 frac = min(max((cross - along) / (s * h), 1e-6), 1.0)
                 angle = np.arctan2(across, cross) if di else np.arctan2(cross, across)
                 legs.append((s * frac * h, -1, angle))
             legs.sort(key=lambda leg: leg[1] >= 0)      # a short leg first
-            nodes = [legs[0], (0.0, k, None), legs[1]]
+            nodes = [legs[0], (0.0, k, np.nan), legs[1]]
             if legs[0][1] < 0 <= legs[1][1]:
                 s = 1 if legs[1][0] > 0 else -1
                 for d in (2, 3):
                     kk = idx[i + s * d * di, j + s * d * dj]
                     if kk < 0:
                         break
-                    nodes.append((s * d * h, kk, None))
-            weights = _second_derivative_weights([off for off, _, _ in nodes])
-            for w, (_, kk, angle) in zip(weights, nodes):
-                if kk >= 0:
-                    layer_vals.append(w); layer_rows.append(k); layer_cols.append(kk)
-                else:
-                    b_weights.append(w); b_rows.append(k); b_angles.append(angle)
+                    nodes.append((s * d * h, kk, np.nan))
+            stencils.append((k, nodes))
+    # Fornberg's weights for u''(0) on each stencil's offsets x_j (Math.
+    # Comp. 51, 1988), from the moment equations sum_j w_j x_j^p / p! =
+    # delta_p2, p < len(x): one batched solve per stencil size
+    weights = {}
+    for size in {len(nodes) for _, nodes in stencils}:
+        which = [s for s, (_, nodes) in enumerate(stencils) if len(nodes) == size]
+        x = np.array([[off for off, _, _ in stencils[s][1]] for s in which])
+        moments = np.stack([x**p / math.factorial(p) for p in range(size)], axis=1)
+        weights.update(zip(which, np.linalg.solve(moments, np.eye(size)[2])))
+    entries = [(w, k, kk, angle) for s, (k, nodes) in enumerate(stencils)
+               for w, (_, kk, angle) in zip(weights[s], nodes)]
+    w, k, kk, angle = map(np.array, zip(*entries))
+    layer = kk >= 0
 
     shape = (n_unknown, n_unknown)
-    A = sp.csr_matrix((np.concatenate([vals, layer_vals]),
-                       (np.concatenate([rows, layer_rows]),
-                        np.concatenate([cols, layer_cols]))), shape=shape)
+    A = sp.csr_matrix((np.concatenate([vals, w[layer]]),
+                       (np.concatenate([rows, k[layer]]),
+                        np.concatenate([cols, kk[layer]]))), shape=shape)
     L5 = sp.csr_matrix(stencil(FIVE_POINT, h**2), shape=shape)
     # source operator I + h^2/12 L5 completes the compact rows to O(h^4)
     source_op = sp.identity(n_unknown, format="csr") + (h**2 / 12.0) * L5
@@ -381,8 +381,7 @@ def _assemble(R: float, n: int) -> _Grid:
     # rows of size 2/(theta h^2), so an unscaled max norm is meaningless
     row_scale = np.maximum(np.asarray(np.abs(A).sum(axis=1)).ravel(), 1.0)
     grid = _Grid(xs, ys, inside, pts, A, L5, source_op, row_scale,
-                 np.asarray(b_rows), np.asarray(b_weights), np.asarray(b_angles),
-                 a_inverse=None)
+                 k[~layer], w[~layer], angle[~layer], a_inverse=None)
     sparse = [a for m in (A, L5, source_op) for a in (m.data, m.indices, m.indptr)]
     for a in (xs, ys, inside, pts, row_scale, grid.b_rows, grid.b_weights,
               grid.b_angles, *sparse):
@@ -487,10 +486,11 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N) -> LiouvilleSolution:
     The first iterate is the harmonic extension of the boundary data, but
     an odd n >= ``NESTED_MIN`` nests the grid of m = (n + 1)/2 (h = 2R/(n - 1)):
     the same problem is solved there from its harmonic start, and its
-    bicubic interpolant starts the fine iteration (nested iteration:
-    Brandt, Math. Comp. 31, 1977).  ``start`` records m, and
-    ``coarse_difference`` max |u_n - u_m| on the shared nodes, which
-    estimates the discretization error.
+    bicubic interpolant on the fine nodes, E U E^T with the spline's
+    weight matrix E (``BicubicInterpolant.grid``), starts the fine
+    iteration (nested iteration: Brandt, Math. Comp. 31, 1977).
+    ``start`` records m, and ``coarse_difference`` max |u_n - u_m| on the
+    shared nodes, which estimates the discretization error.
     """
     if n < 64:
         raise MetricError("grid resolution must be at least 64 per side")
@@ -501,7 +501,7 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N) -> LiouvilleSolution:
     m = (n + 1) // 2
     coarse_grid = _grid(problem.R, m)
     coarse = _newton(coarse_grid, problem, _load(coarse_grid, problem))
-    u0 = solution_interpolator(coarse).ev(grid.pts.real, grid.pts.imag)
+    u0 = solution_interpolator(coarse).grid(grid.xs, grid.ys)[grid.inside]
     sol = _newton(grid, problem, data, u0)
     sol.start = m
     # u is NaN outside the disk, so the max runs over the shared nodes
@@ -586,7 +586,78 @@ def _newton(grid: _Grid, problem: DirichletProblem, data: tuple,
                              forcing=forcing)
 
 
-def solution_interpolator(sol: LiouvilleSolution):
+def _cubic_weights(xs: np.ndarray, x: np.ndarray):
+    """Interval and weights of the points x in a cubic spline on the
+    increasing nodes xs.
+
+    With node values y and node second derivatives M, the spline on
+    [xs[i], xs[i + 1]] is, at t = (x - xs[i]) / h and t' = 1 - t,
+    t' y_i + t y_i+1 + h^2/6 ((t'^3 - t') M_i + (t^3 - t) M_i+1).  Returns
+    i and the weights [[t', t], [of M_i, of M_i+1]], shape (2, 2, len(x)).
+    A point outside [xs[0], xs[-1]] takes the value at the nearer end, as
+    in FITPACK.
+    """
+    x = np.clip(x, xs[0], xs[-1])
+    i = np.minimum(np.searchsorted(xs, x, side="right") - 1, len(xs) - 2)
+    h = xs[i + 1] - xs[i]
+    t = (x - xs[i]) / h
+    tc = 1.0 - t
+    return i, np.array([[tc, t], [h**2 / 6.0 * (tc**3 - tc), h**2 / 6.0 * (t**3 - t)]])
+
+
+class BicubicInterpolant:
+    """The not-a-knot bicubic spline through the values U on the grid
+    xs x xs (uniform nodes): FITPACK's interpolating bicubic spline
+    (``s = 0``), which is the not-a-knot cubic along each axis.
+
+    The not-a-knot cubic through y has node second derivatives M = D y,
+    from continuity of its first derivative at the inner nodes,
+    M_i-1 + 4 M_i + M_i+1 = 6 (y_i-1 - 2 y_i + y_i+1) / h^2, and of its
+    third at the second and last-but-one node, M_0 - 2 M_1 + M_2 = 0
+    (de Boor, A Practical Guide to Splines, 1978).  One n x n operator D
+    serves both axes, so U, D U, U D^T and D U D^T are all the spline
+    keeps.
+    """
+
+    def __init__(self, xs: np.ndarray, U: np.ndarray):
+        n = len(xs)
+        second = np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)
+        T, S = second + 6.0 * np.eye(n), 6.0 / (xs[1] - xs[0]) ** 2 * second
+        T[0], T[-1], S[0], S[-1] = second[1], second[-2], 0.0, 0.0
+        self.xs, self.U, self.D = xs, U, np.linalg.solve(T, S)
+        DU = self.D @ U
+        # [kind along x][kind along y], a kind being value or second derivative
+        self.coef = np.array([[U, U @ self.D.T], [DU, DU @ self.D.T]])
+
+    def ev(self, x, y) -> np.ndarray:
+        """Values at the points (x, y), in the broadcast shape of x and y:
+        the 16 terms of each point's cell, for all points at once."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(y, dtype=float))
+        n = len(self.xs)
+        i, wx = _cubic_weights(self.xs, x.ravel())
+        j, wy = _cubic_weights(self.xs, y.ravel())
+        # [kind x, kind y] by [corner (i + p, j + q)], for every point
+        corners = i * n + j + np.array([0, 1, n, n + 1])[:, None]
+        cell = np.take(self.coef.reshape(4, n * n), corners, axis=1)
+        w = (wx[:, None, :, None] * wy[None, :, None, :]).reshape(4, 4, -1)
+        return np.einsum("abk,abk->k", cell, w).reshape(x.shape)
+
+    def grid(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Values at every (x[a], y[b]), as E_x U E_y^T: row a of
+        E = B0 + B1 D holds the weights of x[a] on the node values (B0)
+        and on the node second derivatives (B1)."""
+        return self._rows(x) @ self.U @ self._rows(y).T
+
+    def _rows(self, x: np.ndarray) -> np.ndarray:
+        i, w = _cubic_weights(self.xs, x)
+        B = np.zeros((2, len(x), len(self.xs)))
+        for p in (0, 1):
+            B[:, np.arange(len(x)), i + p] = w[:, p]
+        return B[0] + B[1] @ self.D
+
+
+def solution_interpolator(sol: LiouvilleSolution) -> BicubicInterpolant:
     """Bicubic interpolant of log density over the solved disk; exterior
     nodes take the boundary value at their angle (radial continuation)."""
     U = sol.u.copy()
@@ -594,7 +665,7 @@ def solution_interpolator(sol: LiouvilleSolution):
     outside = ~sol.mask
     U[outside] = np.asarray(sol.problem.boundary(np.arctan2(Y[outside], X[outside])),
                             dtype=float)
-    return RectBivariateSpline(sol.xs, sol.ys, U, kx=3, ky=3, s=0)
+    return BicubicInterpolant(sol.xs, U)
 
 
 def make_pinched_metric(n: int = DEFAULT_N) -> Pseudometric:

@@ -260,6 +260,8 @@ def fit_boundary_rate(ts, values, exponent: float) -> RateReport:
         raise NumericsError("samples must have t strictly increasing toward 1")
     if not np.all(np.isfinite(vs)):
         raise NumericsError("sample values must be finite")
+    if not math.isfinite(exponent):
+        raise NumericsError(f"rate exponent must be finite, got {exponent}")
 
     eps = 1.0 - ts
     g = vs / eps**exponent

@@ -1,5 +1,8 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -182,6 +185,16 @@ class TestExitCodes:
         assert f"zero order must be finite and positive, got {beta}" in \
             capsys.readouterr().err
         assert not (tmp_path / "nan.json").exists()
+
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_non_finite_pinching_constant_is_two(self, c, tmp_path, capsys):
+        # no warning, and no report to hold a NaN rate
+        text = f"command = rigidity-scan\nc = {c}\nout = c.json\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_text(text, tmp_path) == 2
+        assert f"c must be finite and >= 4, got {c}" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
 
     @pytest.mark.parametrize("what", ["automorphisms", "slices"])
     def test_vacuous_ball_check_is_two(self, what, tmp_path, capsys):
@@ -479,3 +492,15 @@ class TestSubcommands:
         rep = json.loads((tmp_path / "pj.json").read_text())
         coarse = gp.green_mean(0.9, 0.4, PolarGrid(0j, 0.9, 3, 6))
         assert rep["green_mean"] == coarse != gp.green_mean(0.9, 0.4)
+
+
+def test_cli_import_leaves_scipy_interpolation_and_optimization_out():
+    # a fresh interpreter: this one has imported whatever the tests needed
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, diskrig.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'interpolate'], "
+             "['scipy', 'optimize'], ['scipy', 'special'])))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

@@ -162,6 +162,25 @@ class TestGolusin:
                              .without_exact_curvature())
 
 
+class TestPinchingConstant:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 3.9])
+    @pytest.mark.parametrize("check", [
+        lambda c: hk.barrier_v(0.5, c, 0.5 + 0j),
+        lambda c: hk.cubic_check(c, 0.5),
+        lambda c: hk.check_harnack(P, P, c, 0.5),
+        lambda c: hk.rigidity_scan(mt.pullback(hm.Monomial(2), P), P, c),
+    ], ids=["barrier_v", "cubic_check", "check_harnack", "rigidity_scan"])
+    def test_refused_unless_finite_and_at_least_four(self, check, c, monkeypatch):
+        # refused before any arithmetic, and before the domination check
+        def domination(*args):
+            raise AssertionError("domination checked for a refused c")
+
+        monkeypatch.setattr(hk, "check_domination", domination)
+        with pytest.raises(hk.HarnackError, match=f"c must be finite and >= 4, got {c}"):
+            check(c)
+
+
 class TestRigidityScan:
     def test_square_map_rate(self):
         rep = hk.rigidity_scan(mt.pullback(hm.Monomial(2), P), P, 4.0)

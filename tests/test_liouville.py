@@ -121,6 +121,76 @@ class TestAssembly:
         assert np.all(off_diagonal == 1.0 / h**2)
         assert np.all(np.abs(L5 @ u + 2.0)[compact] <= 1e-12 * 8.0 / h**2)
 
+    @pytest.mark.parametrize("R, n", [(0.9, 64), (0.9, 65), (0.5, 128), (0.9, 257)])
+    def test_layer_rows_meet_the_moment_equations(self, R, n):
+        # along each axis, the weights w_j of a boundary-layer row on the
+        # offsets x_j meet sum_j w_j x_j^p / p! = delta_p2 for 0 < p < the
+        # stencil size; p = 0 holds for the row, whose node both axes share
+        grid = lv._grid(R, n)
+        compact = np.diff(grid.L5.indptr) > 0
+        for k in np.flatnonzero(~compact):
+            z0 = grid.pts[k]
+            row = slice(grid.A.indptr[k], grid.A.indptr[k + 1])
+            w = list(grid.A.data[row])
+            d = list(grid.pts[grid.A.indices[row]] - z0)
+            circle = grid.b_rows == k
+            for angle, wb in zip(grid.b_angles[circle], grid.b_weights[circle]):
+                # the circle point on the row's horizontal or vertical line
+                c, s = R * math.cos(angle), R * math.sin(angle)
+                if abs(s - z0.imag) < abs(c - z0.real):
+                    d.append(math.copysign(math.sqrt(R**2 - z0.imag**2), c) - z0.real)
+                else:
+                    d.append(1j * (math.copysign(math.sqrt(R**2 - z0.real**2), s)
+                                   - z0.imag))
+                w.append(wb)
+            w, d = np.array(w), np.array(d, dtype=complex)
+            assert abs(w.sum()) <= 1e-12 * np.abs(w).sum()
+            for along, across in ((d.real, d.imag), (d.imag, d.real)):
+                axis = across == 0.0
+                for p in range(1, np.count_nonzero(axis)):
+                    terms = w[axis] * along[axis] ** p / math.factorial(p)
+                    assert abs(terms.sum() - (p == 2)) <= 1e-12 * np.abs(terms).sum()
+
+
+class TestInterpolant:
+    def test_reproduces_a_bicubic_polynomial(self):
+        xs = np.linspace(-0.9, 0.9, 65)
+        coef = np.random.default_rng(3).standard_normal((4, 4))
+
+        def poly(x, y):
+            return np.polynomial.polynomial.polyval2d(x, y, coef)
+
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        spline = lv.BicubicInterpolant(xs, poly(X, Y))
+        x, y = np.random.default_rng(4).uniform(-0.9, 0.9, (2, 500))
+        assert np.max(np.abs(spline.ev(x, y) - poly(x, y))) <= 1e-12
+        fine = np.linspace(-0.9, 0.9, 129)
+        FX, FY = np.meshgrid(fine, fine, indexing="ij")
+        assert np.max(np.abs(spline.grid(fine, fine) - poly(FX, FY))) <= 1e-12
+        # the shape of ev is that of x and y broadcast, 0-d for a point
+        assert spline.ev(0.1, 0.2).shape == ()
+        assert spline.ev(x[:, None], y[None, :4]).shape == (500, 4)
+
+    def test_matches_fitpack_on_the_pinched_solution(self):
+        from scipy.interpolate import RectBivariateSpline
+
+        sol = lv.solve(lv.pinched_problem(0.9), n=97)
+        spline = lv.solution_interpolator(sol)
+        fitpack = RectBivariateSpline(sol.xs, sol.ys, spline.U, kx=3, ky=3, s=0)
+        X, Y = np.meshgrid(sol.xs, sol.ys, indexing="ij")
+        x, y = np.random.default_rng(5).uniform(-0.9, 0.9, (2, 2000))
+        for px, py in ((X.ravel(), Y.ravel()), (x, y)):
+            assert np.max(np.abs(spline.ev(px, py) - fitpack.ev(px, py))) <= 1e-13
+        # the exterior fill is the boundary value at each node's angle
+        assert np.array_equal(spline.U[sol.mask], sol.u[sol.mask])
+        assert np.all(spline.U[~sol.mask] == sol.problem.boundary(np.zeros(1)))
+
+    def test_tensor_grid_equals_ev_at_the_fine_nodes(self):
+        spline = lv.solution_interpolator(lv.solve(lv.pinched_problem(0.9), n=97))
+        fine = np.linspace(-0.9, 0.9, 193)
+        FX, FY = np.meshgrid(fine, fine, indexing="ij")
+        assert np.max(np.abs(spline.grid(fine, fine) - spline.ev(FX, FY))) <= 1e-14
+
 
 class TestSolve:
     def test_hyperbolic_recovery_coarse(self):

@@ -308,6 +308,13 @@ class TestRateFit:
         with pytest.raises(NumericsError):
             fit_boundary_rate([0.9, 0.8, 0.95, 0.96, 0.97], [1.0] * 5, 2.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exponent_refused(self, exponent):
+        ts = dyadic_ts()
+        with pytest.raises(NumericsError, match="rate exponent must be finite"):
+            fit_boundary_rate(ts, (1 - ts) ** 2, exponent)
+
     @given(st.floats(min_value=-50.0, max_value=50.0).filter(lambda s: abs(s) > 1e-3))
     @settings(max_examples=40, deadline=None)
     def test_scale_equivariance(self, s):
