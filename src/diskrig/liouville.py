@@ -364,7 +364,9 @@ def _assemble(R: float, n: int) -> _Grid:
         which = [s for s, (_, nodes) in enumerate(stencils) if len(nodes) == size]
         x = np.array([[off for off, _, _ in stencils[s][1]] for s in which])
         moments = np.stack([x**p / math.factorial(p) for p in range(size)], axis=1)
-        weights.update(zip(which, np.linalg.solve(moments, np.eye(size)[2])))
+        rhs = np.zeros((len(which), size, 1))
+        rhs[:, 2] = 1.0
+        weights.update(zip(which, np.linalg.solve(moments, rhs)[..., 0]))
     entries = [(w, k, kk, angle) for s, (k, nodes) in enumerate(stencils)
                for w, (_, kk, angle) in zip(weights[s], nodes)]
     w, k, kk, angle = map(np.array, zip(*entries))
@@ -486,9 +488,8 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N) -> LiouvilleSolution:
     The first iterate is the harmonic extension of the boundary data, but
     an odd n >= ``NESTED_MIN`` nests the grid of m = (n + 1)/2 (h = 2R/(n - 1)):
     the same problem is solved there from its harmonic start, and its
-    bicubic interpolant on the fine nodes, E U E^T with the spline's
-    weight matrix E (``BicubicInterpolant.grid``), starts the fine
-    iteration (nested iteration: Brandt, Math. Comp. 31, 1977).
+    bicubic interpolant on the fine nodes starts the fine iteration
+    (nested iteration: Brandt, Math. Comp. 31, 1977).
     ``start`` records m, and ``coarse_difference`` max |u_n - u_m| on the
     shared nodes, which estimates the discretization error.
     """
@@ -501,7 +502,7 @@ def solve(problem: DirichletProblem, n: int = DEFAULT_N) -> LiouvilleSolution:
     m = (n + 1) // 2
     coarse_grid = _grid(problem.R, m)
     coarse = _newton(coarse_grid, problem, _load(coarse_grid, problem))
-    u0 = solution_interpolator(coarse).grid(grid.xs, grid.ys)[grid.inside]
+    u0 = solution_interpolator(coarse).ev(grid.pts.real, grid.pts.imag)
     sol = _newton(grid, problem, data, u0)
     sol.start = m
     # u is NaN outside the disk, so the max runs over the shared nodes
@@ -621,6 +622,8 @@ class BicubicInterpolant:
 
     def __init__(self, xs: np.ndarray, U: np.ndarray):
         n = len(xs)
+        if U.shape != (n, n):
+            raise MetricError(f"values must be {n} x {n} over xs x xs, got {U.shape}")
         second = np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)
         T, S = second + 6.0 * np.eye(n), 6.0 / (xs[1] - xs[0]) ** 2 * second
         T[0], T[-1], S[0], S[-1] = second[1], second[-2], 0.0, 0.0
@@ -643,19 +646,6 @@ class BicubicInterpolant:
         w = (wx[:, None, :, None] * wy[None, :, None, :]).reshape(4, 4, -1)
         return np.einsum("abk,abk->k", cell, w).reshape(x.shape)
 
-    def grid(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Values at every (x[a], y[b]), as E_x U E_y^T: row a of
-        E = B0 + B1 D holds the weights of x[a] on the node values (B0)
-        and on the node second derivatives (B1)."""
-        return self._rows(x) @ self.U @ self._rows(y).T
-
-    def _rows(self, x: np.ndarray) -> np.ndarray:
-        i, w = _cubic_weights(self.xs, x)
-        B = np.zeros((2, len(x), len(self.xs)))
-        for p in (0, 1):
-            B[:, np.arange(len(x)), i + p] = w[:, p]
-        return B[0] + B[1] @ self.D
-
 
 def solution_interpolator(sol: LiouvilleSolution) -> BicubicInterpolant:
     """Bicubic interpolant of log density over the solved disk; exterior
@@ -665,6 +655,7 @@ def solution_interpolator(sol: LiouvilleSolution) -> BicubicInterpolant:
     outside = ~sol.mask
     U[outside] = np.asarray(sol.problem.boundary(np.arctan2(Y[outside], X[outside])),
                             dtype=float)
+    # every grid the solver builds has ys == xs, so the spline takes xs only
     return BicubicInterpolant(sol.xs, U)
 
 
