@@ -382,9 +382,8 @@ def run_liouville_solve(kappa, problem, R=0.9, n=129, out_csv=None) -> dict:
             "iterations": sol.iterations,
             "residual_history": sol.residual_history,
             "step_sizes": sol.step_sizes,
-            "krylov_iterations": sol.krylov_iterations,
-            "forcing": sol.forcing,
-            "start": sol.start, "coarse_difference": sol.coarse_difference,
+            "resolution": list(sol.resolution),
+            "error_estimate": sol.error_estimate,
             "passed": sol.residual_history[-1] <= lv.NEWTON_TOL}
 
 

@@ -301,7 +301,8 @@ def build_catalog(liouville_n: int = 97) -> list[HarnackCase]:
 
     Includes scaled hyperbolic densities, pullbacks under polynomial and
     Blaschke self-maps, extremal-zero densities, and a variable-curvature
-    metric with c = 5, solved on the n = ``liouville_n`` grid.
+    metric with c = 5, solved at the collocation resolution that an
+    n = ``liouville_n`` sample grid selects (``liouville.resolution``).
     """
     from .liouville import make_pinched_metric
 

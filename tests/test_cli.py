@@ -445,18 +445,8 @@ class TestSubcommands:
         steps = rep["iterations"]
         assert len(rep["residual_history"]) == steps + 1
         assert len(rep["step_sizes"]) == steps
-        assert len(rep["krylov_iterations"]) == steps
-        assert all(k >= 1 for k in rep["krylov_iterations"])
-        assert len(rep["forcing"]) == steps
-        assert rep["start"] == "harmonic" and rep["coarse_difference"] is None
-
-    def test_liouville_report_records_the_nested_start(self, tmp_path):
-        code = run_text("command = liouville-solve\nkappa = const-4\nn = 257\n"
-                        "out = lv.json\n", tmp_path)
-        assert code == 0
-        rep = json.loads((tmp_path / "lv.json").read_text())
-        assert rep["start"] == 129 and rep["iterations"] <= 3
-        assert 0.0 < rep["coarse_difference"] < 1e-3
+        assert rep["resolution"] == list(cli.lv.resolution(65))
+        assert 0.0 < rep["error_estimate"] <= cli.lv.ESTIMATE_TOL
 
     def test_liouville_accepted_at_rounding_floor_fails(self, tmp_path,
                                                          monkeypatch):
@@ -494,13 +484,12 @@ class TestSubcommands:
         assert rep["green_mean"] == coarse != gp.green_mean(0.9, 0.4)
 
 
-def test_cli_import_leaves_scipy_interpolation_and_optimization_out():
+def test_cli_import_loads_no_scipy():
     # a fresh interpreter: this one has imported whatever the tests needed
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = ("import sys, diskrig.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[:2] in (['scipy', 'interpolate'], "
-             "['scipy', 'optimize'], ['scipy', 'special'])))")
+             "if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "[]"

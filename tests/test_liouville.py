@@ -4,8 +4,6 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from diskrig import cli
 from diskrig import liouville as lv
@@ -21,171 +19,6 @@ def density_error_vs_hyperbolic(sol):
     pts = solution_points(sol)
     exact = 1.0 / (1.0 - np.abs(pts) ** 2)
     return float(np.max(np.abs(np.exp(sol.u[sol.mask]) - exact)))
-
-
-def compact_nodes(mask):
-    """Unknowns whose eight grid neighbors all lie inside the disk."""
-    n = mask.shape[0]
-    padded = np.pad(mask, 1)
-    ok = mask.copy()
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            ok &= padded[1 + di:n + 1 + di, 1 + dj:n + 1 + dj]
-    return ok[mask]
-
-
-def factored_zero_problem():
-    """Curvature -4 with a simple zero at 0: the density 2|z|/(1-|z|^4)."""
-    R = 0.8
-    logv = math.log(2.0 / (1.0 - R**4))
-    return lv.DirichletProblem(
-        R=R,
-        kappa=lambda z: np.full(np.shape(z), -4.0) if np.ndim(z) else -4.0,
-        pinch=(-4.0, -4.0),
-        boundary=lambda th: np.full(np.shape(th), logv) if np.ndim(th) else logv,
-        zero_factor=(0j, 1.0))
-
-
-def direct_newton(problem, n, max_iter=40, tol=1e-10):
-    """Reference: the same damped Newton iteration with a direct sparse
-    solve of every Newton system.  Returns (u on the unknowns, iterations)."""
-    grid = lv._grid(problem.R, n)
-    xs, A, L5, pts = grid.xs, grid.A, grid.L5, grid.pts
-    b, _, _ = lv._load(grid, problem)
-    h = xs[1] - xs[0]
-    kv = np.asarray(problem.kappa(pts), dtype=float)
-    cap = lv.hyperbolic_log_density(pts) + lv.AHLFORS_MARGIN
-    if problem.zero_factor is not None:
-        xi, alpha = problem.zero_factor
-        kv = kv * np.abs(pts - xi) ** (2.0 * alpha)
-        cap = cap - alpha * np.log(np.maximum(np.abs(pts - xi), 1e-300))
-    source_op = sp.identity(len(pts), format="csr") + (h**2 / 12.0) * L5
-    row_scale = np.maximum(np.asarray(abs(A).sum(axis=1)).ravel(), 1.0)
-
-    def residual(uv):
-        return A @ uv + b + source_op @ (kv * np.exp(2.0 * uv))
-
-    def scaled_norm(res):
-        return float(np.max(np.abs(res) / row_scale))
-
-    u = np.minimum(spla.spsolve(A.tocsc(), -b), cap)
-    res = residual(u)
-    res_norm = scaled_norm(res)
-    it = 0
-    while res_norm > tol and it < max_iter:
-        it += 1
-        jac = A + source_op @ sp.diags(2.0 * kv * np.exp(2.0 * u))
-        delta = spla.spsolve(jac.tocsc(), -res)
-        step = 1.0
-        while step >= 1.0 / 64.0:
-            trial = np.minimum(u + step * delta, cap)
-            trial_res = residual(trial)
-            if scaled_norm(trial_res) < res_norm:
-                break
-            step *= 0.5
-        else:
-            assert res_norm <= 1e-9, "reference Newton stalled"
-            break
-        u, res, res_norm = trial, trial_res, scaled_norm(trial_res)
-    return u, it
-
-
-class TestAssembly:
-    @pytest.mark.parametrize("n", [64, 65, 97])
-    def test_rows_exact_on_a_quadratic(self, n):
-        # every row, compact or boundary-layer, is exact on quadratics:
-        # A u + b = Lap u = 2 - 4 = -2 with u = x^2 - 2y^2 + xy + 3x
-        R = 0.9
-
-        def quad(x, y):
-            return x**2 - 2.0 * y**2 + x * y + 3.0 * x
-
-        prob = lv.DirichletProblem(
-            R=R, kappa=lambda z: np.full(np.shape(z), -4.0), pinch=(-4.0, -4.0),
-            boundary=lambda th: quad(R * np.cos(th), R * np.sin(th)))
-        grid = lv._grid(R, n)
-        xs, mask, A, L5, pts = grid.xs, grid.inside, grid.A, grid.L5, grid.pts
-        b, _, _ = lv._load(grid, prob)
-        u = quad(pts.real, pts.imag)
-        row_sum = np.asarray(abs(A).sum(axis=1)).ravel()
-        assert np.all(np.abs(A @ u + b + 2.0) <= 1e-12 * row_sum)
-
-        # L5 is the five-point Laplacian on the compact rows, zero elsewhere
-        h = xs[1] - xs[0]
-        compact = compact_nodes(mask)
-        per_row = np.diff(L5.indptr)
-        assert np.all(per_row[compact] == 5) and np.all(per_row[~compact] == 0)
-        assert np.all(L5.diagonal()[compact] == -4.0 / h**2)
-        off_diagonal = L5.data[L5.data > 0]
-        assert off_diagonal.size == 4 * compact.sum()
-        assert np.all(off_diagonal == 1.0 / h**2)
-        assert np.all(np.abs(L5 @ u + 2.0)[compact] <= 1e-12 * 8.0 / h**2)
-
-    @pytest.mark.parametrize("R, n", [(0.9, 64), (0.9, 65), (0.5, 128), (0.9, 257)])
-    def test_layer_rows_meet_the_moment_equations(self, R, n):
-        # along each axis, the weights w_j of a boundary-layer row on the
-        # offsets x_j meet sum_j w_j x_j^p / p! = delta_p2 for 0 < p < the
-        # stencil size; p = 0 holds for the row, whose node both axes share
-        grid = lv._grid(R, n)
-        compact = np.diff(grid.L5.indptr) > 0
-        for k in np.flatnonzero(~compact):
-            z0 = grid.pts[k]
-            row = slice(grid.A.indptr[k], grid.A.indptr[k + 1])
-            w = list(grid.A.data[row])
-            d = list(grid.pts[grid.A.indices[row]] - z0)
-            circle = grid.b_rows == k
-            for angle, wb in zip(grid.b_angles[circle], grid.b_weights[circle]):
-                # the circle point on the row's horizontal or vertical line
-                c, s = R * math.cos(angle), R * math.sin(angle)
-                if abs(s - z0.imag) < abs(c - z0.real):
-                    d.append(math.copysign(math.sqrt(R**2 - z0.imag**2), c) - z0.real)
-                else:
-                    d.append(1j * (math.copysign(math.sqrt(R**2 - z0.real**2), s)
-                                   - z0.imag))
-                w.append(wb)
-            w, d = np.array(w), np.array(d, dtype=complex)
-            assert abs(w.sum()) <= 1e-12 * np.abs(w).sum()
-            for along, across in ((d.real, d.imag), (d.imag, d.real)):
-                axis = across == 0.0
-                for p in range(1, np.count_nonzero(axis)):
-                    terms = w[axis] * along[axis] ** p / math.factorial(p)
-                    assert abs(terms.sum() - (p == 2)) <= 1e-12 * np.abs(terms).sum()
-
-
-class TestInterpolant:
-    def test_reproduces_a_bicubic_polynomial(self):
-        xs = np.linspace(-0.9, 0.9, 65)
-        coef = np.random.default_rng(3).standard_normal((4, 4))
-
-        def poly(x, y):
-            return np.polynomial.polynomial.polyval2d(x, y, coef)
-
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        spline = lv.BicubicInterpolant(xs, poly(X, Y))
-        x, y = np.random.default_rng(4).uniform(-0.9, 0.9, (2, 500))
-        assert np.max(np.abs(spline.ev(x, y) - poly(x, y))) <= 1e-12
-        # the shape of ev is that of x and y broadcast, 0-d for a point
-        assert spline.ev(0.1, 0.2).shape == ()
-        assert spline.ev(x[:, None], y[None, :4]).shape == (500, 4)
-
-    def test_refuses_values_off_the_square_grid(self):
-        xs = np.linspace(-0.9, 0.9, 65)
-        with pytest.raises(lv.MetricError, match="65 x 65"):
-            lv.BicubicInterpolant(xs, np.zeros((65, 64)))
-
-    def test_matches_fitpack_on_the_pinched_solution(self):
-        from scipy.interpolate import RectBivariateSpline
-
-        sol = lv.solve(lv.pinched_problem(0.9), n=97)
-        spline = lv.solution_interpolator(sol)
-        fitpack = RectBivariateSpline(sol.xs, sol.ys, spline.U, kx=3, ky=3, s=0)
-        X, Y = np.meshgrid(sol.xs, sol.ys, indexing="ij")
-        x, y = np.random.default_rng(5).uniform(-0.9, 0.9, (2, 2000))
-        for px, py in ((X.ravel(), Y.ravel()), (x, y)):
-            assert np.max(np.abs(spline.ev(px, py) - fitpack.ev(px, py))) <= 1e-13
-        # the exterior fill is the boundary value at each node's angle
-        assert np.array_equal(spline.U[sol.mask], sol.u[sol.mask])
-        assert np.all(spline.U[~sol.mask] == sol.problem.boundary(np.zeros(1)))
 
 
 class TestSolve:
@@ -215,15 +48,6 @@ class TestSolve:
         assert np.max(diff) <= 1e-6
         assert np.min(diff) < -1e-3   # strictly smaller somewhere
 
-    def test_factored_zero_recovery(self):
-        # unique solution with the extremal-zero boundary data recovers
-        # the factored density 2/(1-|z|^4)
-        sol = lv.solve(factored_zero_problem(), n=97)
-        pts = solution_points(sol)
-        exact = 2.0 / (1.0 - np.abs(pts) ** 4)
-        err = np.max(np.abs(np.exp(sol.u[sol.mask]) - exact))
-        assert err <= 5e-4
-
     def test_pinched_solution_below_hyperbolic(self):
         sol = lv.solve(lv.pinched_problem(0.9), n=65)
         pts = solution_points(sol)
@@ -244,10 +68,10 @@ class TestSolve:
     def test_bad_problem_data_refused_before_any_step(self, kappa, boundary, match,
                                                       monkeypatch):
         # kappa takes its value near 0 only; the boundary on the upper half
-        def gmres(*args, **kwargs):
-            raise AssertionError("GMRES called on refused data")
+        def newton(*args, **kwargs):
+            raise AssertionError("Newton called on refused data")
 
-        monkeypatch.setattr(lv, "_gmres", gmres)
+        monkeypatch.setattr(lv, "_newton", newton)
         problem = lv.DirichletProblem(
             R=0.9,
             kappa=lambda z: np.where(np.abs(z) < 0.1, kappa, -4.0),
@@ -264,26 +88,6 @@ class TestSolve:
             lv.DirichletProblem(R=0.9, kappa=lv.radial_pinched_kappa, pinch=pinch,
                                 boundary=lambda th: np.zeros(np.shape(th)))
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("zero_factor, match", [
-        ((np.nan, 1.0), r"zero factor location must be finite, got nan"),
-        ((complex(0.1, np.inf), 1.0), r"zero factor location must be finite, got \(0\.1\+infj\)"),
-        ((0j, np.nan), r"zero factor order must be finite and nonnegative, got nan"),
-        ((0j, np.inf), r"zero factor order must be finite and nonnegative, got inf"),
-        ((0j, -1.0), r"zero factor order must be finite and nonnegative, got -1\.0"),
-    ], ids=["nan-xi", "inf-xi", "nan-alpha", "inf-alpha", "negative-alpha"])
-    def test_malformed_zero_factor_refused_before_any_step(self, zero_factor, match,
-                                                           monkeypatch):
-        def gmres(*args, **kwargs):
-            raise AssertionError("GMRES called on refused data")
-
-        monkeypatch.setattr(lv, "_gmres", gmres)
-        with pytest.raises(mt.MetricError, match=match):
-            lv.solve(lv.DirichletProblem(
-                R=0.8, kappa=lambda z: np.full(np.shape(z), -4.0), pinch=(-4.0, -4.0),
-                boundary=lambda th: np.zeros(np.shape(th)), zero_factor=zero_factor),
-                n=65)
-
     def test_iteration_budget_error(self, monkeypatch):
         monkeypatch.setattr(lv, "NEWTON_MAX_ITER", 1)
         monkeypatch.setattr(lv, "NEWTON_TOL", 1e-14)
@@ -291,304 +95,345 @@ class TestSolve:
             lv.solve(lv.poincare_problem(0.9), n=65)
 
 
-PROBLEMS = {"poincare": lambda: lv.poincare_problem(0.9),
-            "pinched": lambda: lv.pinched_problem(0.9),
-            "factored-zero": factored_zero_problem}
+#: centre and radius of the disk whose hyperbolic metric is the off-centre
+#: exact solution
+OFF_CENTRE, OFF_RADIUS = 0.3 + 0.2j, 1.5
 
 
-class TestNewtonKrylov:
-    def test_one_factorization_and_no_direct_solve(self, monkeypatch):
-        calls = {"splu": 0, "spsolve": 0}
-
-        def counted(name):
-            fn = getattr(spla, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(lv.spla, name, counted(name))
-        lv._grid_slot.clear()
-        lv.solve(lv.poincare_problem(0.9), n=65)
-        sol = lv.solve(lv.pinched_problem(0.9), n=65)
-        assert sol.iterations >= 3
-        assert calls == {"splu": 1, "spsolve": 0}
-
-    @pytest.mark.parametrize("n", [65, 97])
-    @pytest.mark.parametrize("name", sorted(PROBLEMS))
-    def test_matches_direct_newton(self, name, n, monkeypatch):
-        # every Newton system solved to GMRES_RTOL: the Krylov machinery
-        # against direct solves, step for step
-        monkeypatch.setattr(lv, "ETA_MAX", lv.GMRES_RTOL)
-        problem = PROBLEMS[name]()
-        u_ref, it_ref = direct_newton(problem, n)
-        sol = lv.solve(problem, n=n)
-        assert sol.iterations == it_ref
-        assert np.max(np.abs(sol.u[sol.mask] - u_ref)) <= 1e-12
-
-    @pytest.mark.parametrize("name", sorted(PROBLEMS))
-    def test_default_forcing_within_stopping_rule_bound(self, name):
-        # the stopping rule leaves |F_j(u)| <= NEWTON_TOL row_scale_j, so to
-        # first order |u - u_root|_i <= NEWTON_TOL sum_j |J^-1|_ij row_scale_j
-        # with J the Jacobian at the root, whatever the forcing terms were
-        problem, n = PROBLEMS[name](), 65
-        u_root, _ = direct_newton(problem, n, tol=1e-14)
-        sol = lv.solve(problem, n=n)
-        grid = lv._grid(problem.R, n)
-        _, kv, _ = lv._load(grid, problem)
-        jac = grid.A + grid.source_op @ sp.diags(2.0 * kv * np.exp(2.0 * u_root))
-        bound = lv.NEWTON_TOL * np.max(np.abs(np.linalg.inv(jac.toarray()))
-                                       @ grid.row_scale)
-        assert sol.residual_history[-1] <= lv.NEWTON_TOL
-        assert np.max(np.abs(sol.u[sol.mask] - u_root)) <= bound
-
-    def test_forcing_saves_krylov_iterations(self, monkeypatch):
-        problem = lv.pinched_problem(0.9)
-        forced = lv.solve(problem, n=97)
-        monkeypatch.setattr(lv, "ETA_MAX", lv.GMRES_RTOL)
-        fixed = lv.solve(problem, n=97)
-        assert fixed.forcing == [lv.GMRES_RTOL] * fixed.iterations
-        assert sum(forced.krylov_iterations) < sum(fixed.krylov_iterations)
-        assert abs(forced.iterations - fixed.iterations) <= 1
-
-    def test_step_and_krylov_records(self):
-        sol = lv.solve(lv.pinched_problem(0.9), n=65)
-        assert len(sol.step_sizes) == len(sol.residual_history) - 1
-        assert len(sol.krylov_iterations) == sol.iterations
-        assert all(0.0 < s <= 1.0 for s in sol.step_sizes)
-        assert all(1 <= k <= lv.GMRES_RESTART for k in sol.krylov_iterations)
-        assert len(sol.forcing) == sol.iterations
-        assert sol.forcing[0] == lv.ETA_MAX
-        # Eisenstat-Walker choice 2 from the recorded residuals
-        hist = sol.residual_history
-        for k in range(1, sol.iterations):
-            want = min(max(0.9 * (hist[k] / hist[k - 1]) ** 2, lv.GMRES_RTOL),
-                       lv.ETA_MAX)
-            assert sol.forcing[k] == want
-
-    def test_gmres_failure_names_the_step(self, monkeypatch):
-        # a Krylov solve that returns delta = 0 and its true residual
-        def failing(jac, a_inverse, rhs, rtol):
-            return np.zeros_like(rhs), 1.0, 7
-
-        monkeypatch.setattr(lv, "_gmres", failing)
-        with pytest.raises(lv.LiouvilleError,
-                           match=r"Newton step 1 .*relative residual 1\.000e\+00 "
-                                 r"after 7 iterations, forcing term 1\.000e-01"):
-            lv.solve(lv.poincare_problem(0.9), n=65)
-
-    def test_exhausted_gmres_refused_with_its_true_residual(self, monkeypatch):
-        # one cycle of one iteration cannot meet the first forcing term: the
-        # refusal reports the residual of the step GMRES returned
-        monkeypatch.setattr(lv, "GMRES_RESTART", 1)
-        monkeypatch.setattr(lv, "GMRES_MAXITER", 1)
-        problem = lv.poincare_problem(0.9)
-        grid = lv._grid(0.9, 65)
-        b, kv, cap = lv._load(grid, problem)
-        u = np.minimum(grid.a_inverse(-b), cap)
-        res = grid.A @ u + b + grid.source_op @ (kv * np.exp(2.0 * u))
-        z = grid.a_inverse(-res)
-        jz = grid.A @ z + grid.source_op @ (2.0 * kv * np.exp(2.0 * u) * z)
-        # one iteration: the multiple c z that minimizes |J (c z) + res|
-        c = -(jz @ res) / (jz @ jz)
-        want = np.linalg.norm(c * jz + res) / np.linalg.norm(res)
-        assert want > lv.ETA_MAX
-        with pytest.raises(lv.LiouvilleError, match=r"Newton step 1 in 1 cycles: "
-                           r"relative residual (\S+) after 1 iterations") as err:
-            lv.solve(problem, n=65)
-        got = float(err.value.args[0].split("relative residual ")[1].split()[0])
-        assert got == pytest.approx(want, rel=1e-3)
-
-    def test_gmres_runs_on_one_blas_thread(self, monkeypatch):
-        controls = lv._openblas_thread_controls()
-        if not controls:
-            pytest.skip("no OpenBLAS thread control in this process")
-        before = [get() for get, _ in controls]
-        seen = []
-        gmres = lv._gmres
-
-        def recording(*args, **kwargs):
-            seen.append([get() for get, _ in controls])
-            return gmres(*args, **kwargs)
-
-        monkeypatch.setattr(lv, "_gmres", recording)
-        sol = lv.solve(lv.pinched_problem(0.9), n=65)
-        assert seen == [[1] * len(controls)] * sol.iterations
-        assert [get() for get, _ in controls] == before
-
-    def test_blas_threads_restored_after_gmres_failure(self, monkeypatch):
-        controls = lv._openblas_thread_controls()
-        if not controls:
-            pytest.skip("no OpenBLAS thread control in this process")
-        before = [get() for get, _ in controls]
-        monkeypatch.setattr(lv, "_gmres", lambda jac, a_inverse, rhs, rtol:
-                            (np.zeros_like(rhs), 1.0, 1))
-        with pytest.raises(lv.LiouvilleError):
-            lv.solve(lv.poincare_problem(0.9), n=65)
-        assert [get() for get, _ in controls] == before
+def off_centre_log_density(z):
+    """log of the curvature -4 density of |z - c| < r0, not radial on |z| < R."""
+    return np.log(OFF_RADIUS / (OFF_RADIUS**2 - np.abs(z - OFF_CENTRE) ** 2))
 
 
-def counting_factor_solves(monkeypatch, R, n):
-    """Count the applications of the (R, n) grid's factor from now on."""
-    grid = lv._grid(R, n)
-    calls = []
-
-    def counted(rhs):
-        calls.append(1)
-        return grid.a_inverse(rhs)
-
-    monkeypatch.setitem(lv._grid_slot, (float(R), n),
-                        grid._replace(a_inverse=counted))
-    return calls
+def off_centre_problem(R=0.9):
+    return lv.DirichletProblem(
+        R=R, kappa=lambda z: np.full(np.shape(z), -4.0), pinch=(-4.0, -4.0),
+        boundary=lambda th: off_centre_log_density(R * np.exp(1j * th)))
 
 
-class TestFactorSolves:
-    @pytest.mark.parametrize("n", [65, 97])
-    @pytest.mark.parametrize("name", sorted(PROBLEMS))
-    def test_one_factor_solve_per_krylov_iteration(self, name, n, monkeypatch):
-        # the harmonic start, then one solve per GMRES iteration: no solve to
-        # recover the step and none to check the residual
-        problem = PROBLEMS[name]()
-        calls = counting_factor_solves(monkeypatch, problem.R, n)
-        sol = lv.solve(problem, n=n)
-        assert sol.start == "harmonic" and sol.coarse_difference is None
-        assert len(calls) == 1 + sum(sol.krylov_iterations)
+def u_error(sol, exact):
+    return float(np.max(np.abs(sol.u[sol.mask] - exact(solution_points(sol)))))
 
 
-class TestNestedStart:
-    def test_flat_n257_starts_from_the_coarse_solve(self, monkeypatch):
-        problem = lv.poincare_problem(0.9)
-        coarse = lv.solve(problem, n=129)
-        fine_calls = counting_factor_solves(monkeypatch, 0.9, 257)
-        coarse_calls = counting_factor_solves(monkeypatch, 0.9, 129)
-        sol = lv.solve(problem, n=257)
-        assert sol.start == 129
-        assert sol.iterations <= 3
-        assert sol.residual_history[-1] <= lv.NEWTON_TOL
-        # no farther from 1/(1 - |z|^2) than the harmonic start left it
-        assert density_error_vs_hyperbolic(sol) <= 2.0633e-5
-        assert len(fine_calls) == sum(sol.krylov_iterations)
-        assert len(coarse_calls) == 1 + sum(coarse.krylov_iterations)
-        # the difference to the coarse solution bounds the true error of u
-        pts = solution_points(sol)
-        error = np.max(np.abs(sol.u[sol.mask] - lv.hyperbolic_log_density(pts)))
-        shared = sol.mask[::2, ::2] & coarse.mask
-        assert sol.coarse_difference == np.max(np.abs(sol.u[::2, ::2][shared]
-                                                      - coarse.u[shared]))
-        assert sol.coarse_difference >= error
+SIZES = (65, 97, 129, 257, 513)
+#: max |e^u - 1/(1 - |z|^2)| on the flat problem, and max |u - u_exact| on
+#: the off-centre one, of the fourth-order finite-difference solver that
+#: preceded the collocation, at the sample nodes of each n in SIZES
+FD_FLAT_DENSITY_ERROR = (1.87e-3, 5.41e-4, 2.22e-4, 2.06e-5, 1.59e-6)
+FD_OFF_CENTRE_ERROR = (2.76e-5, 6.83e-6, 2.31e-6, 1.73e-7, 1.17e-8)
 
-    @pytest.mark.parametrize("n", [129, 256])
-    def test_smaller_or_even_grids_keep_the_harmonic_start(self, n):
-        sol = lv.solve(lv.poincare_problem(0.9), n=n)
-        assert sol.start == "harmonic" and sol.coarse_difference is None
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_bad_data_refused_before_the_coarse_solve(self, monkeypatch):
-        # only the node h of the fine grid, which the coarse grid lacks,
-        # carries the bad curvature; no Newton step runs on either grid
-        def gmres(*args, **kwargs):
-            raise AssertionError("GMRES called on refused data")
+@pytest.fixture(scope="module")
+def exact_solves():
+    """{name: [(solution, true error of u)] over SIZES} for both exact problems."""
+    return {name: [(sol, u_error(sol, exact)) for sol in
+                   (lv.solve(problem, n=n) for n in SIZES)]
+            for name, problem, exact in (
+                ("flat", lv.poincare_problem(0.9), lv.hyperbolic_log_density),
+                ("off-centre", off_centre_problem(), off_centre_log_density))}
 
-        monkeypatch.setattr(lv, "_gmres", gmres)
-        h = 1.8 / 256
+
+class TestCollocation:
+    def test_resolution_follows_n(self):
+        assert [lv.resolution(n) for n in (64,) + SIZES] == [
+            (23, 24), (23, 24), (27, 28), (29, 30), (35, 36), (41, 42)]
+        assert lv.resolution(10**6) == (lv.N_MAX, lv.N_MAX + 1)
+
+    def test_flat_error_falls_strictly_below_finite_differences(self, exact_solves):
+        errors = [density_error_vs_hyperbolic(sol) for sol, _ in exact_solves["flat"]]
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+        assert all(e < fd for e, fd in zip(errors, FD_FLAT_DENSITY_ERROR))
+
+    def test_off_centre_error_falls_strictly_below_finite_differences(self,
+                                                                      exact_solves):
+        errors = [err for _, err in exact_solves["off-centre"]]
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+        assert all(e < fd for e, fd in zip(errors, FD_OFF_CENTRE_ERROR))
+
+    @pytest.mark.parametrize("name", ["flat", "off-centre"])
+    def test_estimate_within_tenfold_of_the_true_error(self, exact_solves, name):
+        for sol, err in exact_solves[name]:
+            assert err / 10.0 <= sol.error_estimate <= 10.0 * err
+
+    def test_newton_reaches_the_rounding_floor(self, exact_solves):
+        for sols in exact_solves.values():
+            for sol, _ in sols:
+                assert sol.iterations <= 10
+                assert sol.residual_history[-1] <= 1e-14
+
+    def test_boundary_jump_refused_by_its_estimate(self):
         problem = lv.DirichletProblem(
-            R=0.9, kappa=lambda z: np.where(np.abs(z - h) < 0.1 * h, np.inf, -4.0),
-            pinch=(-4.0, -4.0),
-            boundary=lambda th: np.full(np.shape(th), -math.log(1.0 - 0.81)))
-        with pytest.raises(mt.MetricError, match=r"curvature inf at node \(0\.0070"):
-            lv.solve(problem, n=257)
+            R=0.9, kappa=lambda z: np.full(np.shape(z), -4.0), pinch=(-4.0, -4.0),
+            boundary=lambda th: np.sign(np.cos(th)))
+        with pytest.raises(lv.LiouvilleError, match=r"error estimate \S+ exceeds"):
+            lv.solve(problem, n=129)
+
+    def test_interpolant_keeps_node_values(self):
+        # the node at -r and angle theta is the point at r and theta + pi
+        sol = lv.solve(off_centre_problem(), n=65)
+        N, M = sol.resolution
+        r = np.cos(np.pi * np.arange(N + 1) / N)
+        z = 0.9 * r[:, None] * np.exp(2j * np.pi * np.arange(M) / M)
+        got = lv.solution_interpolator(sol).ev(z.real, z.imag)
+        assert np.max(np.abs(got - sol.values)) <= 1e-14
 
 
-class TestGridCache:
-    def test_cached_solve_bitwise_equal_to_fresh(self):
-        problem = lv.pinched_problem(0.9)
-        lv.solve(lv.poincare_problem(0.9), n=65)        # fills the slot
-        cached = lv.solve(problem, n=65)
-        lv._grid_slot.clear()
-        fresh = lv.solve(problem, n=65)
-        assert np.array_equal(cached.u, fresh.u, equal_nan=True)
-        assert cached.residual_history == fresh.residual_history
+def nodes(R, N, M):
+    """The collocation nodes R x_j e^(i theta_k), j = 0..N, k = 0..M-1."""
+    x = np.cos(np.pi * np.arange(N + 1) / N)
+    return R * x[:, None] * np.exp(2j * np.pi * np.arange(M) / M)
 
-    def test_two_most_recent_grids_kept_in_order(self):
-        lv._grid_slot.clear()
-        lv._grid(0.9, 65)
-        lv._grid(0.9, 97)
-        assert list(lv._grid_slot) == [(0.9, 65), (0.9, 97)]
-        lv._grid(0.9, 65)                   # a reuse makes it the most recent
-        assert list(lv._grid_slot) == [(0.9, 97), (0.9, 65)]
-        lv._grid(0.8, 65)                   # a third grid drops the least recent
-        assert list(lv._grid_slot) == [(0.9, 65), (0.8, 65)]
 
-    def test_least_recent_dropped_before_a_third_is_built(self, monkeypatch):
-        lv._grid_slot.clear()
-        lv._grid(0.9, 65)
-        lv._grid(0.9, 97)
-        assemble, kept_while_building = lv._assemble, []
+def boundary_load(B, g):
+    """The boundary columns B applied to data g at the angles theta_k; the
+    second column's node is the circle point at theta_k + pi."""
+    M = len(g)
+    return (np.outer(B[:, 0], g) + np.outer(B[:, 1], np.roll(g, -(M // 2)))).ravel()
 
-        def spied(*args):
-            kept_while_building.append(list(lv._grid_slot))
-            return assemble(*args)
 
-        monkeypatch.setattr(lv, "_assemble", spied)
-        lv._grid(0.8, 65)
-        assert kept_while_building == [[(0.9, 97)]]
-        assert list(lv._grid_slot) == [(0.9, 97), (0.8, 65)]
+def quadratic(x, y):
+    """Lap = 2 - 4 = -2."""
+    return x**2 - 2.0 * y**2 + x * y + 3.0 * x
 
-    def test_alternating_grids_factored_once_each(self, monkeypatch):
-        lv._grid_slot.clear()
-        splu, factorizations = spla.splu, []
 
-        def counted(*args, **kwargs):
-            factorizations.append(1)
-            return splu(*args, **kwargs)
+class TestChebyshev:
+    @pytest.mark.parametrize("N", [5, 11, 23, 41, 61])
+    def test_differentiates_polynomials_of_degree_n_exactly(self, N):
+        x, D = lv._cheb(N)
+        assert x[0] == 1.0 and x[N] == -1.0 and np.all(np.diff(x) < 0.0)
+        assert np.min(np.abs(x)) > 0.0            # N odd: no node at the centre
+        p = np.polynomial.chebyshev.Chebyshev(
+            np.random.default_rng(N).standard_normal(N + 1))
+        want = p.deriv()(x)
+        assert np.max(np.abs(D @ p(x) - want)) <= 1e-13 * np.max(np.abs(want))
 
-        monkeypatch.setattr(lv.spla, "splu", counted)
-        for n in (65, 97, 65, 97):
+
+class TestLaplacian:
+    @pytest.mark.parametrize("n", [64, 65, 97])
+    @pytest.mark.parametrize("R", [0.5, 0.9])
+    def test_exact_on_a_quadratic(self, R, n):
+        N, M = lv.resolution(n)
+        L, B, r = lv._laplacian(R, N, M)
+        assert L.shape == ((N - 1) // 2 * M,) * 2 and B.shape == ((N - 1) // 2, 2)
+        angles = 2.0 * np.pi * np.arange(M) / M
+        pts = (R * r[:, None] * np.exp(1j * angles)).ravel()
+        b = boundary_load(B, quadratic(R * np.cos(angles), R * np.sin(angles)))
+        u = quadratic(pts.real, pts.imag)
+        scale = np.abs(L).sum(axis=1) + np.repeat(np.abs(B).sum(axis=1), M)
+        assert np.max(np.abs(L @ u + b + 2.0) / scale) <= 1e-14
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 11])
+    def test_annihilates_harmonic_polynomials(self, k, part):
+        # Re z^k and Im z^k, of degree k <= N in r and k < M/2 in theta
+        R = 0.9
+        N, M = lv.resolution(65)
+        L, B, r = lv._laplacian(R, N, M)
+        angles = 2.0 * np.pi * np.arange(M) / M
+        pts = (R * r[:, None] * np.exp(1j * angles)).ravel()
+        take = getattr(np, part)
+        b = boundary_load(B, take((R * np.exp(1j * angles)) ** k))
+        scale = np.abs(L).sum(axis=1) + np.repeat(np.abs(B).sum(axis=1), M)
+        assert np.max(np.abs(L @ take(pts**k) + b) / scale) <= 1e-14
+
+    def test_spectral_accuracy_on_a_smooth_field(self):
+        # u = e^x sin 2y, Lap u = -3 u: not a polynomial, so the error falls
+        # with n rather than vanishing
+        R, errors = 0.9, []
+        for n in (65, 129, 257):
+            N, M = lv.resolution(n)
+            L, B, r = lv._laplacian(R, N, M)
+            angles = 2.0 * np.pi * np.arange(M) / M
+            pts = (R * r[:, None] * np.exp(1j * angles)).ravel()
+            circle = R * np.exp(1j * angles)
+            b = boundary_load(B, np.exp(circle.real) * np.sin(2.0 * circle.imag))
+            u = np.exp(pts.real) * np.sin(2.0 * pts.imag)
+            errors.append(np.max(np.abs(L @ u + b + 3.0 * u)))
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+        assert errors[-1] <= 1e-7
+
+
+class TestPolarInterpolant:
+    @pytest.mark.parametrize("n", [65, 129])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reproduces_a_polynomial(self, seed, n):
+        # total degree 6 in x and y: degree 6 in r, wavenumber 6 < M/2
+        R = 0.9
+        coef = np.random.default_rng(seed).standard_normal((7, 7))
+        coef = np.triu(coef[::-1])[::-1]
+
+        def poly(x, y):
+            return np.polynomial.polynomial.polyval2d(x, y, coef)
+
+        z = nodes(R, *lv.resolution(n))
+        spline = lv.PolarInterpolant(R, poly(z.real, z.imag))
+        rng = np.random.default_rng(10 + seed)
+        w = np.append(R * np.sqrt(rng.uniform(0.0, 1.0, 1000))
+                      * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 1000)), 0.0)
+        assert np.max(np.abs(spline.ev(w.real, w.imag) - poly(w.real, w.imag))) <= 1e-13
+
+    def test_shape_of_ev_is_that_of_its_points(self):
+        spline = lv.solution_interpolator(lv.solve(lv.pinched_problem(0.9), n=65))
+        x, y = np.random.default_rng(4).uniform(-0.6, 0.6, (2, 500))
+        assert spline.ev(0.1, 0.2).shape == ()
+        assert spline.ev(x[:, None], y[None, :4]).shape == (500, 4)
+        assert spline.ev(x[:, None], y[None, :4])[7, 2] == pytest.approx(
+            spline.ev(x[7], y[2]), abs=1e-15)
+
+    def test_blocks_agree_with_one_pass(self, monkeypatch):
+        sol = lv.solve(lv.pinched_problem(0.9), n=65)
+        spline = lv.solution_interpolator(sol)
+        X, Y = np.meshgrid(sol.xs, sol.ys, indexing="ij")
+        whole = spline.ev(X, Y)
+        monkeypatch.setattr(lv, "BLOCK", 7)
+        assert np.max(np.abs(spline.ev(X, Y) - whole)) <= 1e-14
+        assert np.array_equal(whole[sol.mask], sol.u[sol.mask])
+
+    def test_outside_the_disk_takes_the_circle_value(self):
+        sol = lv.solve(off_centre_problem(), n=65)
+        spline = lv.solution_interpolator(sol)
+        th = np.linspace(0.0, 2.0 * np.pi, 50)
+        on_circle = spline.ev(0.9 * np.cos(th), 0.9 * np.sin(th))
+        assert np.max(np.abs(spline.ev(1.3 * np.cos(th), 1.3 * np.sin(th))
+                             - on_circle)) <= 1e-14
+        # between the angles theta_k, the trigonometric interpolant of the data
+        at_nodes = 2.0 * np.pi * np.arange(sol.resolution[1]) / sol.resolution[1]
+        assert np.max(np.abs(spline.ev(0.9 * np.cos(at_nodes), 0.9 * np.sin(at_nodes))
+                             - sol.problem.boundary(at_nodes))) <= 1e-13
+
+
+def conjugate_off_centre_problem(R=0.9):
+    """The off-centre problem reflected in the real axis."""
+    centre = OFF_CENTRE.conjugate()
+    return lv.DirichletProblem(
+        R=R, kappa=lambda z: np.full(np.shape(z), -4.0), pinch=(-4.0, -4.0),
+        boundary=lambda th: np.log(OFF_RADIUS / (
+            OFF_RADIUS**2 - np.abs(R * np.exp(1j * th) - centre) ** 2)))
+
+
+PROBLEMS = {"flat": lambda: lv.poincare_problem(0.9),
+            "pinched": lambda: lv.pinched_problem(0.9),
+            "off-centre": off_centre_problem}
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("n", [65, 129])
+    @pytest.mark.parametrize("name", ["flat", "pinched"])
+    def test_radial_data_gives_a_radial_solution(self, name, n):
+        sol = lv.solve(PROBLEMS[name](), n=n)
+        assert np.max(np.abs(sol.values - sol.values[:, :1])) <= 1e-13
+        u = np.where(sol.mask, sol.u, 0.0)
+        for mirrored in (u.T, u[::-1], u[:, ::-1]):
+            assert np.max(np.abs(u - mirrored)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [65, 97, 129])
+    def test_conjugate_data_gives_the_conjugate_solution(self, n):
+        sol = lv.solve(off_centre_problem(), n=n)
+        conj = lv.solve(conjugate_off_centre_problem(), n=n)
+        M = sol.resolution[1]
+        assert np.max(np.abs(conj.values - sol.values[:, -np.arange(M) % M])) <= 1e-13
+
+
+class TestNewton:
+    @pytest.mark.parametrize("n", [65, 97, 129, 257])
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_node_values_meet_the_collocation_equations(self, name, n):
+        problem = PROBLEMS[name]()
+        sol = lv.solve(problem, n=n)
+        N, M = sol.resolution
+        assert sol.values.shape == (N + 1, M)
+        L, B, r = lv._laplacian(problem.R, N, M)
+        z = nodes(problem.R, N, M)
+        half = (N - 1) // 2
+        # the first and last rows are the boundary data; a row at -r is the
+        # row at r turned by pi
+        angles = 2.0 * np.pi * np.arange(M) / M
+        assert np.array_equal(sol.values[0], problem.boundary(angles))
+        assert np.array_equal(sol.values[N], np.roll(sol.values[0], -(M // 2)))
+        assert np.array_equal(sol.values[N - 1:half:-1],
+                              np.roll(sol.values[1:half + 1], -(M // 2), axis=1))
+        u = sol.values[1:half + 1].ravel()
+        kv = problem.kappa(z[1:half + 1].ravel())
+        res = L @ u + boundary_load(B, sol.values[0]) + kv * np.exp(2.0 * u)
+        assert np.max(np.abs(res) / np.abs(L).sum(axis=1)) <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_step_records(self, name):
+        sol = lv.solve(PROBLEMS[name](), n=65)
+        assert len(sol.residual_history) == sol.iterations + 1
+        assert len(sol.step_sizes) == sol.iterations
+        assert all(0.0 < s <= 1.0 for s in sol.step_sizes)
+        assert sol.residual_history[-1] <= lv.NEWTON_TOL
+
+    def test_stops_on_the_step_size(self, monkeypatch):
+        full = lv.solve(lv.pinched_problem(0.9), n=65)
+        monkeypatch.setattr(lv, "STEP_TOL", 1e-3)
+        early = lv.solve(lv.pinched_problem(0.9), n=65)
+        assert early.iterations < full.iterations
+        assert early.residual_history == full.residual_history[:early.iterations + 1]
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("n", SIZES)
+    def test_boundary_jump_refused_at_every_n(self, n):
+        problem = lv.DirichletProblem(
+            R=0.9, kappa=lambda z: np.full(np.shape(z), -4.0), pinch=(-4.0, -4.0),
+            boundary=lambda th: np.sign(np.cos(th)))
+        N, M = lv.resolution(n)
+        with pytest.raises(lv.LiouvilleError,
+                           match=rf"exceeds \S+: the data is not resolved by "
+                                 rf"N = {N}, M = {M}"):
+            lv.solve(problem, n=n)
+
+    @pytest.mark.parametrize("n", [65, 257])
+    def test_estimate_over_the_tolerance_refused(self, n, monkeypatch):
+        estimate = lv.solve(lv.pinched_problem(0.9), n=n).error_estimate
+        monkeypatch.setattr(lv, "ESTIMATE_TOL", estimate / 2.0)
+        with pytest.raises(lv.LiouvilleError,
+                           match=rf"error estimate {estimate:.3e} exceeds"):
             lv.solve(lv.pinched_problem(0.9), n=n)
-        assert len(factorizations) == 2
 
-    def test_rebuilt_grid_solves_bitwise_equal(self):
+    def test_tails_of_a_low_degree_field_vanish(self):
+        z = nodes(0.9, 23, 24)
+        assert lv._tails(quadratic(z.real, z.imag) + np.real(z**9)) <= 1e-14
+
+    @pytest.mark.parametrize("top", ["T_N-1", "T_N", "cos (M/2-1) theta",
+                                     "cos M/2 theta"])
+    def test_tails_read_each_top_coefficient(self, top):
+        N, M = 23, 24
+        x = np.cos(np.pi * np.arange(N + 1) / N)[:, None]
+        theta = 2.0 * np.pi * np.arange(M) / M
+        field = {"T_N-1": np.cos((N - 1) * np.arccos(x)) + 0.0 * theta,
+                 "T_N": np.cos(N * np.arccos(x)) + 0.0 * theta,
+                 "cos (M/2-1) theta": np.cos((M // 2 - 1) * theta) + 0.0 * x,
+                 "cos M/2 theta": np.cos(M // 2 * theta) + 0.0 * x}[top]
+        assert lv._tails(0.25 * field) == pytest.approx(0.25, abs=1e-14)
+
+
+class TestIndependence:
+    def test_repeated_solve_bitwise_equal(self):
         problem = lv.pinched_problem(0.9)
-        lv._grid_slot.clear()
         first = lv.solve(problem, n=65)
-        lv._grid(0.9, 97)
-        lv._grid(0.8, 65)
-        assert (0.9, 65) not in lv._grid_slot
-        rebuilt = lv.solve(problem, n=65)
-        assert np.array_equal(first.u, rebuilt.u, equal_nan=True)
-        assert first.residual_history == rebuilt.residual_history
+        lv.solve(lv.poincare_problem(0.8), n=97)
+        again = lv.solve(problem, n=65)
+        assert np.array_equal(first.u, again.u, equal_nan=True)
+        assert np.array_equal(first.values, again.values)
+        assert first.residual_history == again.residual_history
 
     def test_solution_arrays_are_its_own(self):
         problem = lv.pinched_problem(0.9)
         first = lv.solve(problem, n=65)
         before = first.u.copy()
-        for arr in (first.xs, first.ys, first.u):
+        for arr in (first.xs, first.ys, first.u, first.values):
             arr[...] = 0.0
         first.mask[...] = False
         second = lv.solve(problem, n=65)
         assert np.array_equal(second.u, before, equal_nan=True)
         assert second.mask.any() and second.xs[1] - second.xs[0] > 0.0
-        grid = lv._grid(0.9, 65)
-        with pytest.raises(ValueError, match="read-only"):
-            grid.xs[0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            grid.A.data[0] = 0.0
 
-    def test_threads_share_one_factorization(self, monkeypatch):
-        # four threads on two cores, flat and pinched on one grid, switching
-        # often: the grid is built once and every u is the sequential one
+    def test_threads_give_the_sequential_solutions(self):
         problems = [lv.poincare_problem(0.9), lv.pinched_problem(0.9)] * 2
         sequential = [lv.solve(p, n=65).u for p in problems[:2]] * 2
-        lv._grid_slot.clear()
-        splu, factorizations = spla.splu, []
-
-        def counted(*args, **kwargs):
-            factorizations.append(1)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(lv.spla, "splu", counted)
         results = [None] * len(problems)
 
         def work(k):
@@ -606,52 +451,16 @@ class TestGridCache:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(factorizations) == 1
         for got, want in zip(results, sequential):
             assert np.array_equal(got, want, equal_nan=True)
 
     def test_report_independent_of_earlier_solves(self, tmp_path):
         text = "command = liouville-solve\nkappa = pinched-5\nn = 97\nout = lv.json\n"
-        lv._grid_slot.clear()
         assert cli.run(cli.parse_config(text), out_dir=tmp_path / "a") == 0
-        lv._grid_slot.clear()
-        lv.make_pinched_metric(n=97)
+        lv.make_pinched_metric(n=129)
         assert cli.run(cli.parse_config(text), out_dir=tmp_path / "b") == 0
         assert ((tmp_path / "a" / "lv.json").read_bytes()
                 == (tmp_path / "b" / "lv.json").read_bytes())
-
-
-class TestNestedDissection:
-    @pytest.mark.parametrize("n", [64, 65, 97, 129])
-    @pytest.mark.parametrize("R", [0.5, 0.9])
-    def test_each_unknown_once(self, R, n):
-        xs = np.linspace(-R, R, n)
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        inside = X**2 + Y**2 < R**2 * (1.0 - 1e-14)
-        p = lv._nested_dissection(inside)
-        assert np.array_equal(np.sort(p), np.arange(np.count_nonzero(inside)))
-
-    def test_grid_solve_inverts_A_in_original_order(self):
-        lv._grid_slot.clear()
-        grid = lv._grid(0.9, 97)
-        r = np.random.default_rng(7).standard_normal(grid.A.shape[0])
-        back = grid.A @ grid.a_inverse(r)
-        assert np.linalg.norm(back - r) <= 1e-10 * np.linalg.norm(r)
-
-    def test_less_fill_than_minimum_degree(self, monkeypatch):
-        splu, factors = spla.splu, []
-
-        def kept(*args, **kwargs):
-            factors.append(splu(*args, **kwargs))
-            return factors[-1]
-
-        monkeypatch.setattr(lv.spla, "splu", kept)
-        lv._grid_slot.clear()
-        grid = lv._grid(0.9, 257)
-        lv._grid_slot.clear()
-        mmd = splu(grid.A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        (nd,) = factors
-        assert nd.L.nnz + nd.U.nnz < mmd.L.nnz + mmd.U.nnz
 
 
 class TestPinchedMetric:
