@@ -34,9 +34,10 @@ class GreenPJError(DiskrigError, ValueError):
     """Raised on invalid potential-theory input."""
 
 
-def green(R: float, z: complex, w) -> float:
+def green(R: float, z: complex, w) -> float | np.ndarray:
     """Green's function of the disk |z| < R; symmetric, positive,
-    vanishing as w tends to the rim.  Vectorized over w."""
+    vanishing as w tends to the rim.  Vectorized over w: a numpy scalar
+    for a single point, an array for an array."""
     if abs(z) >= R:
         raise GreenPJError(f"first argument must lie inside the disk; z = {z}")
     w = np.asarray(w)
@@ -61,12 +62,13 @@ def green_mean(R: float, z: complex, grid: PolarGrid | None = None) -> float:
     """(1/2pi) * area integral of g_R(z, .) over the disk.
 
     Equals (R^2 - |z|^2)/4 exactly; the quadrature value is returned so
-    the identity can be used as an error gauge for the rule.
+    the identity can be used as an error gauge for the rule, which builds
+    the kernel from its own polar coordinates and no node array.
     """
     if grid is None:
         grid = PolarGrid(0j, R, *RESOLUTION)
     _require_covering(grid, R)
-    total = quadrature_disk(grid, lambda w: green(R, z, w), z)
+    total = quadrature_disk(grid, None, z)
     return total / (2.0 * math.pi)
 
 
@@ -122,7 +124,7 @@ def pj_decompose(lam: Pseudometric, R: float, z: complex,
     log lam(z) = -sum_j alpha_j g_R(z, xi_j) + h_R(z)
                  + (1/2pi) * integral of g_R(z, w) kappa(w) lam(w)^2 dA_w.
 
-    The area integral runs on the grid's rule in polar coordinates about
+    The area integral is the grid's Green potential of the source about
     z, the kernel's logarithmic pole (numerics.quadrature_disk).
     Requires declared pinch bounds with kappa <= -4 and a grid on the
     disk of radius R about 0 (one of RESOLUTION when none is given); z
@@ -147,7 +149,7 @@ def pj_decompose(lam: Pseudometric, R: float, z: complex,
 
     majorant = harmonic_majorant(lam, R, z)
     potential = quadrature_disk(
-        grid, lambda w: curvature_source(lam, w) * green(R, z, w), z) / (2.0 * math.pi)
+        grid, lambda w: curvature_source(lam, w), z) / (2.0 * math.pi)
 
     log_density = math.log(float(lam.density(z)))
     reconstructed = sum(t for _, t in zero_terms) + majorant + potential

@@ -103,8 +103,15 @@ class Pseudometric:
         return dataclasses.replace(self, curvature=None)
 
 
-def _const_curvature(value: float) -> Callable:
-    return lambda z: np.full(np.shape(z), value)
+@dataclass(frozen=True)
+class _ConstCurvature:
+    """Curvature provider of a metric of constant curvature ``value``;
+    pullback and scale read the value instead of composing the map."""
+
+    value: float
+
+    def __call__(self, z):
+        return np.full(np.shape(z), self.value)
 
 
 def poincare() -> Pseudometric:
@@ -114,7 +121,7 @@ def poincare() -> Pseudometric:
         return 1.0 / (1.0 - np.abs(z) ** 2)
 
     return Pseudometric(density=density, zeros=(),
-                        curvature=_const_curvature(-4.0),
+                        curvature=_ConstCurvature(-4.0),
                         pinch=(-4.0, -4.0), name="poincare")
 
 
@@ -152,8 +159,8 @@ def pullback(f: HoloMap, mu: Pseudometric) -> Pseudometric:
             _add(loc, m * rec.order + (m - 1))
 
     zeros = tuple(ZeroRecord(loc, order) for loc, order in contributions.items())
-    curvature = None
-    if mu.curvature is not None:
+    curvature = mu.curvature
+    if curvature is not None and not isinstance(curvature, _ConstCurvature):
         def curvature(z):  # noqa: F811
             return mu.curvature(f.eval(z))
 
@@ -172,7 +179,7 @@ def mu_max(beta: float) -> Pseudometric:
         return (1.0 + beta) * r**beta / (1.0 - r ** (2.0 * (1.0 + beta)))
 
     return Pseudometric(density=density, zeros=(ZeroRecord(0j, beta),),
-                        curvature=_const_curvature(-4.0), pinch=(-4.0, -4.0),
+                        curvature=_ConstCurvature(-4.0), pinch=(-4.0, -4.0),
                         name=f"mu_max({beta})")
 
 
@@ -185,7 +192,9 @@ def scale(t: float, mu: Pseudometric) -> Pseudometric:
         return t * mu.density(z)
 
     curvature = None
-    if mu.curvature is not None:
+    if isinstance(mu.curvature, _ConstCurvature):
+        curvature = _ConstCurvature(mu.curvature.value / t**2)
+    elif mu.curvature is not None:
         def curvature(z):  # noqa: F811
             return mu.curvature(z) / t**2
 

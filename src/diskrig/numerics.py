@@ -1,15 +1,16 @@
 """Shared numerical substrate.
 
-Sample rings, quadrature over disks in polar coordinates about a pole
-of the integrand, five-point finite-difference Laplacians with optional
-Richardson extrapolation, and least-squares fitting of boundary
-asymptotic rates (the machinery that turns a qualitative little-o
-statement into a numeric verdict).
+Sample rings, Green potentials over disks by a quadrature in polar
+coordinates about the Green kernel's pole, five-point finite-difference
+Laplacians with optional Richardson extrapolation, and least-squares
+fitting of boundary asymptotic rates (the machinery that turns a
+qualitative little-o statement into a numeric verdict).
 
-The quadrature builds its nodes on the fly, in blocks of whole rays of
-about BLOCK_NODES nodes, from the cached radial rule of its resolution;
-no node or value array of a whole grid is cached or built, whatever the
-grid.
+The quadrature builds the Green kernel from its own polar coordinates,
+and its nodes only for an integrand, on the fly, in blocks of whole rays
+of about BLOCK_NODES nodes, from the cached radial rule of its
+resolution; no node or value array of a whole grid is cached or built,
+whatever the grid.
 """
 
 from __future__ import annotations
@@ -111,48 +112,74 @@ def _ray_rule(n_r: int):
     return u * u, u**3 * w
 
 
-def quadrature_disk(grid: PolarGrid, f: Callable, pole: complex) -> float:
-    """Integrate f over the grid's disk, in polar coordinates about pole.
+def _ray_nodes(pole: complex, ends, u2) -> np.ndarray:
+    """The nodes pole + ends u2 of a block of rays, ray by ray from the
+    pole out."""
+    return (pole + np.outer(ends, u2)).ravel()
 
-    The rule puts n_t rays from the pole at the midpoints of equal
-    angular cells, each clipped at the circle at rho_max, and n_r nodes
-    rho = rho_max u^2 on each, u Gauss-Legendre on [0, 1].  The area
-    element rho drho = 2 rho_max^2 u^3 du damps a logarithmic pole of f
-    at the pole to u^3 log u, and no node lies on the pole.  The pole
-    must lie inside the disk.
+
+def quadrature_disk(grid: PolarGrid, f: Callable | None, pole: complex) -> float:
+    """The Green potential integral of f(w) g(pole, w) dA(w) over the
+    grid's disk, g being its Green's function
+    g(p, w) = -log |R (p - w) / (R^2 - conj(w - center) (p - center))|;
+    f None integrates g alone.  The pole must lie inside the disk.
+
+    The rule puts n_t rays w = pole + rho e^{i phi} from the pole at the
+    midpoints of equal angular cells, each clipped at the circle at
+    rho_max, and n_r nodes rho = rho_max u^2 on each, u Gauss-Legendre on
+    [0, 1].  The area element rho drho = 2 rho_max^2 u^3 du damps the
+    kernel's logarithmic pole to u^3 log u, and no node lies on the pole.
+    With d = pole - center and c = R^2 - |d|^2 the kernel is
+    log |c / rho - d e^{-i phi}| - log R, built from the rays and the
+    radial rule alone.
 
     The rays are walked in blocks of about BLOCK_NODES nodes, and f is
     called once per block, on its node array: f must act elementwise.
-    Raises NumericsError naming the first node, ray by ray from the
-    pole out, where f is not finite.
+    Raises NumericsError naming the first node, ray by ray from the pole
+    out, where f g is not finite.
     """
     pole = complex(pole)
     d = pole - complex(grid.center)
-    if not abs(d) < grid.radius:
+    R = grid.radius
+    if not abs(d) < R:
         raise NumericsError(f"pole {pole} must lie inside the grid's disk "
-                            f"|z - {grid.center}| < {grid.radius}")
-    c = grid.radius**2 - abs(d) ** 2
+                            f"|z - {grid.center}| < {R}")
+    c = R**2 - abs(d) ** 2
     u2, wu = _ray_rule(grid.n_r)
+    inv_u2 = 1.0 / u2
     n_t = grid.n_t
     step = max(1, BLOCK_NODES // grid.n_r)
     total = 0.0
     for start in range(0, n_t, step):
         phi = 2.0 * np.pi / n_t * (np.arange(start, min(start + step, n_t)) + 0.5)
         ray = np.exp(1j * phi)
-        # rho_max solves rho^2 + 2 b rho = c; for b > 0 in the form
-        # that keeps its digits
-        b = np.real(d.conjugate() * ray)
+        # b + i m = conj(d) e^{i phi}; rho_max solves rho^2 + 2 b rho = c,
+        # for b > 0 in the form that keeps its digits
+        a = d.conjugate() * ray
+        b = a.real
         s = np.abs(b) + np.sqrt(c + b * b)
         rho_max = np.where(b > 0, c / s, s)
-        pts = (pole + np.outer(rho_max * ray, u2)).ravel()
-        block = np.asarray(f(pts), dtype=float)
-        if block.shape != pts.shape:
-            raise NumericsError(f"integrand returned shape {block.shape} on "
-                                f"{pts.shape} nodes; it must act elementwise")
-        bad = ~np.isfinite(block)
+        # g = log |(c / rho - b) + i m| - log R, as half the log of the
+        # squared modulus over R^2
+        g = np.multiply.outer(c / rho_max / R, inv_u2)
+        g -= (b / R)[:, None]
+        g *= g
+        g += ((a.imag / R) ** 2)[:, None]
+        np.log(g, out=g)
+        g *= 0.5
+        if f is not None:
+            pts = _ray_nodes(pole, rho_max * ray, u2)
+            block = np.asarray(f(pts), dtype=float)
+            if block.shape != pts.shape:
+                raise NumericsError(f"integrand returned shape {block.shape} on "
+                                    f"{pts.shape} nodes; it must act elementwise")
+            g *= block.reshape(g.shape)
+        bad = ~np.isfinite(g)
         if np.any(bad):
-            raise NumericsError(f"integrand not finite at node {pts[np.argmax(bad)]}")
-        total += float(rho_max**2 @ (block.reshape(-1, grid.n_r) @ wu))
+            node = _ray_nodes(pole, rho_max * ray, u2)[np.argmax(bad)]
+            raise NumericsError(f"integrand times Green kernel not finite at "
+                                f"node {node}")
+        total += float(rho_max**2 @ (g @ wu))
     return total * 2.0 * np.pi / n_t
 
 

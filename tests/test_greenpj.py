@@ -35,9 +35,16 @@ def potential_radial(lam, R, z):
 
 
 def quadrature_nodes(grid, pole):
-    """The nodes quadrature_disk hands its integrand, in order."""
+    """The nodes quadrature_disk hands its integrand, in order.  The
+    grid's disk is |w| < R, so the Green potential of 1 it returns must
+    be 2 pi times the Green mean (R^2 - |pole|^2) / 4, to within the
+    rule's error, which falls like n_r^-8."""
     seen = []
-    quadrature_disk(grid, lambda w: seen.append(w.copy()) or np.ones(w.shape), pole)
+    val = quadrature_disk(grid, lambda w: seen.append(w.copy()) or np.ones(w.shape),
+                          pole)
+    exact = (grid.radius**2 - abs(pole) ** 2) / 4.0
+    assert val / (2.0 * math.pi) == pytest.approx(
+        exact, rel=max(1e-12, 1e-8 * (16 / grid.n_r) ** 8))
     return np.concatenate(seen)
 
 
@@ -92,6 +99,19 @@ class TestGreen:
         expected = -np.log(R * np.abs(z - w) / np.abs(R**2 - np.conj(w) * z))
         assert np.array_equal(gp.green(R, z, w), expected)
         assert np.array_equal(w, before)
+
+    @pytest.mark.parametrize("n_r, n_t", [(64, 128), (220, 440)])
+    @pytest.mark.parametrize("R, z", [(0.9, 0.4 - 0.1j), (0.5, -0.3j), (1.0, 0j),
+                                      (0.8, 0.79 + 0j)])
+    def test_kernel_of_the_rule_is_green(self, R, z, n_r, n_t):
+        # the rule builds g_R(z, .) from its own polar coordinates; an
+        # integrand divided by green on the nodes gives back the plain
+        # area integral: pi R^2 for 1 and pi R^4 / 2 for |w|^2
+        grid = PolarGrid(0j, R, n_r, n_t)
+        area = quadrature_disk(grid, lambda w: 1.0 / gp.green(R, z, w), z)
+        square = quadrature_disk(grid, lambda w: np.abs(w) ** 2 / gp.green(R, z, w), z)
+        assert area == pytest.approx(math.pi * R**2, rel=1e-12)
+        assert square == pytest.approx(math.pi * R**4 / 2.0, rel=1e-12)
 
     def test_scalar_gives_a_numpy_scalar(self):
         val = gp.green(0.9, 0.4 + 0j, 0.1j)

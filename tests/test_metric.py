@@ -134,6 +134,67 @@ class TestScaleAndWeight:
             mt.scale(1.5, P)
 
 
+class CountingMap:
+    """A map that counts the points its value is taken at (not a HoloMap
+    subclass, which the node tests enumerate)."""
+
+    def __init__(self, f):
+        self.f = f
+        self.points = 0
+
+    def jet(self, z):
+        self.points += np.size(z)
+        return self.f.jet(z)
+
+    def eval(self, z):
+        return self.jet(z)[0]
+
+    def rational(self):
+        return self.f.rational()
+
+
+ZS = np.array([0.0, 0.3 - 0.2j, -0.55j, 0.1 + 0.7j])
+
+
+class TestConstantCurvature:
+    """Pullbacks and scalings of a constant-curvature metric carry the
+    constant: they take no map value, and give the composed bits."""
+
+    @pytest.mark.parametrize("base", [P, mt.mu_max(1.0), mt.scale(0.7, P)],
+                             ids=["poincare", "mu_max", "scale"])
+    @pytest.mark.parametrize("z", [ZS, ZS[1]], ids=["array", "scalar"])
+    def test_pullback_takes_no_map_value(self, base, z):
+        f = CountingMap(hm.Blaschke((0.3 + 0.2j, -0.4j), 0.5))
+        pb = mt.pullback(f, base)
+        f.points = 0
+        got = pb.curvature(z)
+        assert f.points == 0
+        composed = base.curvature(f.f.eval(z))
+        assert np.array_equal(got, composed) and np.shape(got) == np.shape(composed)
+
+    @pytest.mark.parametrize("t", [0.3, 0.7, 1.0])
+    def test_scale_of_a_pullback_divides_the_constant(self, t):
+        f = CountingMap(hm.Monomial(2))
+        g = CountingMap(hm.Automorphism(0.4 - 0.3j, 0.9))
+        nested = mt.scale(t, mt.pullback(g, mt.scale(0.8, mt.pullback(f, P))))
+        f.points = g.points = 0
+        got = nested.curvature(ZS)
+        assert f.points == 0 and g.points == 0
+        assert np.array_equal(got, np.full(ZS.shape, -4.0) / 0.8**2 / t**2)
+        assert mt.curvature_grid(nested, ZS).tolist() == got.tolist()
+
+    def test_pinch_alone_is_not_a_constant(self):
+        # a provider that is not the constant one is composed, whatever
+        # the pinch bounds declare
+        base = mt.Pseudometric(density=P.density, curvature=lambda z: -4.0 - 0.0 * np.abs(z),
+                               pinch=(-4.0, -4.0), name="declared")
+        f = CountingMap(hm.Monomial(2))
+        pb = mt.scale(0.5, mt.pullback(f, base))
+        f.points = 0
+        assert np.array_equal(pb.curvature(ZS), np.full(ZS.shape, -16.0))
+        assert f.points == ZS.size
+
+
 class TestCurvature:
     @pytest.mark.parametrize("wrap", [lambda m: mt.pullback(hm.Monomial(2), m),
                                       lambda m: mt.scale(0.5, m)],

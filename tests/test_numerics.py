@@ -29,6 +29,33 @@ def rule(grid, pole):
     return nodes.ravel(), weights.ravel()
 
 
+def green(grid, pole, w):
+    """The Green's function of the grid's disk, from its definition."""
+    d = pole - grid.center
+    return -np.log(grid.radius * np.abs(pole - w)
+                   / np.abs(grid.radius**2 - np.conj(w - grid.center) * d))
+
+
+def potential(grid, f, pole):
+    """(1/2pi) * the integral of f g(pole, .) over the grid's disk."""
+    return quadrature_disk(grid, f, pole) / (2.0 * math.pi)
+
+
+def moment(grid, k):
+    """|w - center|^(2k); k None stands for no integrand."""
+    return None if k is None else lambda w: np.abs(w - grid.center) ** (2 * k)
+
+
+def exact_potential(grid, pole, k):
+    """(1/2pi) * the integral of |w - center|^(2k) g(pole, w): the solution
+    u = (R^(2k+2) - |w - center|^(2k+2)) / (2k+2)^2 of -Lap u = |w - center|^(2k)
+    that vanishes on the circle, at the pole; k None gives the Green mean
+    (R^2 - |pole - center|^2) / 4, the value at k = 0."""
+    k = 0 if k is None else k
+    r = abs(pole - grid.center)
+    return (grid.radius ** (2 * k + 2) - r ** (2 * k + 2)) / (2 * k + 2) ** 2
+
+
 def nodes_of(grid, pole):
     """The nodes quadrature_disk hands its integrand, in order."""
     seen = []
@@ -41,18 +68,25 @@ def nodes_of(grid, pole):
     return np.concatenate(seen)
 
 
+#: the moments k = 0..3 with the kernel alone (None) first
+MOMENTS = [None, 0, 1, 2, 3]
+CENTRED = PolarGrid(0j, 1.0, 64, 128)
+OFF_CENTRE = PolarGrid(0.2 + 0.1j, 0.7, 64, 128)
+
+
 class TestPolarGrid:
-    @pytest.mark.parametrize("n_r", [2, 16, 40])
-    def test_weights_positive_and_sum_to_area(self, n_r):
-        # the radial weights 2 u^3 du integrate 2 u^3 over [0, 1] to 1/2
+    @pytest.mark.parametrize("n_r", [16, 40, 64])
+    def test_weights_positive_and_green_mean_converges(self, n_r):
+        # the radial weights 2 u^3 du integrate 2 u^3 over [0, 1] to 1/2;
+        # with the kernel's u^3 log u the Green mean converges like n_r^-8
         u2, wu = _ray_rule(n_r)
         assert np.all(wu > 0) and np.all((0 < u2) & (u2 < 1))
         assert abs(wu.sum() - 0.5) <= 1e-14
         for grid in (PolarGrid(0j, 1.0, n_r, 32), PolarGrid(0.2 + 0.1j, 0.7, n_r, 64)):
-            area = math.pi * grid.radius**2
             for pole in (grid.center, grid.center + 0.6 * grid.radius * np.exp(2j)):
-                val = quadrature_disk(grid, lambda w: np.ones(w.shape), pole)
-                assert abs(val - area) <= 1e-12 * area
+                exact = exact_potential(grid, pole, None)
+                val = potential(grid, None, pole)
+                assert abs(val - exact) <= 1e-8 * (16 / n_r) ** 8 * exact
 
     @pytest.mark.parametrize("pole", [0.1j, 0.5 - 0.3j, -0.7 + 0.1j])
     def test_nodes_strictly_inside(self, pole):
@@ -64,15 +98,16 @@ class TestPolarGrid:
 
     @pytest.mark.parametrize("angle", [0.0, 1.0, math.pi / 2, 3.0])
     def test_pole_near_the_rim_keeps_nodes_inside_and_off_it(self, angle):
-        # rays towards the near rim are 1e-4 long, the others up to 2R
+        # rays towards the near rim are 1e-4 long, the others up to 2R;
+        # the Green potentials are about 1e-4 R / 2 and still closed-form
         grid = PolarGrid(0.2 - 0.1j, 0.8, 64, 128)
         pole = grid.center + (grid.radius - 1e-4) * np.exp(1j * angle)
         pts = nodes_of(grid, pole)
         assert np.all(np.abs(pts - grid.center) < grid.radius)
         assert np.min(np.abs(pts - pole)) > 0.0
-        area = math.pi * grid.radius**2
-        val = quadrature_disk(grid, lambda w: np.ones(w.shape), pole)
-        assert abs(val - area) <= 1e-12 * area
+        for k in MOMENTS:
+            exact = exact_potential(grid, pole, k)
+            assert abs(potential(grid, moment(grid, k), pole) - exact) <= 1e-8 * exact
 
     def test_invalid_parameters(self):
         with pytest.raises(NumericsError):
@@ -91,56 +126,59 @@ class TestPolarGrid:
             PolarGrid(*args)
 
     def test_numpy_integer_sizes_accepted(self):
-        grid = PolarGrid(0j, 1.0, np.int64(8), np.int32(16))
-        assert quadrature_disk(grid, lambda z: np.ones(z.shape), 0.3j) == \
-            pytest.approx(math.pi, rel=1e-12)
+        grid = PolarGrid(0j, 1.0, np.int64(64), np.int32(16))
+        assert potential(grid, None, 0.3j) == \
+            pytest.approx(exact_potential(grid, 0.3j, None), rel=1e-12)
 
 
 class TestQuadrature:
-    def test_constant_gives_disk_area(self):
-        grid = PolarGrid(0j, 1.0, 32, 64)
-        val = quadrature_disk(grid, lambda z: np.ones_like(np.real(z)), 0j)
-        assert abs(val - math.pi) <= 1e-12 * math.pi
+    @pytest.mark.parametrize("k", MOMENTS)
+    def test_centred_pole(self, k):
+        # about the center the kernel is -log u^2 on every ray
+        val = potential(CENTRED, moment(CENTRED, k), 0j)
+        assert val == pytest.approx(exact_potential(CENTRED, 0j, k), rel=1e-12)
 
-    def test_radial_square_moment(self):
-        # oracle: 2 pi * int_0^1 r^3 dr = pi/2
-        grid = PolarGrid(0j, 1.0, 32, 64)
-        val = quadrature_disk(grid, lambda z: np.abs(z) ** 2, 0j)
-        assert abs(val - math.pi / 2.0) <= 1e-12
-
-    def test_log_potential_mean(self):
-        # (1/2pi) * integral of -log|w| over the unit disk equals 1/4; the
-        # area element damps the pole at 0 to u^3 log u
-        grid = PolarGrid(0j, 1.0, 64, 8)
-        val = quadrature_disk(grid, lambda z: -np.log(np.abs(z)), 0j)
-        assert abs(val / (2.0 * math.pi) - 0.25) <= 1e-12
-
-    @given(st.integers(min_value=0, max_value=15))
-    @settings(max_examples=16, deadline=None)
-    def test_exact_for_radial_polynomials(self, k):
-        # |w|^(2k) has exact value 2 pi / (2k + 2); about the center it is
-        # R^(2k) u^(4k) on a ray, and u^(4k+3) is exact once n_r >= 2k + 2
-        grid = PolarGrid(0j, 1.0, 2 * k + 2, 8)
-        val = quadrature_disk(grid, lambda z, k=k: np.abs(z) ** (2 * k), 0j)
-        exact = 2.0 * math.pi / (2.0 * k + 2.0)
-        assert abs(val - exact) <= 1e-12 * exact
-
+    @pytest.mark.parametrize("k", MOMENTS)
     @pytest.mark.parametrize("pole", [0.3 - 0.1j, -0.5j, 0.25 + 0.6j])
-    def test_square_moment_about_an_off_centre_pole(self, pole):
-        # |w - c|^2 is a polynomial of degree 2 in rho on every ray, and
-        # rho_max is smooth and periodic in the angle
-        grid = PolarGrid(0.2 + 0.1j, 0.7, 4, 64)
-        val = quadrature_disk(grid, lambda w: np.abs(w - grid.center) ** 2,
-                              grid.center + pole)
-        assert abs(val - math.pi * grid.radius**4 / 2.0) <= 1e-12
+    def test_off_centre_pole(self, pole, k):
+        # the rays' lengths rho_max and the kernel are smooth and periodic
+        # in the angle
+        val = potential(CENTRED, moment(CENTRED, k), pole)
+        assert val == pytest.approx(exact_potential(CENTRED, pole, k), rel=1e-12)
+
+    @pytest.mark.parametrize("k", MOMENTS)
+    @pytest.mark.parametrize("pole", [0j, 0.3 - 0.1j, -0.5j, 0.25 + 0.6j])
+    def test_off_centre_grid(self, pole, k):
+        pole = OFF_CENTRE.center + OFF_CENTRE.radius * pole
+        val = potential(OFF_CENTRE, moment(OFF_CENTRE, k), pole)
+        assert val == pytest.approx(exact_potential(OFF_CENTRE, pole, k), rel=1e-12)
+
+    def test_log_potential_at_the_centre(self):
+        # (1/2pi) * integral of g(0, w) (-log|w|) over the unit disk is
+        # the integral of r log^2 r over [0, 1], 1/4; the area element
+        # damps the pole at 0 to u^3 log^2 u
+        grid = PolarGrid(0j, 1.0, 64, 8)
+        assert abs(potential(grid, lambda z: -np.log(np.abs(z)), 0j) - 0.25) <= 1e-12
+
+    def test_finite_integrand_times_kernel_overflow_refused(self):
+        # f g overflows where g > 1.8, next to the pole: the first node of
+        # the first ray
+        grid = PolarGrid(0j, 1.0, 8, 16)
+        first = nodes_of(grid, 0.2j)[0]
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericsError,
+                               match=re.escape(f"not finite at node {first}")):
+                quadrature_disk(grid, lambda z: np.full(z.shape, 1e308), 0.2j)
 
     @pytest.mark.parametrize("pole", [0.5 + 0.9j, 1.3 + 0.1j, -0.8 + 1.0j,
                                       complex(math.nan, 0.0), complex(0.0, math.inf)])
     def test_pole_on_or_outside_the_disk_refused(self, pole):
         # the grid's circle is |z - (0.5 + 0.1j)| = 0.8
         grid = PolarGrid(0.5 + 0.1j, 0.8, 8, 16)
-        with pytest.raises(NumericsError, match=re.escape(f"pole {pole} must lie inside")):
-            quadrature_disk(grid, lambda w: np.ones(w.shape), pole)
+        for f in (None, lambda w: np.ones(w.shape)):
+            with pytest.raises(NumericsError,
+                               match=re.escape(f"pole {pole} must lie inside")):
+                quadrature_disk(grid, f, pole)
 
     def test_nonfinite_integrand_names_node(self):
         grid = PolarGrid(0j, 1.0, 8, 16)
@@ -161,7 +199,7 @@ class TestQuadrature:
 SMALL_BLOCK = 64
 BLOCK_GRIDS = [PolarGrid(0.1 - 0.2j, 0.8, SMALL_BLOCK + 4, 4),
                PolarGrid(0j, 0.9, SMALL_BLOCK // 3, 10)]
-#: inside both grids' disks, and the pole of the integrand below
+#: inside both grids' disks, and the pole of the kernel and the integrand below
 POLE = 0.05j
 
 
@@ -179,18 +217,20 @@ def small_blocks(monkeypatch):
 @pytest.mark.usefixtures("small_blocks")
 class TestRayBlocks:
     """quadrature_disk walks the rays in blocks; the sum must equal one
-    dot product of the weights with f on every node of the rule."""
+    dot product of the weights with f g on every node of the rule."""
 
     @staticmethod
     def rays_per_block(grid):
         return max(1, SMALL_BLOCK // grid.n_r)
 
     @pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=["long-ray", "short-last"])
-    def test_equals_one_dot_over_all_nodes(self, grid):
+    @pytest.mark.parametrize("f", [None, integrand], ids=["kernel", "integrand"])
+    def test_equals_one_dot_over_all_nodes(self, grid, f):
         assert grid.n_t % self.rays_per_block(grid) != 0 or grid.n_r > SMALL_BLOCK
         pts, weights = rule(grid, POLE)
-        assert quadrature_disk(grid, integrand, POLE) == \
-            pytest.approx(float(weights @ integrand(pts)), rel=1e-13)
+        values = green(grid, POLE, pts) * (1.0 if f is None else f(pts))
+        assert quadrature_disk(grid, f, POLE) == \
+            pytest.approx(float(weights @ values), rel=1e-13)
 
     @pytest.mark.parametrize("grid", BLOCK_GRIDS + [PolarGrid(0j, 1.0, 8, 4)],
                              ids=["long-ray", "short-last", "one-block"])
